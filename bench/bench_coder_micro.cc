@@ -5,12 +5,15 @@
  * Throughput of the three coders and the bus-invert baseline on
  * warp-sized blocks. The coders are single-gate-depth transforms in
  * hardware; in software they should run at memory bandwidth, which
- * these numbers verify for the simulator's accounting hot path.
+ * these numbers verify for the simulator's accounting hot path, along
+ * with the per-call cost of that path itself: the SECDED check byte and
+ * one EnergyAccountant::onAccess of a full warp-sized block.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <map>
 #include <vector>
 
 #include "coder/bus_invert.hh"
@@ -18,6 +21,8 @@
 #include "coder/nv_coder.hh"
 #include "coder/vs_coder.hh"
 #include "common/rng.hh"
+#include "core/accountant.hh"
+#include "fault/secded.hh"
 #include "isa/encoding.hh"
 
 using namespace bvf;
@@ -115,6 +120,52 @@ BM_RoundTrip(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 128);
 }
 BENCHMARK(BM_RoundTrip);
+
+void
+BM_SecdedEncode(benchmark::State &state)
+{
+    Rng rng(5);
+    std::vector<Word64> words(64);
+    for (Word64 &w : words)
+        w = rng.nextU64();
+    for (auto _ : state) {
+        std::uint32_t acc = 0;
+        for (const Word64 w : words)
+            acc += fault::secdedEncode(w);
+        benchmark::DoNotOptimize(acc);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_SecdedEncode);
+
+/** One 32-word, full-mask access per iteration; args: ecc, unit. */
+void
+BM_AccountantOnAccess(benchmark::State &state)
+{
+    std::map<coder::UnitId, std::uint64_t> caps;
+    for (const coder::UnitId unit : coder::allUnits()) {
+        if (unit != coder::UnitId::Noc)
+            caps[unit] = 1 << 20;
+    }
+    core::AccountantOptions opts;
+    opts.eccAccounting = state.range(0) != 0;
+    const auto unit = static_cast<coder::UnitId>(state.range(1));
+    core::EnergyAccountant acc(caps, opts);
+    const auto block = randomBlock(32);
+    std::uint64_t cycle = 0;
+    for (auto _ : state) {
+        acc.onAccess(unit, sram::AccessType::Read, block, 0xffffffffu,
+                     ++cycle);
+    }
+    state.SetLabel(coder::unitName(unit) + (opts.eccAccounting ? "+ecc" : ""));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AccountantOnAccess)
+    ->ArgsProduct({{0, 1},
+                   {static_cast<int>(coder::UnitId::Reg),
+                    static_cast<int>(coder::UnitId::Sme),
+                    static_cast<int>(coder::UnitId::L2)}});
 
 } // namespace
 

@@ -45,6 +45,16 @@ enum class UnitId
     L2,    //!< unified L2 cache
 };
 
+/** Number of units. */
+constexpr std::size_t numUnits = 9;
+
+/** Dense index for array storage. */
+constexpr std::size_t
+unitIndex(UnitId unit)
+{
+    return static_cast<std::size_t>(unit);
+}
+
 /** Display name, e.g. "REG". */
 std::string unitName(UnitId unit);
 

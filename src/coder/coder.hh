@@ -118,6 +118,9 @@ class CoderChain
 
     bool empty() const { return stages_.empty(); }
 
+    /** Same coder objects in the same order. */
+    bool operator==(const CoderChain &other) const = default;
+
     /** "nv+vs(21)" style description. */
     std::string name() const;
 
@@ -126,6 +129,8 @@ class CoderChain
     {
         std::shared_ptr<const WordCoder> word;
         std::shared_ptr<const BlockCoder> block;
+
+        bool operator==(const Stage &other) const = default;
     };
 
     std::vector<Stage> stages_;

@@ -17,6 +17,45 @@ using coder::CoderChain;
 using coder::Scenario;
 using coder::UnitId;
 
+namespace
+{
+
+constexpr std::size_t
+idx(Scenario s)
+{
+    return static_cast<std::size_t>(coder::scenarioIndex(s));
+}
+
+/** Instruction-stream slot of @p s: 0 stores raw, 1 ISA-coded. */
+constexpr std::size_t
+isaSlot(Scenario s)
+{
+    return s == Scenario::IsaOnly || s == Scenario::AllCoders ? 1 : 0;
+}
+
+constexpr std::uint64_t eccBits =
+    fault::eccCheckBits(fault::EccScheme::Secded72_64);
+
+/** 1-bits in the SECDED check byte protecting @p w. */
+std::uint64_t
+checkOnes(Word64 w)
+{
+    return static_cast<std::uint64_t>(
+        hammingWeight(static_cast<Word>(fault::secdedEncode(w))));
+}
+
+void
+record(sram::UnitAccount &account, sram::AccessType type, Scenario s,
+       std::uint64_t ones, std::uint64_t bits, std::uint64_t cycle)
+{
+    if (type == sram::AccessType::Read)
+        account.recordRead(s, ones, bits, cycle);
+    else
+        account.recordWrite(s, ones, bits, cycle);
+}
+
+} // namespace
+
 EnergyAccountant::EnergyAccountant(
     const std::map<UnitId, std::uint64_t> &capacities,
     const AccountantOptions &options)
@@ -26,67 +65,74 @@ EnergyAccountant::EnergyAccountant(
                     : isa::paperIsaMask(options.arch))
 {
     for (const auto &[unit, bits] : capacities)
-        accounts_.emplace(unit, sram::UnitAccount(unit, bits));
+        accounts_.at(coder::unitIndex(unit)).emplace(unit, bits);
 
     const auto nv = std::make_shared<const coder::NvCoder>();
     const auto vs_reg = std::make_shared<const coder::VsCoder>(
         options.vsRegisterPivot);
     const auto vs_line = std::make_shared<const coder::VsCoder>(
         coder::VsCoder::cacheLinePivot);
+    const auto nv_units = coder::nvSpaceUnits();
+    const auto vs_reg_units = coder::vsRegisterSpaceUnits();
+    const auto vs_line_units = coder::vsCacheSpaceUnits();
 
-    auto &nv_chains =
-        chains_[static_cast<std::size_t>(
-            coder::scenarioIndex(Scenario::NvOnly))];
-    for (UnitId unit : coder::nvSpaceUnits()) {
-        CoderChain c;
-        c.addWord(nv);
-        nv_chains.emplace(unit, std::move(c));
-    }
-
-    auto &vs_chains =
-        chains_[static_cast<std::size_t>(
-            coder::scenarioIndex(Scenario::VsOnly))];
-    for (UnitId unit : coder::vsRegisterSpaceUnits()) {
-        CoderChain c;
-        c.addBlock(vs_reg);
-        vs_chains.emplace(unit, std::move(c));
-    }
-    for (UnitId unit : coder::vsCacheSpaceUnits()) {
-        CoderChain c;
-        c.addBlock(vs_line);
-        vs_chains.emplace(unit, std::move(c));
-    }
-
-    auto &all_chains =
-        chains_[static_cast<std::size_t>(
-            coder::scenarioIndex(Scenario::AllCoders))];
-    for (UnitId unit : coder::allUnits()) {
-        CoderChain c;
-        if (coder::nvSpaceUnits().count(unit))
-            c.addWord(nv);
-        if (coder::vsRegisterSpaceUnits().count(unit))
-            c.addBlock(vs_reg);
-        else if (coder::vsCacheSpaceUnits().count(unit))
-            c.addBlock(vs_line);
-        if (!c.empty())
-            all_chains.emplace(unit, std::move(c));
+    for (const UnitId unit : coder::allUnits()) {
+        // Table 1 wiring; Baseline and IsaOnly store data raw.
+        std::array<CoderChain, coder::numScenarios> chains;
+        CoderChain &nv_chain = chains[idx(Scenario::NvOnly)];
+        CoderChain &vs_chain = chains[idx(Scenario::VsOnly)];
+        CoderChain &all_chain = chains[idx(Scenario::AllCoders)];
+        if (nv_units.count(unit))
+            nv_chain.addWord(nv);
+        if (vs_reg_units.count(unit))
+            vs_chain.addBlock(vs_reg);
+        else if (vs_line_units.count(unit))
+            vs_chain.addBlock(vs_line);
+        all_chain.append(nv_chain);
+        all_chain.append(vs_chain);
+        plans_[coder::unitIndex(unit)] = makePlan(chains);
     }
 }
 
-const CoderChain &
-EnergyAccountant::chainFor(Scenario s, UnitId unit) const
+EnergyAccountant::UnitPlan
+EnergyAccountant::makePlan(
+    const std::array<CoderChain, coder::numScenarios> &chains)
 {
-    static const CoderChain empty;
-    const auto &per_unit =
-        chains_[static_cast<std::size_t>(coder::scenarioIndex(s))];
-    auto it = per_unit.find(unit);
-    return it == per_unit.end() ? empty : it->second;
+    UnitPlan plan;
+    for (const Scenario s : coder::allScenarios) {
+        const CoderChain &chain = chains[idx(s)];
+        std::size_t k = 0;
+        while (k < plan.slots && plan.chains[k] != chain)
+            ++k;
+        if (k == plan.slots)
+            plan.chains[plan.slots++] = chain;
+        plan.slotOf[idx(s)] = k;
+    }
+    return plan;
 }
 
-bool
-EnergyAccountant::isaApplies(Scenario s) const
+EnergyAccountant::Images
+EnergyAccountant::encodeSlots(const UnitPlan &plan,
+                              std::span<const Word> block)
 {
-    return s == Scenario::IsaOnly || s == Scenario::AllCoders;
+    Images images;
+    images[0] = block;
+    for (std::size_t k = 1; k < plan.slots; ++k) {
+        images_[k].assign(block.begin(), block.end());
+        plan.chains[k].encode(images_[k]);
+        images[k] = images_[k];
+    }
+    return images;
+}
+
+sram::UnitAccount &
+EnergyAccountant::accountFor(UnitId unit, const char *what)
+{
+    const std::size_t i = coder::unitIndex(unit);
+    panic_if(i >= coder::numUnits || !accounts_[i],
+             "%s unaccounted unit %s", what,
+             coder::unitName(unit).c_str());
+    return *accounts_[i];
 }
 
 void
@@ -94,51 +140,40 @@ EnergyAccountant::onAccess(UnitId unit, sram::AccessType type,
                            std::span<const Word> block,
                            std::uint32_t activeMask, std::uint64_t cycle)
 {
-    auto acc_it = accounts_.find(unit);
-    panic_if(acc_it == accounts_.end(), "access to unaccounted unit %s",
-             coder::unitName(unit).c_str());
-    sram::UnitAccount &account = acc_it->second;
+    sram::UnitAccount &account = accountFor(unit, "access to");
+    const UnitPlan &plan = plans_[coder::unitIndex(unit)];
+    const Images images = encodeSlots(plan, block);
 
-    for (const Scenario s : coder::allScenarios) {
-        const CoderChain &chain = chainFor(s, unit);
-        std::uint64_t ones = 0;
-        std::uint64_t bits = 0;
-        std::span<const Word> stored = block;
-        if (!chain.empty()) {
-            scratch_.assign(block.begin(), block.end());
-            chain.encode(scratch_);
-            stored = scratch_;
+    // Walk the block a word pair at a time: only active words count
+    // (the mask has no lane past 31), but a SECDED codeword spans the
+    // pair and its check byte moves with the pair whenever either half
+    // is touched.
+    const auto active = [activeMask](std::size_t i) {
+        return i < 32 && ((activeMask >> i) & 1u);
+    };
+    const bool ecc = options_.eccAccounting;
+    std::array<std::uint64_t, coder::numScenarios> ones{};
+    std::uint64_t bits = 0;
+    for (std::size_t base = 0; base < block.size(); base += 2) {
+        const bool paired = base + 1 < block.size();
+        const bool low = active(base);
+        const bool high = paired && active(base + 1);
+        if (!low && !high)
+            continue;
+        const Word64 live = (low ? 0xffffffffull : 0)
+                            | (high ? 0xffffffff00000000ull : 0);
+        bits += 32 * (low + high) + (ecc ? eccBits : 0);
+        for (std::size_t k = 0; k < plan.slots; ++k) {
+            Word64 w = static_cast<Word64>(images[k][base]);
+            if (paired)
+                w |= static_cast<Word64>(images[k][base + 1]) << 32;
+            ones[k] += static_cast<std::uint64_t>(hammingWeight64(w & live));
+            if (ecc)
+                ones[k] += checkOnes(w);
         }
-        for (std::size_t i = 0; i < stored.size(); ++i) {
-            if (!((activeMask >> i) & 1u))
-                continue;
-            ones += static_cast<std::uint64_t>(
-                hammingWeight(stored[i]));
-            bits += 32;
-        }
-        if (options_.eccAccounting) {
-            // A codeword spans a word pair; its check byte moves with
-            // the pair whenever either half is touched.
-            for (std::size_t base = 0; base < stored.size(); base += 2) {
-                const bool low = (activeMask >> base) & 1u;
-                const bool high = base + 1 < stored.size()
-                                  && ((activeMask >> (base + 1)) & 1u);
-                if (!low && !high)
-                    continue;
-                Word64 w = static_cast<Word64>(stored[base]);
-                if (base + 1 < stored.size()) {
-                    w |= static_cast<Word64>(stored[base + 1]) << 32;
-                }
-                ones += static_cast<std::uint64_t>(hammingWeight(
-                    static_cast<Word>(fault::secdedEncode(w))));
-                bits += fault::eccCheckBits(fault::EccScheme::Secded72_64);
-            }
-        }
-        if (type == sram::AccessType::Read)
-            account.recordRead(s, ones, bits, cycle);
-        else
-            account.recordWrite(s, ones, bits, cycle);
     }
+    for (const Scenario s : coder::allScenarios)
+        record(account, type, s, ones[plan.slotOf[idx(s)]], bits, cycle);
 }
 
 void
@@ -146,28 +181,22 @@ EnergyAccountant::onFetch(UnitId unit, sram::AccessType type,
                           std::span<const Word64> instrs,
                           std::uint64_t cycle)
 {
-    auto acc_it = accounts_.find(unit);
-    panic_if(acc_it == accounts_.end(), "fetch to unaccounted unit %s",
-             coder::unitName(unit).c_str());
-    sram::UnitAccount &account = acc_it->second;
+    sram::UnitAccount &account = accountFor(unit, "fetch to");
 
-    for (const Scenario s : coder::allScenarios) {
-        std::uint64_t ones = 0;
-        std::uint64_t bits = 64 * instrs.size();
-        for (Word64 w : instrs) {
-            const Word64 stored = isaApplies(s) ? isaCoder_.encode(w) : w;
-            ones += static_cast<std::uint64_t>(hammingWeight64(stored));
-            if (options_.eccAccounting) {
-                ones += static_cast<std::uint64_t>(hammingWeight(
-                    static_cast<Word>(fault::secdedEncode(stored))));
-                bits += fault::eccCheckBits(fault::EccScheme::Secded72_64);
-            }
+    std::array<std::uint64_t, 2> ones{};
+    std::uint64_t bits = 64 * instrs.size();
+    for (const Word64 w : instrs) {
+        const std::array<Word64, 2> stored = {w, isaCoder_.encode(w)};
+        for (std::size_t k = 0; k < stored.size(); ++k) {
+            ones[k] += static_cast<std::uint64_t>(hammingWeight64(stored[k]));
+            if (options_.eccAccounting)
+                ones[k] += checkOnes(stored[k]);
         }
-        if (type == sram::AccessType::Read)
-            account.recordRead(s, ones, bits, cycle);
-        else
-            account.recordWrite(s, ones, bits, cycle);
+        if (options_.eccAccounting)
+            bits += eccBits;
     }
+    for (const Scenario s : coder::allScenarios)
+        record(account, type, s, ones[isaSlot(s)], bits, cycle);
 }
 
 void
@@ -175,55 +204,55 @@ EnergyAccountant::onNocPacket(int channel, std::span<const Word> payload,
                               bool instrStream, std::uint64_t cycle)
 {
     (void)cycle;
-    constexpr std::size_t flit_words = 8; // 32B flits (Table 3)
-    ChannelState &state = channels_[channel];
+    panic_if(channel < 0, "negative NoC channel %d", channel);
+    const auto ch = static_cast<std::size_t>(channel);
+    if (ch >= channels_.size())
+        channels_.resize(ch + 1);
+    ChannelState &state = channels_[ch];
 
-    for (const Scenario s : coder::allScenarios) {
-        const auto idx =
-            static_cast<std::size_t>(coder::scenarioIndex(s));
-        scratch_.assign(payload.begin(), payload.end());
-
-        // Encode the packet as one block: VS pivots on the line's
-        // leading element exactly as the paper's cache-space coder does.
-        if (instrStream) {
-            // Instruction payloads carry 64-bit binaries as word pairs.
-            if (isaApplies(s)) {
-                for (std::size_t i = 0; i + 1 < scratch_.size(); i += 2) {
-                    const Word64 w =
-                        static_cast<Word64>(scratch_[i])
-                        | (static_cast<Word64>(scratch_[i + 1]) << 32);
-                    const Word64 e = isaCoder_.encode(w);
-                    scratch_[i] = static_cast<Word>(e);
-                    scratch_[i + 1] = static_cast<Word>(e >> 32);
-                }
-            }
-        } else {
-            const CoderChain &chain = chainFor(s, UnitId::Noc);
-            if (!chain.empty())
-                chain.encode(scratch_);
+    // The distinct payload images. A packet is encoded as one block: VS
+    // pivots on the line's leading element exactly as the paper's
+    // cache-space coder does.
+    const UnitPlan &plan = plans_[coder::unitIndex(UnitId::Noc)];
+    Images images;
+    if (instrStream) {
+        // Instruction payloads carry 64-bit binaries as word pairs.
+        std::vector<Word> &coded = images_[1];
+        coded.assign(payload.begin(), payload.end());
+        for (std::size_t i = 0; i + 1 < coded.size(); i += 2) {
+            const Word64 e = isaCoder_.encode(
+                static_cast<Word64>(coded[i])
+                | (static_cast<Word64>(coded[i + 1]) << 32));
+            coded[i] = static_cast<Word>(e);
+            coded[i + 1] = static_cast<Word>(e >> 32);
         }
+        images[0] = payload;
+        images[1] = coded;
+    } else {
+        images = encodeSlots(plan, payload);
+    }
 
-        // Segment into flits and walk the channel wires.
-        auto &prev = state.prev[idx];
-        if (prev.size() != flit_words)
-            prev.assign(flit_words, 0); // wires start discharged
-        NocAccount &acct = noc_[idx];
-        for (std::size_t base = 0; base < scratch_.size();
-             base += flit_words) {
+    // Segment into flits and walk each scenario's own channel wires.
+    for (const Scenario s : coder::allScenarios) {
+        const std::span<const Word> image =
+            images[instrStream ? isaSlot(s) : plan.slotOf[idx(s)]];
+        auto &prev = state.prev[idx(s)];
+        NocAccount &acct = noc_[idx(s)];
+        for (std::size_t base = 0; base < image.size();
+             base += flitWords) {
             std::uint64_t toggles = 0;
-            for (std::size_t i = 0; i < flit_words; ++i) {
+            for (std::size_t i = 0; i < flitWords; ++i) {
                 const std::size_t src = base + i;
-                const Word w =
-                    src < scratch_.size() ? scratch_[src] : Word(0);
-                toggles += static_cast<std::uint64_t>(
-                    hammingDistance(prev[i], w));
+                const Word w = src < image.size() ? image[src] : Word(0);
+                toggles +=
+                    static_cast<std::uint64_t>(hammingDistance(prev[i], w));
                 prev[i] = w;
                 acct.payloadOnes +=
                     static_cast<std::uint64_t>(hammingWeight(w));
             }
             acct.toggles += toggles;
             ++acct.flits;
-            acct.payloadBits += 32 * flit_words;
+            acct.payloadBits += 32 * flitWords;
         }
     }
 }
@@ -231,25 +260,29 @@ EnergyAccountant::onNocPacket(int channel, std::span<const Word> payload,
 void
 EnergyAccountant::finalize(std::uint64_t endCycle)
 {
-    for (auto &[unit, account] : accounts_)
-        account.finalize(endCycle);
+    for (auto &account : accounts_) {
+        if (account)
+            account->finalize(endCycle);
+    }
 }
 
 const sram::UnitAccount &
 EnergyAccountant::unitAccount(UnitId unit) const
 {
-    auto it = accounts_.find(unit);
-    panic_if(it == accounts_.end(), "no account for unit %s",
-             coder::unitName(unit).c_str());
-    return it->second;
+    const std::size_t i = coder::unitIndex(unit);
+    panic_if(i >= coder::numUnits || !accounts_[i],
+             "no account for unit %s", coder::unitName(unit).c_str());
+    return *accounts_[i];
 }
 
 std::map<UnitId, sram::UnitScenarioStats>
 EnergyAccountant::unitStats(Scenario s) const
 {
     std::map<UnitId, sram::UnitScenarioStats> out;
-    for (const auto &[unit, account] : accounts_)
-        out.emplace(unit, account.stats(s));
+    for (const auto &account : accounts_) {
+        if (account)
+            out.emplace(account->unit(), account->stats(s));
+    }
     return out;
 }
 

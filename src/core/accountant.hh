@@ -9,6 +9,13 @@
  * ISA mask on the instruction stream) and accumulates encoded bit
  * statistics. NoC channels additionally keep, per scenario, the last
  * flit transmitted so wire toggles are counted exactly.
+ *
+ * Scenarios often store identical bits: ISA-only leaves every data
+ * block raw, and a unit covered by one data coder stores under BVF what
+ * it stores under that coder alone. The constructor groups, per unit,
+ * the scenarios whose coder chains have the same stages into one slot,
+ * so each access encodes, popcounts and SECDED-checks every distinct
+ * image once and records the counts for all five scenarios.
  */
 
 #ifndef BVF_CORE_ACCOUNTANT_HH
@@ -17,6 +24,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "coder/bvf_space.hh"
@@ -109,30 +117,50 @@ class EnergyAccountant : public sram::AccessSink
     Word64 isaMask() const { return isaCoder_.mask(); }
 
   private:
-    /** Does scenario @p s apply coder chains to @p unit's data path? */
-    const coder::CoderChain &chainFor(coder::Scenario s,
-                                      coder::UnitId unit) const;
+    /** Words per NoC flit (32B flits, Table 3). */
+    static constexpr std::size_t flitWords = 8;
 
-    bool isaApplies(coder::Scenario s) const;
+    /**
+     * The distinct stored images of one unit's data path: slot k holds
+     * the block encoded by chains[k] (slot 0 has no stages: the raw
+     * block), and slotOf maps each scenario to the slot it stores.
+     */
+    struct UnitPlan
+    {
+        std::size_t slots = 1;
+        std::array<coder::CoderChain, coder::numScenarios> chains;
+        std::array<std::size_t, coder::numScenarios> slotOf{};
+    };
 
-    std::map<coder::UnitId, sram::UnitAccount> accounts_;
+    using Images =
+        std::array<std::span<const Word>, coder::numScenarios>;
+
+    /** Group the per-scenario chains of one unit into slots. */
+    static UnitPlan makePlan(
+        const std::array<coder::CoderChain, coder::numScenarios> &chains);
+
+    /** Encode @p block into every slot of @p plan. */
+    Images encodeSlots(const UnitPlan &plan, std::span<const Word> block);
+
+    sram::UnitAccount &accountFor(coder::UnitId unit, const char *what);
+
+    std::array<std::optional<sram::UnitAccount>, coder::numUnits>
+        accounts_;
+    std::array<UnitPlan, coder::numUnits> plans_;
     AccountantOptions options_;
     coder::IsaCoder isaCoder_;
 
-    // chains_[scenario][unit] -> chain (possibly empty).
-    std::array<std::map<coder::UnitId, coder::CoderChain>,
-               coder::numScenarios>
-        chains_;
-
-    // Per-channel, per-scenario previous flit for toggle counting.
+    // Per-channel, per-scenario previous flit for toggle counting;
+    // wires start discharged.
     struct ChannelState
     {
-        std::array<std::vector<Word>, coder::numScenarios> prev;
+        std::array<std::array<Word, flitWords>, coder::numScenarios> prev{};
     };
-    std::map<int, ChannelState> channels_;
+    std::vector<ChannelState> channels_;
     std::array<NocAccount, coder::numScenarios> noc_;
 
-    mutable std::vector<Word> scratch_;
+    // Encoded image of each slot but the raw one.
+    std::array<std::vector<Word>, coder::numScenarios> images_;
 };
 
 } // namespace bvf::core

@@ -8,7 +8,9 @@
  * the whole codeword. The encoder exploits the XOR-of-positions
  * identity: the Hamming check vector is the XOR of the positions of
  * all set data bits, and a nonzero decode syndrome *is* the position
- * of a single flipped bit.
+ * of a single flipped bit. Because that vector and the overall parity
+ * are linear in the data, the whole check byte is read from per-byte
+ * lookup tables built at compile time: 8 lookups XORed per word.
  */
 
 #include "fault/secded.hh"
@@ -58,18 +60,37 @@ makePositionToData()
 
 constexpr std::array<int, 72> posToData = makePositionToData();
 
-/** XOR of the codeword positions of all set data bits (7-bit). */
-std::uint8_t
-hammingChecks(Word64 data)
+/**
+ * checkTable[k][b]: the full check byte of a word whose only set bits
+ * are byte b at byte lane k. The 7 Hamming bits (XOR of set-bit
+ * positions) and the overall parity (XOR of data and Hamming bits) are
+ * both linear over GF(2), so the check byte of any word is the XOR of
+ * its 8 byte lanes' entries.
+ */
+constexpr std::array<std::array<std::uint8_t, 256>, 8>
+makeCheckTables()
 {
-    std::uint32_t h = 0;
-    while (data) {
-        const int i = std::countr_zero(data);
-        h ^= static_cast<std::uint32_t>(dataPos[i]);
-        data &= data - 1;
+    std::array<std::array<std::uint8_t, 256>, 8> t{};
+    for (int k = 0; k < 8; ++k) {
+        for (int b = 0; b < 256; ++b) {
+            int h = 0;
+            int parity = 0;
+            for (int j = 0; j < 8; ++j) {
+                if ((b >> j) & 1) {
+                    h ^= dataPos[8 * k + j];
+                    parity ^= 1;
+                }
+            }
+            h &= 0x7f;
+            for (int j = 0; j < 7; ++j)
+                parity ^= (h >> j) & 1;
+            t[k][b] = static_cast<std::uint8_t>(h | (parity << 7));
+        }
     }
-    return static_cast<std::uint8_t>(h & 0x7f);
+    return t;
 }
+
+constexpr auto checkTable = makeCheckTables();
 
 } // namespace
 
@@ -82,11 +103,10 @@ eccSchemeName(EccScheme scheme)
 std::uint8_t
 secdedEncode(Word64 data)
 {
-    const std::uint8_t h = hammingChecks(data);
-    const int parity =
-        (hammingWeight64(data) + std::popcount(static_cast<unsigned>(h)))
-        & 1;
-    return static_cast<std::uint8_t>(h | (parity << 7));
+    std::uint8_t check = 0;
+    for (int k = 0; k < 8; ++k)
+        check ^= checkTable[k][(data >> (8 * k)) & 0xff];
+    return check;
 }
 
 SecdedDecoded
@@ -96,8 +116,7 @@ secdedDecode(Word64 data, std::uint8_t check)
     out.data = data;
     out.check = check;
 
-    const std::uint8_t h = hammingChecks(data);
-    const int syndrome = (h ^ check) & 0x7f;
+    const int syndrome = (secdedEncode(data) ^ check) & 0x7f;
     // encode() makes popcount(data) + popcount(check) even; any odd
     // total means an odd number of flips somewhere in the codeword.
     const bool parityErr =

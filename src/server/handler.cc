@@ -186,13 +186,11 @@ RequestHandler::handleBitDensity(const Frame &request) const
             BitDensityResponse::Unit u;
             u.unit = static_cast<std::uint8_t>(unit);
             bool any = false;
+            const sram::UnitAccount &account = acc.unitAccount(unit);
             for (const coder::Scenario s : coder::allScenarios) {
-                const auto stats = acc.unitStats(s);
-                const auto it = stats.find(unit);
-                if (it == stats.end())
-                    continue;
-                BitStats all = it->second.reads;
-                all.merge(it->second.writes);
+                const sram::UnitScenarioStats &stats = account.stats(s);
+                BitStats all = stats.reads;
+                all.merge(stats.writes);
                 if (all.bits())
                     any = true;
                 u.density[static_cast<std::size_t>(

@@ -5,16 +5,263 @@
 
 #include <gtest/gtest.h>
 
+#include "coder/nv_coder.hh"
+#include "common/rng.hh"
 #include "core/accountant.hh"
+#include "fault/secded.hh"
 
 namespace bvf::core
 {
 namespace
 {
 
+using coder::CoderChain;
 using coder::Scenario;
 using coder::UnitId;
 using sram::AccessType;
+
+/**
+ * The straightforward accountant the optimized one must reproduce:
+ * every scenario encodes, popcounts and SECDED-checks its own copy of
+ * every block, with map-keyed state.
+ */
+class ReferenceAccountant : public sram::AccessSink
+{
+  public:
+    ReferenceAccountant(const std::map<UnitId, std::uint64_t> &capacities,
+                        const AccountantOptions &options)
+        : options_(options),
+          isaCoder_(options.dynamicIsaMask != 0
+                        ? options.dynamicIsaMask
+                        : isa::paperIsaMask(options.arch))
+    {
+        for (const auto &[unit, bits] : capacities)
+            accounts_.emplace(unit, sram::UnitAccount(unit, bits));
+
+        const auto nv = std::make_shared<const coder::NvCoder>();
+        const auto vs_reg = std::make_shared<const coder::VsCoder>(
+            options.vsRegisterPivot);
+        const auto vs_line = std::make_shared<const coder::VsCoder>(
+            coder::VsCoder::cacheLinePivot);
+
+        auto &nv_chains =
+            chains_[static_cast<std::size_t>(
+                coder::scenarioIndex(Scenario::NvOnly))];
+        for (UnitId unit : coder::nvSpaceUnits()) {
+            CoderChain c;
+            c.addWord(nv);
+            nv_chains.emplace(unit, std::move(c));
+        }
+
+        auto &vs_chains =
+            chains_[static_cast<std::size_t>(
+                coder::scenarioIndex(Scenario::VsOnly))];
+        for (UnitId unit : coder::vsRegisterSpaceUnits()) {
+            CoderChain c;
+            c.addBlock(vs_reg);
+            vs_chains.emplace(unit, std::move(c));
+        }
+        for (UnitId unit : coder::vsCacheSpaceUnits()) {
+            CoderChain c;
+            c.addBlock(vs_line);
+            vs_chains.emplace(unit, std::move(c));
+        }
+
+        auto &all_chains =
+            chains_[static_cast<std::size_t>(
+                coder::scenarioIndex(Scenario::AllCoders))];
+        for (UnitId unit : coder::allUnits()) {
+            CoderChain c;
+            if (coder::nvSpaceUnits().count(unit))
+                c.addWord(nv);
+            if (coder::vsRegisterSpaceUnits().count(unit))
+                c.addBlock(vs_reg);
+            else if (coder::vsCacheSpaceUnits().count(unit))
+                c.addBlock(vs_line);
+            if (!c.empty())
+                all_chains.emplace(unit, std::move(c));
+        }
+    }
+
+    void
+    onAccess(UnitId unit, AccessType type, std::span<const Word> block,
+             std::uint32_t activeMask, std::uint64_t cycle) override
+    {
+        sram::UnitAccount &account = accounts_.at(unit);
+        for (const Scenario s : coder::allScenarios) {
+            const CoderChain &chain = chainFor(s, unit);
+            std::uint64_t ones = 0;
+            std::uint64_t bits = 0;
+            std::span<const Word> stored = block;
+            if (!chain.empty()) {
+                scratch_.assign(block.begin(), block.end());
+                chain.encode(scratch_);
+                stored = scratch_;
+            }
+            for (std::size_t i = 0; i < stored.size(); ++i) {
+                if (!((activeMask >> i) & 1u))
+                    continue;
+                ones += static_cast<std::uint64_t>(
+                    hammingWeight(stored[i]));
+                bits += 32;
+            }
+            if (options_.eccAccounting) {
+                for (std::size_t base = 0; base < stored.size();
+                     base += 2) {
+                    const bool low = (activeMask >> base) & 1u;
+                    const bool high =
+                        base + 1 < stored.size()
+                        && ((activeMask >> (base + 1)) & 1u);
+                    if (!low && !high)
+                        continue;
+                    Word64 w = static_cast<Word64>(stored[base]);
+                    if (base + 1 < stored.size()) {
+                        w |= static_cast<Word64>(stored[base + 1]) << 32;
+                    }
+                    ones += static_cast<std::uint64_t>(hammingWeight(
+                        static_cast<Word>(fault::secdedEncode(w))));
+                    bits += fault::eccCheckBits(
+                        fault::EccScheme::Secded72_64);
+                }
+            }
+            if (type == AccessType::Read)
+                account.recordRead(s, ones, bits, cycle);
+            else
+                account.recordWrite(s, ones, bits, cycle);
+        }
+    }
+
+    void
+    onFetch(UnitId unit, AccessType type, std::span<const Word64> instrs,
+            std::uint64_t cycle) override
+    {
+        sram::UnitAccount &account = accounts_.at(unit);
+        for (const Scenario s : coder::allScenarios) {
+            std::uint64_t ones = 0;
+            std::uint64_t bits = 64 * instrs.size();
+            for (Word64 w : instrs) {
+                const Word64 stored =
+                    isaApplies(s) ? isaCoder_.encode(w) : w;
+                ones += static_cast<std::uint64_t>(hammingWeight64(stored));
+                if (options_.eccAccounting) {
+                    ones += static_cast<std::uint64_t>(hammingWeight(
+                        static_cast<Word>(fault::secdedEncode(stored))));
+                    bits += fault::eccCheckBits(
+                        fault::EccScheme::Secded72_64);
+                }
+            }
+            if (type == AccessType::Read)
+                account.recordRead(s, ones, bits, cycle);
+            else
+                account.recordWrite(s, ones, bits, cycle);
+        }
+    }
+
+    void
+    onNocPacket(int channel, std::span<const Word> payload,
+                bool instrStream, std::uint64_t cycle) override
+    {
+        (void)cycle;
+        constexpr std::size_t flit_words = 8;
+        ChannelState &state = channels_[channel];
+
+        for (const Scenario s : coder::allScenarios) {
+            const auto idx =
+                static_cast<std::size_t>(coder::scenarioIndex(s));
+            scratch_.assign(payload.begin(), payload.end());
+
+            if (instrStream) {
+                if (isaApplies(s)) {
+                    for (std::size_t i = 0; i + 1 < scratch_.size();
+                         i += 2) {
+                        const Word64 w =
+                            static_cast<Word64>(scratch_[i])
+                            | (static_cast<Word64>(scratch_[i + 1])
+                               << 32);
+                        const Word64 e = isaCoder_.encode(w);
+                        scratch_[i] = static_cast<Word>(e);
+                        scratch_[i + 1] = static_cast<Word>(e >> 32);
+                    }
+                }
+            } else {
+                const CoderChain &chain = chainFor(s, UnitId::Noc);
+                if (!chain.empty())
+                    chain.encode(scratch_);
+            }
+
+            auto &prev = state.prev[idx];
+            if (prev.size() != flit_words)
+                prev.assign(flit_words, 0);
+            NocAccount &acct = noc_[idx];
+            for (std::size_t base = 0; base < scratch_.size();
+                 base += flit_words) {
+                std::uint64_t toggles = 0;
+                for (std::size_t i = 0; i < flit_words; ++i) {
+                    const std::size_t src = base + i;
+                    const Word w =
+                        src < scratch_.size() ? scratch_[src] : Word(0);
+                    toggles += static_cast<std::uint64_t>(
+                        hammingDistance(prev[i], w));
+                    prev[i] = w;
+                    acct.payloadOnes +=
+                        static_cast<std::uint64_t>(hammingWeight(w));
+                }
+                acct.toggles += toggles;
+                ++acct.flits;
+                acct.payloadBits += 32 * flit_words;
+            }
+        }
+    }
+
+    void
+    finalize(std::uint64_t endCycle)
+    {
+        for (auto &[unit, account] : accounts_)
+            account.finalize(endCycle);
+    }
+
+    const sram::UnitAccount &
+    unitAccount(UnitId unit) const
+    {
+        return accounts_.at(unit);
+    }
+
+    const NocAccount &
+    noc(Scenario s) const
+    {
+        return noc_[static_cast<std::size_t>(coder::scenarioIndex(s))];
+    }
+
+  private:
+    const CoderChain &
+    chainFor(Scenario s, UnitId unit) const
+    {
+        static const CoderChain empty;
+        const auto &per_unit =
+            chains_[static_cast<std::size_t>(coder::scenarioIndex(s))];
+        auto it = per_unit.find(unit);
+        return it == per_unit.end() ? empty : it->second;
+    }
+
+    static bool
+    isaApplies(Scenario s)
+    {
+        return s == Scenario::IsaOnly || s == Scenario::AllCoders;
+    }
+
+    std::map<UnitId, sram::UnitAccount> accounts_;
+    AccountantOptions options_;
+    coder::IsaCoder isaCoder_;
+    std::array<std::map<UnitId, CoderChain>, coder::numScenarios> chains_;
+
+    struct ChannelState
+    {
+        std::array<std::vector<Word>, coder::numScenarios> prev;
+    };
+    std::map<int, ChannelState> channels_;
+    std::array<NocAccount, coder::numScenarios> noc_;
+    std::vector<Word> scratch_;
+};
 
 std::map<UnitId, std::uint64_t>
 tinyCapacities()
@@ -48,6 +295,19 @@ TEST(Accountant, ActiveMaskGatesAccounting)
         acc.unitAccount(UnitId::Reg).stats(Scenario::Baseline);
     EXPECT_EQ(stats.writes.bits(), 64u); // lanes 0 and 2 only
     EXPECT_EQ(stats.writes.ones, 64u);
+}
+
+TEST(Accountant, WordsPastTheMaskAreInactive)
+{
+    // The 32-bit active mask has no lane for word 32 on (e.g. an
+    // oversized block replayed from a trace).
+    EnergyAccountant acc(tinyCapacities());
+    const std::vector<Word> block(40, 0xffffffffu);
+    acc.onAccess(UnitId::L2, AccessType::Read, block, 0xffffffffu, 1);
+    EXPECT_EQ(acc.unitAccount(UnitId::L2)
+                  .stats(Scenario::Baseline)
+                  .reads.bits(),
+              32u * 32u);
 }
 
 TEST(Accountant, NvScenarioFlipsPositiveData)
@@ -192,6 +452,178 @@ TEST(Accountant, CustomPivotOption)
                   .stats(Scenario::VsOnly)
                   .reads.ones,
               32u);
+}
+
+// --- Differential oracle against ReferenceAccountant -------------------
+
+/** A word the coders have work on: narrow, near an anchor, or random. */
+Word
+oracleWord(Rng &rng, Word anchor)
+{
+    switch (rng.nextRange(0, 3)) {
+      case 0:
+        return static_cast<Word>(rng.nextRange(-300, 300));
+      case 1:
+        return anchor ^ static_cast<Word>(rng.nextRange(0, 255));
+      case 2:
+        return anchor;
+      default:
+        return rng.nextU32();
+    }
+}
+
+/** Full (32), partial even, or odd-length (lone low SECDED word). */
+std::vector<Word>
+oracleBlock(Rng &rng)
+{
+    std::size_t n = 32;
+    switch (rng.nextRange(0, 2)) {
+      case 1:
+        n = static_cast<std::size_t>(2 * rng.nextRange(1, 15));
+        break;
+      case 2:
+        n = static_cast<std::size_t>(2 * rng.nextRange(0, 15) + 1);
+        break;
+      default:
+        break;
+    }
+    const Word anchor = rng.nextU32();
+    std::vector<Word> block(n);
+    for (Word &w : block)
+        w = oracleWord(rng, anchor);
+    return block;
+}
+
+std::uint32_t
+oracleMask(Rng &rng)
+{
+    switch (rng.nextRange(0, 2)) {
+      case 0:
+        return 0xffffffffu;
+      case 1:
+        return rng.nextU32();
+      default:
+        return rng.nextU32() & rng.nextU32() & rng.nextU32();
+    }
+}
+
+void
+expectSameBits(const BitStats &a, const BitStats &b)
+{
+    EXPECT_EQ(a.ones, b.ones);
+    EXPECT_EQ(a.zeros, b.zeros);
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.toggles, b.toggles);
+}
+
+void
+expectIdentical(const EnergyAccountant &acc, const ReferenceAccountant &ref)
+{
+    for (const Scenario s : coder::allScenarios) {
+        for (const UnitId unit : coder::allUnits()) {
+            SCOPED_TRACE(coder::unitName(unit) + " "
+                         + coder::scenarioName(s));
+            const auto &a = acc.unitAccount(unit).stats(s);
+            const auto &b = ref.unitAccount(unit).stats(s);
+            expectSameBits(a.reads, b.reads);
+            expectSameBits(a.writes, b.writes);
+            EXPECT_EQ(a.storedOnesFracCycles, b.storedOnesFracCycles);
+            EXPECT_EQ(a.allocatedFracCycles, b.allocatedFracCycles);
+        }
+        SCOPED_TRACE("NoC " + coder::scenarioName(s));
+        EXPECT_EQ(acc.noc(s).toggles, ref.noc(s).toggles);
+        EXPECT_EQ(acc.noc(s).flits, ref.noc(s).flits);
+        EXPECT_EQ(acc.noc(s).payloadOnes, ref.noc(s).payloadOnes);
+        EXPECT_EQ(acc.noc(s).payloadBits, ref.noc(s).payloadBits);
+    }
+}
+
+/**
+ * Drive both accountants with one seeded sequence of accesses, fetches
+ * and NoC packets over every unit, then compare every statistic.
+ */
+void
+runOracle(std::uint64_t seed, const AccountantOptions &opts)
+{
+    // Small capacities so the stored-state estimates move.
+    std::map<UnitId, std::uint64_t> caps;
+    for (const UnitId unit : coder::allUnits())
+        caps[unit] = 1 << 14;
+    EnergyAccountant acc(caps, opts);
+    ReferenceAccountant ref(caps, opts);
+
+    const auto &units = coder::allUnits();
+    Rng rng(seed);
+    std::uint64_t cycle = 0;
+    for (int event = 0; event < 3000; ++event) {
+        cycle += static_cast<std::uint64_t>(rng.nextRange(0, 3));
+        const UnitId unit = units[static_cast<std::size_t>(
+            rng.nextRange(0, static_cast<std::int64_t>(units.size()) - 1))];
+        const AccessType type =
+            rng.nextBool(0.5) ? AccessType::Read : AccessType::Write;
+        const auto kind = rng.nextRange(0, 9);
+        if (kind < 6) {
+            const auto block = oracleBlock(rng);
+            const std::uint32_t mask = oracleMask(rng);
+            acc.onAccess(unit, type, block, mask, cycle);
+            ref.onAccess(unit, type, block, mask, cycle);
+        } else if (kind < 8) {
+            std::vector<Word64> instrs(
+                static_cast<std::size_t>(rng.nextRange(1, 8)));
+            for (Word64 &w : instrs)
+                w = rng.nextBool(0.25) ? acc.isaMask() : rng.nextU64();
+            acc.onFetch(unit, type, instrs, cycle);
+            ref.onFetch(unit, type, instrs, cycle);
+        } else {
+            const int channel = rng.nextBool(0.1)
+                                    ? 300
+                                    : static_cast<int>(rng.nextRange(0, 5));
+            const bool instr_stream = rng.nextBool(0.3);
+            auto payload = oracleBlock(rng);
+            if (rng.nextBool(0.1))
+                payload.resize(41, payload.front()); // 6 flits, ragged
+            acc.onNocPacket(channel, payload, instr_stream, cycle);
+            ref.onNocPacket(channel, payload, instr_stream, cycle);
+        }
+    }
+    acc.finalize(cycle + 100);
+    ref.finalize(cycle + 100);
+    expectIdentical(acc, ref);
+}
+
+TEST(AccountantOracle, DefaultOptions)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        runOracle(seed, {});
+}
+
+TEST(AccountantOracle, EccAccounting)
+{
+    AccountantOptions opts;
+    opts.eccAccounting = true;
+    for (std::uint64_t seed = 11; seed <= 13; ++seed)
+        runOracle(seed, opts);
+}
+
+TEST(AccountantOracle, DynamicIsaMaskAndRegisterPivot)
+{
+    AccountantOptions opts;
+    opts.eccAccounting = true;
+    opts.dynamicIsaMask = 0x0123456789abcdefull;
+    opts.vsRegisterPivot = 5;
+    for (std::uint64_t seed = 21; seed <= 23; ++seed)
+        runOracle(seed, opts);
+}
+
+TEST(AccountantOracle, PivotPastBlockEndAndOtherArch)
+{
+    // A pivot past the block falls back to lane 0, which is also the
+    // cache-line pivot: equal coding from different coder objects.
+    AccountantOptions opts;
+    opts.arch = isa::GpuArch::Fermi;
+    opts.vsRegisterPivot = 40;
+    for (std::uint64_t seed = 31; seed <= 33; ++seed)
+        runOracle(seed, opts);
 }
 
 } // namespace

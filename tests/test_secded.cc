@@ -2,10 +2,13 @@
  * @file
  * Tests for the SECDED(72,64) extended Hamming code: every single-bit
  * error (data or check) is corrected, every double-bit error is
- * detected, over randomized words.
+ * detected, over randomized words; the table-driven encoder matches a
+ * bit-serial one.
  */
 
 #include <gtest/gtest.h>
+
+#include <bit>
 
 #include "common/rng.hh"
 #include "fault/secded.hh"
@@ -87,6 +90,72 @@ TEST(Secded, CheckBitsDependOnEveryDataBit)
     for (int bit = 0; bit < 64; ++bit)
         EXPECT_NE(secdedEncode(data ^ (Word64(1) << bit)), check)
             << "data bit " << bit;
+}
+
+/**
+ * Bit-serial encoder straight from the construction: data bit i sits
+ * at the i-th non-power-of-two codeword position from 3, the Hamming
+ * bits are the XOR of the set bits' positions, and the top bit makes
+ * the codeword's weight even.
+ */
+std::uint8_t
+bitLoopEncode(Word64 data)
+{
+    int h = 0;
+    int ones = 0;
+    int pos = 3;
+    for (int i = 0; i < 64; ++i, ++pos) {
+        while ((pos & (pos - 1)) == 0)
+            ++pos;
+        if ((data >> i) & 1) {
+            h ^= pos;
+            ++ones;
+        }
+    }
+    h &= 0x7f;
+    const int parity = (ones + std::popcount(static_cast<unsigned>(h))) & 1;
+    return static_cast<std::uint8_t>(h | (parity << 7));
+}
+
+TEST(Secded, EncodeMatchesBitLoopOnEdgeWords)
+{
+    EXPECT_EQ(secdedEncode(0), bitLoopEncode(0));
+    EXPECT_EQ(secdedEncode(~Word64(0)), bitLoopEncode(~Word64(0)));
+    int pairs = 0;
+    for (int i = 0; i < 64; ++i) {
+        const Word64 one = Word64(1) << i;
+        EXPECT_EQ(secdedEncode(one), bitLoopEncode(one)) << "bit " << i;
+        for (int j = i + 1; j < 64; ++j) {
+            const Word64 two = one | (Word64(1) << j);
+            EXPECT_EQ(secdedEncode(two), bitLoopEncode(two))
+                << "bits " << i << ", " << j;
+            ++pairs;
+        }
+    }
+    EXPECT_EQ(pairs, 2016);
+}
+
+TEST(Secded, EncodeMatchesBitLoopOnRandomWords)
+{
+    Rng rng(14);
+    for (int i = 0; i < 100000; ++i) {
+        const Word64 data = rng.nextU64();
+        ASSERT_EQ(secdedEncode(data), bitLoopEncode(data))
+            << std::hex << data;
+    }
+}
+
+TEST(Secded, HammingBitsAreLinear)
+{
+    Rng rng(15);
+    for (int i = 0; i < 10000; ++i) {
+        const Word64 a = rng.nextU64();
+        const Word64 b = rng.nextU64();
+        ASSERT_EQ((secdedEncode(a ^ b) ^ secdedEncode(a) ^ secdedEncode(b))
+                      & 0x7f,
+                  0)
+            << std::hex << a << " " << b;
+    }
 }
 
 } // namespace
