@@ -11,27 +11,26 @@
  * direct backward scan for the reaching unpredicated MOV -- a different
  * algorithm from the optimizer's forward tracking on purpose.
  *
- * Layer 2 is the reference interpreter: a functional mirror of
- * gpu/sm.cc (same per-lane ALU results, the same shared-memory index
- * wrap, the same constant/texture modulo-and-align, the same
- * out-of-bounds global behavior, the same SIMT stack discipline and
- * barrier release rule) without any timing model. Both programs run
- * under the same deterministic schedule and must produce the same
- * store sequence and final memory.
+ * Layer 2 is the reference interpreter: gpu/sm.cc's functional
+ * behavior without its timing model. Per-lane results, special
+ * registers and the memory address mappings come from the same
+ * isa/semantics.hh functions the SM calls; the SIMT stack discipline
+ * and barrier release rule are mirrored here. Both programs run under
+ * the same deterministic schedule and must produce the same store
+ * sequence and final memory.
  */
 
 #include "analysis/equiv.hh"
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <cstring>
 
 #include "analysis/interpreter.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "isa/bytecode.hh"
 #include "isa/opcode.hh"
+#include "isa/semantics.hh"
 
 namespace bvf::analysis
 {
@@ -44,29 +43,6 @@ using isa::Opcode;
 
 constexpr int kWarpSize = 32;
 constexpr std::uint32_t kFullMask = 0xffffffffu;
-
-/** Reinterpret a word as fp32 (matches the SM's data path). */
-float
-asFloat(Word w)
-{
-    float f;
-    std::memcpy(&f, &w, sizeof(f));
-    return f;
-}
-
-Word
-asWord(float f)
-{
-    Word w;
-    std::memcpy(&w, &f, sizeof(w));
-    return w;
-}
-
-std::int32_t
-asInt(Word w)
-{
-    return static_cast<std::int32_t>(w);
-}
 
 /** Is the guard a real predicate-register read (not the PT sentinel)? */
 bool
@@ -213,46 +189,6 @@ class RefMachine
         return pass;
     }
 
-    Word
-    readGlobal(std::uint32_t addr) const
-    {
-        if (addr < isa::globalSegmentBase)
-            return 0;
-        const std::size_t idx = (addr - isa::globalSegmentBase) / 4;
-        return idx < global_.size() ? global_[idx] : 0;
-    }
-
-    void
-    writeGlobal(std::uint32_t addr, Word v)
-    {
-        if (addr < isa::globalSegmentBase)
-            return;
-        const std::size_t idx = (addr - isa::globalSegmentBase) / 4;
-        if (idx < global_.size())
-            global_[idx] = v;
-    }
-
-    Word
-    specialValue(const RefWarp &warp, int lane, isa::SpecialReg sr) const
-    {
-        switch (sr) {
-          case isa::SpecialReg::LaneId:
-            return static_cast<Word>(lane);
-          case isa::SpecialReg::WarpId:
-            return static_cast<Word>(warp.warpIdInBlock);
-          case isa::SpecialReg::TidX:
-            return static_cast<Word>(warp.warpIdInBlock * kWarpSize
-                                     + lane);
-          case isa::SpecialReg::CtaIdX:
-            return static_cast<Word>(warp.blockId);
-          case isa::SpecialReg::NTidX:
-            return static_cast<Word>(program_.launch.blockThreads);
-          case isa::SpecialReg::GridDimX:
-            return static_cast<Word>(program_.launch.gridBlocks);
-        }
-        return 0;
-    }
-
     void
     stepWarp(RefWarp &warp)
     {
@@ -317,92 +253,22 @@ class RefMachine
             const Word a = regs[instr.srcA];
             const Word b = instr.immB ? static_cast<Word>(instr.imm)
                                       : regs[instr.srcB];
-            Word result = 0;
             switch (instr.op) {
-              case Opcode::Ffma:
-                result = asWord(asFloat(a) * asFloat(b)
-                                + asFloat(regs[instr.dst]));
-                break;
-              case Opcode::Fadd:
-                result = asWord(asFloat(a) + asFloat(b));
-                break;
-              case Opcode::Fmul:
-                result = asWord(asFloat(a) * asFloat(b));
-                break;
-              case Opcode::IAdd:
-                result = a + b;
-                break;
-              case Opcode::ISub:
-                result = a - b;
-                break;
-              case Opcode::IMul:
-                result = a * b;
-                break;
-              case Opcode::IMad:
-                result = a * b + regs[instr.dst];
-                break;
-              case Opcode::Mov:
-                result = b;
+              case Opcode::SetP:
+                warp.preds[static_cast<std::size_t>(lane)][instr.dst] =
+                    isa::evalCmp(static_cast<isa::CmpOp>(instr.flags), a,
+                                 b);
                 break;
               case Opcode::S2R:
-                result = specialValue(
-                    warp, lane,
-                    static_cast<isa::SpecialReg>(instr.flags));
+                regs[instr.dst] = isa::specialValue(
+                    static_cast<isa::SpecialReg>(instr.flags), lane,
+                    warp.warpIdInBlock, warp.blockId, program_.launch);
                 break;
-              case Opcode::Shl:
-                result = a << (b & 31u);
-                break;
-              case Opcode::Shr:
-                result = a >> (b & 31u);
-                break;
-              case Opcode::And:
-                result = a & b;
-                break;
-              case Opcode::Or:
-                result = a | b;
-                break;
-              case Opcode::Xor:
-                result = a ^ b;
-                break;
-              case Opcode::I2F:
-                result = asWord(static_cast<float>(asInt(a)));
-                break;
-              case Opcode::F2I:
-                result = static_cast<Word>(
-                    static_cast<std::int32_t>(asFloat(a)));
-                break;
-              case Opcode::Clz:
-                result = static_cast<Word>(std::countl_zero(a));
-                break;
-              case Opcode::Min:
-                result = static_cast<Word>(
-                    std::min(asInt(a), asInt(b)));
-                break;
-              case Opcode::Max:
-                result = static_cast<Word>(
-                    std::max(asInt(a), asInt(b)));
-                break;
-              case Opcode::SetP: {
-                const std::int32_t sa = asInt(a);
-                const std::int32_t sb = asInt(b);
-                bool p = false;
-                switch (static_cast<isa::CmpOp>(instr.flags)) {
-                  case isa::CmpOp::Lt: p = sa < sb; break;
-                  case isa::CmpOp::Le: p = sa <= sb; break;
-                  case isa::CmpOp::Gt: p = sa > sb; break;
-                  case isa::CmpOp::Ge: p = sa >= sb; break;
-                  case isa::CmpOp::Eq: p = sa == sb; break;
-                  case isa::CmpOp::Ne: p = sa != sb; break;
-                }
-                warp.preds[static_cast<std::size_t>(lane)][instr.dst] =
-                    p;
-                continue;
-              }
               default:
-                warp.aborted = true;
-                return;
+                regs[instr.dst] =
+                    isa::evalAlu(instr.op, a, b, regs[instr.dst]);
+                break;
             }
-            regs[instr.dst] = result;
         }
         advance();
     }
@@ -420,7 +286,7 @@ class RefMachine
                 const std::uint32_t a =
                     regs[instr.srcA]
                     + static_cast<std::uint32_t>(instr.imm);
-                regs[instr.dst] = readGlobal(a);
+                regs[instr.dst] = isa::loadGlobal(global_, a);
             }
             return;
           case Opcode::Stg: {
@@ -434,7 +300,7 @@ class RefMachine
                     regs[instr.srcA]
                     + static_cast<std::uint32_t>(instr.imm);
                 const Word v = regs[instr.srcB];
-                writeGlobal(a, v);
+                isa::storeGlobal(global_, a, v);
                 store.writes.emplace_back(a, v);
             }
             stores_.push_back(std::move(store));
@@ -453,8 +319,7 @@ class RefMachine
                 const std::uint32_t a =
                     regs[instr.srcA]
                     + static_cast<std::uint32_t>(instr.imm);
-                const std::size_t idx =
-                    shared_words ? (a / 4) % shared_words : 0;
+                const std::size_t idx = isa::sharedIndex(a, shared_words);
                 if (is_store) {
                     const Word v = regs[instr.srcB];
                     if (shared_words)
@@ -479,15 +344,11 @@ class RefMachine
                 if (!((guard >> lane) & 1u))
                     continue;
                 auto &regs = warp.regs[static_cast<std::size_t>(lane)];
-                std::uint32_t a =
+                const std::uint32_t a = isa::imageAddress(
                     regs[instr.srcA]
-                    + static_cast<std::uint32_t>(instr.imm);
-                if (!image.empty())
-                    a %= static_cast<std::uint32_t>(image.size() * 4);
-                a &= ~3u;
-                const std::size_t idx = a / 4;
-                regs[instr.dst] =
-                    idx < image.size() ? image[idx] : Word(0);
+                        + static_cast<std::uint32_t>(instr.imm),
+                    image.size());
+                regs[instr.dst] = isa::loadImage(image, a);
             }
             return;
           }

@@ -22,12 +22,15 @@
  *     a branch whose arms collapse onto the fallthrough.
  *
  *  2. Differential concrete simulation. Both programs run under a
- *     deterministic reference interpreter that mirrors the SM's
- *     functional semantics exactly (SIMT stack, barrier release,
- *     per-lane ALU/memory behavior including the shared-memory wrap
- *     and constant/texture modulo), over the original images plus
- *     seeded random replacements. The full store sequence and the
- *     final global/shared contents must match record for record.
+ *     deterministic reference interpreter that shares the SM's
+ *     evaluator: per-lane results, special registers and the memory
+ *     address mappings come from isa/semantics.hh, and the SIMT stack
+ *     and barrier release mirror gpu/sm.cc. It runs over the original
+ *     images plus seeded random replacements; the full store sequence
+ *     and the final global/shared contents must match record for
+ *     record. tests/test_semantics.cc checks that the SM and this
+ *     interpreter leave the same final global image on every suite
+ *     kernel.
  *
  * A program that fails either layer is rejected with the first
  * offending edit named; the optimizer then falls back to the original,

@@ -6,6 +6,7 @@
 #include "gpu/gpu.hh"
 
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 
 namespace bvf::gpu
 {
@@ -54,20 +55,13 @@ Gpu::bankOf(std::uint32_t lineAddr) const
 Word
 Gpu::readGlobalWord(std::uint32_t addr) const
 {
-    if (addr < isa::globalSegmentBase)
-        return 0;
-    const std::size_t idx = (addr - isa::globalSegmentBase) / 4;
-    return idx < program_.global.size() ? program_.global[idx] : Word(0);
+    return isa::loadGlobal(program_.global, addr);
 }
 
 void
 Gpu::writeGlobalWord(std::uint32_t addr, Word value)
 {
-    if (addr < isa::globalSegmentBase)
-        return;
-    const std::size_t idx = (addr - isa::globalSegmentBase) / 4;
-    if (idx < program_.global.size())
-        program_.global[idx] = value;
+    isa::storeGlobal(program_.global, addr, value);
 }
 
 Word64

@@ -8,50 +8,17 @@
 #include "coder/vs_coder.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "common/logging.hh"
+#include "isa/semantics.hh"
 
 namespace bvf::gpu
 {
 
 using isa::Instruction;
 using isa::Opcode;
-using isa::CmpOp;
-using isa::SpecialReg;
 using coder::UnitId;
 using sram::AccessType;
-
-namespace
-{
-
-/** Reinterpret a word as fp32. */
-float
-asFloat(Word w)
-{
-    float f;
-    std::memcpy(&f, &w, sizeof(f));
-    return f;
-}
-
-/** Reinterpret fp32 as a word. */
-Word
-asWord(float f)
-{
-    Word w;
-    std::memcpy(&w, &f, sizeof(w));
-    return w;
-}
-
-/** Signed view of a word. */
-std::int32_t
-asInt(Word w)
-{
-    return static_cast<std::int32_t>(w);
-}
-
-} // namespace
 
 Sm::Sm(int smId, const GpuConfig &config, const isa::Program &program,
        sram::AccessSink &sink, ChipInterface &chip)
@@ -142,27 +109,6 @@ Sm::blockOf(int slot)
     const int idx = slotBlock_[static_cast<std::size_t>(slot)];
     panic_if(idx < 0, "slot %d has no block", slot);
     return blocks_[static_cast<std::size_t>(idx)];
-}
-
-Word
-Sm::specialValue(int slot, int lane, SpecialReg sr) const
-{
-    const Warp &warp = warps_[static_cast<std::size_t>(slot)];
-    switch (sr) {
-      case SpecialReg::LaneId:
-        return static_cast<Word>(lane);
-      case SpecialReg::WarpId:
-        return static_cast<Word>(warp.warpIdInBlock());
-      case SpecialReg::TidX:
-        return static_cast<Word>(warp.warpIdInBlock() * warpSize + lane);
-      case SpecialReg::CtaIdX:
-        return static_cast<Word>(warp.blockId());
-      case SpecialReg::NTidX:
-        return static_cast<Word>(program_.launch.blockThreads);
-      case SpecialReg::GridDimX:
-        return static_cast<Word>(program_.launch.gridBlocks);
-    }
-    panic("unknown special register");
 }
 
 // ---------------------------------------------------------------------
@@ -412,12 +358,8 @@ Sm::executeAlu(int slot, const Instruction &instr, std::uint32_t guard,
         break;
     }
 
-    // Data-path instructions.
-    const bool is_fp = instr.op == Opcode::Ffma || instr.op == Opcode::Fadd
-                       || instr.op == Opcode::Fmul
-                       || instr.op == Opcode::I2F
-                       || instr.op == Opcode::F2I;
-    if (is_fp)
+    // Data-path instructions, evaluated by the shared semantics.
+    if (isa::opcodeInfo(instr.op).fp)
         ++stats_.fpOps;
     else
         ++stats_.intOps;
@@ -428,87 +370,25 @@ Sm::executeAlu(int slot, const Instruction &instr, std::uint32_t guard,
         const Word a = warp.reg(lane, instr.srcA);
         const Word b = instr.immB ? static_cast<Word>(instr.imm)
                                   : warp.reg(lane, instr.srcB);
-        Word result = 0;
         switch (instr.op) {
-          case Opcode::Ffma:
-            result = asWord(asFloat(a) * asFloat(b)
-                            + asFloat(warp.reg(lane, instr.dst)));
-            break;
-          case Opcode::Fadd:
-            result = asWord(asFloat(a) + asFloat(b));
-            break;
-          case Opcode::Fmul:
-            result = asWord(asFloat(a) * asFloat(b));
-            break;
-          case Opcode::IAdd:
-            result = a + b;
-            break;
-          case Opcode::ISub:
-            result = a - b;
-            break;
-          case Opcode::IMul:
-            result = a * b;
-            break;
-          case Opcode::IMad:
-            result = a * b + warp.reg(lane, instr.dst);
-            break;
-          case Opcode::Mov:
-            result = b;
+          case Opcode::SetP:
+            warp.setPredicate(
+                lane, instr.dst,
+                isa::evalCmp(static_cast<isa::CmpOp>(instr.flags), a, b));
             break;
           case Opcode::S2R:
-            result = specialValue(slot, lane,
-                                  static_cast<SpecialReg>(instr.flags));
+            warp.setReg(lane, instr.dst,
+                        isa::specialValue(
+                            static_cast<isa::SpecialReg>(instr.flags),
+                            lane, warp.warpIdInBlock(), warp.blockId(),
+                            program_.launch));
             break;
-          case Opcode::Shl:
-            result = a << (b & 31u);
-            break;
-          case Opcode::Shr:
-            result = a >> (b & 31u);
-            break;
-          case Opcode::And:
-            result = a & b;
-            break;
-          case Opcode::Or:
-            result = a | b;
-            break;
-          case Opcode::Xor:
-            result = a ^ b;
-            break;
-          case Opcode::I2F:
-            result = asWord(static_cast<float>(asInt(a)));
-            break;
-          case Opcode::F2I:
-            result = static_cast<Word>(
-                static_cast<std::int32_t>(asFloat(a)));
-            break;
-          case Opcode::Clz:
-            result = static_cast<Word>(std::countl_zero(a));
-            break;
-          case Opcode::Min:
-            result = static_cast<Word>(std::min(asInt(a), asInt(b)));
-            break;
-          case Opcode::Max:
-            result = static_cast<Word>(std::max(asInt(a), asInt(b)));
-            break;
-          case Opcode::SetP: {
-            const std::int32_t sa = asInt(a);
-            const std::int32_t sb = asInt(b);
-            bool p = false;
-            switch (static_cast<CmpOp>(instr.flags)) {
-              case CmpOp::Lt: p = sa < sb; break;
-              case CmpOp::Le: p = sa <= sb; break;
-              case CmpOp::Gt: p = sa > sb; break;
-              case CmpOp::Ge: p = sa >= sb; break;
-              case CmpOp::Eq: p = sa == sb; break;
-              case CmpOp::Ne: p = sa != sb; break;
-            }
-            warp.setPredicate(lane, instr.dst, p);
-            continue;
-          }
           default:
-            panic("unhandled opcode %s", opcodeName(instr.op).c_str());
+            warp.setReg(lane, instr.dst,
+                        isa::evalAlu(instr.op, a, b,
+                                     warp.reg(lane, instr.dst)));
+            break;
         }
-        warp.setReg(lane, instr.dst, result);
     }
 
     const int latency =
@@ -611,6 +491,15 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
     ++stats_.loads;
     accountRegRead(warp, instr.srcA, guard, cycle);
 
+    // The load returns memory as of its issue, whenever it completes.
+    std::array<Word, warpSize> value{};
+    for (int lane = 0; lane < warpSize; ++lane) {
+        if ((guard >> lane) & 1u) {
+            value[static_cast<std::size_t>(lane)] = chip_.readGlobalWord(
+                addr[static_cast<std::size_t>(lane)]);
+        }
+    }
+
     for (std::uint32_t line : hit_lines) {
         // Account the words these lanes read out of L1D.
         std::vector<Word> words;
@@ -618,8 +507,7 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
             if (((guard >> lane) & 1u)
                 && l1d_.lineAddr(addr[static_cast<std::size_t>(lane)])
                        == line) {
-                words.push_back(chip_.readGlobalWord(
-                    addr[static_cast<std::size_t>(lane)]));
+                words.push_back(value[static_cast<std::size_t>(lane)]);
             }
         }
         sink_.onAccess(UnitId::L1D, AccessType::Read, words, fullMask,
@@ -642,6 +530,7 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
     load.dstReg = instr.dst;
     load.guard = guard;
     load.laneAddr = addr;
+    load.laneValue = value;
     load.outstandingLines = outstanding;
 
     if (outstanding == 0) {
@@ -671,8 +560,7 @@ Sm::completeLoad(int loadId, std::uint64_t cycle)
         if (!((load.guard >> lane) & 1u))
             continue;
         warp.setReg(lane, load.dstReg,
-                    chip_.readGlobalWord(
-                        load.laneAddr[static_cast<std::size_t>(lane)]));
+                    load.laneValue[static_cast<std::size_t>(lane)]);
     }
     accountRegWrite(warp, load.dstReg, load.guard, cycle);
     warp.setRegReadyCycle(load.dstReg, cycle + 2);
@@ -748,8 +636,7 @@ Sm::executeShared(int slot, const Instruction &instr, std::uint32_t guard,
         const std::uint32_t a =
             warp.reg(lane, instr.srcA)
             + static_cast<std::uint32_t>(instr.imm);
-        const std::size_t idx =
-            shared_words ? (a / 4) % shared_words : 0;
+        const std::size_t idx = isa::sharedIndex(a, shared_words);
         ++bank_load[idx % 32];
         if (is_store) {
             const Word v = warp.reg(lane, instr.srcB);
@@ -805,11 +692,10 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
-        std::uint32_t a = warp.reg(lane, instr.srcA)
-                          + static_cast<std::uint32_t>(instr.imm);
-        if (!image.empty())
-            a %= static_cast<std::uint32_t>(image.size() * 4);
-        a &= ~3u;
+        const std::uint32_t a = isa::imageAddress(
+            warp.reg(lane, instr.srcA)
+                + static_cast<std::uint32_t>(instr.imm),
+            image.size());
         addr[static_cast<std::size_t>(lane)] = a;
         if (std::find(unique_words.begin(), unique_words.end(), a)
             == unique_words.end()) {
@@ -819,11 +705,6 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
         if (std::find(lines.begin(), lines.end(), line) == lines.end())
             lines.push_back(line);
     }
-
-    auto word_at = [&image](std::uint32_t a) {
-        const std::size_t idx = a / 4;
-        return idx < image.size() ? image[idx] : Word(0);
-    };
 
     // Constant/texture misses resolve locally, so a full MSHR file just
     // costs miss latency here instead of stalling the issue slot.
@@ -841,14 +722,15 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
     // Account the read words.
     std::vector<Word> words;
     for (std::uint32_t a : unique_words)
-        words.push_back(word_at(a));
+        words.push_back(isa::loadImage(image, a));
     sink_.onAccess(unit, AccessType::Read, words, fullMask, cycle);
 
     // Deliver values functionally now; latency via the scoreboard.
     for (int lane = 0; lane < warpSize; ++lane) {
         if (((guard >> lane) & 1u)) {
             warp.setReg(lane, instr.dst,
-                        word_at(addr[static_cast<std::size_t>(lane)]));
+                        isa::loadImage(
+                            image, addr[static_cast<std::size_t>(lane)]));
         }
     }
     accountRegWrite(warp, instr.dst, guard, cycle);
@@ -888,10 +770,8 @@ Sm::checkLocalFills(std::uint64_t cycle)
         // Account the fill write with the line's words.
         std::vector<Word> words;
         const std::uint32_t line_bytes = cache.lineBytes();
-        for (std::uint32_t off = 0; off < line_bytes; off += 4) {
-            const std::size_t idx = (it->lineAddr + off) / 4;
-            words.push_back(idx < image.size() ? image[idx] : Word(0));
-        }
+        for (std::uint32_t off = 0; off < line_bytes; off += 4)
+            words.push_back(isa::loadImage(image, it->lineAddr + off));
         sink_.onAccess(it->isTexture ? UnitId::L1T : UnitId::L1C,
                        AccessType::Write, words, fullMask, cycle);
         it = localFills_.erase(it);

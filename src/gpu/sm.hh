@@ -180,6 +180,8 @@ class Sm
         int dstReg = 0;
         std::uint32_t guard = 0;
         std::array<std::uint32_t, warpSize> laneAddr{};
+        /** Values read at issue: a younger store must not reach them. */
+        std::array<Word, warpSize> laneValue{};
         int outstandingLines = 0;
     };
 
@@ -230,8 +232,6 @@ class Sm
                         std::uint64_t cycle);
     void accountRegWrite(const Warp &warp, int reg, std::uint32_t guard,
                          std::uint64_t cycle);
-
-    Word specialValue(int slot, int lane, isa::SpecialReg sr) const;
 
     ResidentBlock &blockOf(int slot);
 

@@ -326,8 +326,8 @@ isLabelLine(const std::string &text)
 Opcode
 opcodeFromMnemonic(const std::string &m)
 {
-    for (int op = 0; op < static_cast<int>(Opcode::NumOpcodes); ++op) {
-        if (opcodeName(static_cast<Opcode>(op)) == m)
+    for (std::size_t op = 0; op < opcodeTable.size(); ++op) {
+        if (m == opcodeTable[op].name)
             return static_cast<Opcode>(op);
     }
     return Opcode::NumOpcodes;
@@ -619,14 +619,14 @@ class Assembler
             return;
         }
         instr.op = op;
-        if (!suffix.empty() && op != Opcode::SetP) {
+        if (!suffix.empty() && operandForm(op) != OperandForm::Compare) {
             fail(line.number,
                  "'" + opcodeName(op) + "' takes no suffix");
             return;
         }
 
-        switch (op) {
-          case Opcode::SetP: {
+        switch (operandForm(op)) {
+          case OperandForm::Compare: {
             int cmp = -1;
             for (int i = 0; i < 6; ++i) {
                 if (suffix == kCmpNames[i])
@@ -645,7 +645,7 @@ class Assembler
             srcBOperand(cur, instr);
             break;
           }
-          case Opcode::S2R: {
+          case OperandForm::Special: {
             instr.dst = cur.reg();
             cur.expect(',');
             const std::string sr = cur.ident();
@@ -660,33 +660,27 @@ class Assembler
                 instr.flags = static_cast<std::uint8_t>(idx);
             break;
           }
-          case Opcode::Mov:
+          case OperandForm::DstB:
             instr.dst = cur.reg();
             cur.expect(',');
             srcBOperand(cur, instr);
             break;
-          case Opcode::I2F:
-          case Opcode::F2I:
-          case Opcode::Clz:
+          case OperandForm::DstA:
             instr.dst = cur.reg();
             cur.expect(',');
             instr.srcA = cur.reg();
             break;
-          case Opcode::Ldg:
-          case Opcode::Lds:
-          case Opcode::Ldc:
-          case Opcode::Ldt:
+          case OperandForm::Load:
             instr.dst = cur.reg();
             cur.expect(',');
             memOperand(cur, instr);
             break;
-          case Opcode::Stg:
-          case Opcode::Sts:
+          case OperandForm::Store:
             memOperand(cur, instr);
             cur.expect(',');
             instr.srcB = cur.reg();
             break;
-          case Opcode::Bra: {
+          case OperandForm::Branch: {
             instr.imm = target(cur);
             cur.expect(',');
             const std::string kw = cur.ident();
@@ -696,13 +690,9 @@ class Assembler
             instr.reconv = target(cur);
             break;
           }
-          case Opcode::Exit:
-          case Opcode::Bar:
-          case Opcode::Nop:
+          case OperandForm::Bare:
             break;
-          default:
-            // Three-operand ALU: FFMA/FADD/FMUL/IADD/IMAD/IMUL/ISUB/
-            // SHL/SHR/AND/OR/XOR/MIN/MAX.
+          case OperandForm::DstAB:
             instr.dst = cur.reg();
             cur.expect(',');
             instr.srcA = cur.reg();
@@ -753,70 +743,6 @@ renderTarget(std::int32_t target, int bodySize)
     return strFormat("%d", target);
 }
 
-std::string
-renderInstruction(const Instruction &instr, int bodySize)
-{
-    std::string out;
-    if (instr.pred != predTrue || instr.predNegate) {
-        out += strFormat("@%sP%u ", instr.predNegate ? "!" : "",
-                         unsigned(instr.pred));
-    }
-    const Opcode op = instr.op;
-    switch (op) {
-      case Opcode::SetP:
-        out += strFormat("SETP.%s P%u, R%u, %s",
-                         instr.flags < 6 ? kCmpNames[instr.flags] : "??",
-                         unsigned(instr.dst), unsigned(instr.srcA),
-                         renderOperandB(instr).c_str());
-        break;
-      case Opcode::S2R:
-        out += strFormat("S2R R%u, %s", unsigned(instr.dst),
-                         instr.flags < 6
-                             ? kSpecialRegNames[instr.flags]
-                             : "??");
-        break;
-      case Opcode::Mov:
-        out += strFormat("MOV R%u, %s", unsigned(instr.dst),
-                         renderOperandB(instr).c_str());
-        break;
-      case Opcode::I2F:
-      case Opcode::F2I:
-      case Opcode::Clz:
-        out += strFormat("%s R%u, R%u", opcodeName(op).c_str(),
-                         unsigned(instr.dst), unsigned(instr.srcA));
-        break;
-      case Opcode::Ldg:
-      case Opcode::Lds:
-      case Opcode::Ldc:
-      case Opcode::Ldt:
-        out += strFormat("%s R%u, %s", opcodeName(op).c_str(),
-                         unsigned(instr.dst), renderMem(instr).c_str());
-        break;
-      case Opcode::Stg:
-      case Opcode::Sts:
-        out += strFormat("%s %s, R%u", opcodeName(op).c_str(),
-                         renderMem(instr).c_str(),
-                         unsigned(instr.srcB));
-        break;
-      case Opcode::Bra:
-        out += strFormat("BRA %s, join=%s",
-                         renderTarget(instr.imm, bodySize).c_str(),
-                         renderTarget(instr.reconv, bodySize).c_str());
-        break;
-      case Opcode::Exit:
-      case Opcode::Bar:
-      case Opcode::Nop:
-        out += opcodeName(op);
-        break;
-      default:
-        out += strFormat("%s R%u, R%u, %s", opcodeName(op).c_str(),
-                         unsigned(instr.dst), unsigned(instr.srcA),
-                         renderOperandB(instr).c_str());
-        break;
-    }
-    return out;
-}
-
 void
 renderImage(std::ostringstream &os, const char *space,
             const std::vector<Word> &image)
@@ -842,6 +768,61 @@ renderImage(std::ostringstream &os, const char *space,
 }
 
 } // namespace
+
+std::string
+renderInstruction(const Instruction &instr, int bodySize)
+{
+    std::string out;
+    if (instr.pred != predTrue || instr.predNegate) {
+        out += strFormat("@%sP%u ", instr.predNegate ? "!" : "",
+                         unsigned(instr.pred));
+    }
+    const char *name = opcodeInfo(instr.op).name;
+    switch (operandForm(instr.op)) {
+      case OperandForm::Compare:
+        out += strFormat("%s.%s P%u, R%u, %s", name,
+                         instr.flags < 6 ? kCmpNames[instr.flags] : "??",
+                         unsigned(instr.dst), unsigned(instr.srcA),
+                         renderOperandB(instr).c_str());
+        break;
+      case OperandForm::Special:
+        out += strFormat("%s R%u, %s", name, unsigned(instr.dst),
+                         instr.flags < 6
+                             ? kSpecialRegNames[instr.flags]
+                             : "??");
+        break;
+      case OperandForm::DstB:
+        out += strFormat("%s R%u, %s", name, unsigned(instr.dst),
+                         renderOperandB(instr).c_str());
+        break;
+      case OperandForm::DstA:
+        out += strFormat("%s R%u, R%u", name, unsigned(instr.dst),
+                         unsigned(instr.srcA));
+        break;
+      case OperandForm::Load:
+        out += strFormat("%s R%u, %s", name, unsigned(instr.dst),
+                         renderMem(instr).c_str());
+        break;
+      case OperandForm::Store:
+        out += strFormat("%s %s, R%u", name, renderMem(instr).c_str(),
+                         unsigned(instr.srcB));
+        break;
+      case OperandForm::Branch:
+        out += strFormat("%s %s, join=%s", name,
+                         renderTarget(instr.imm, bodySize).c_str(),
+                         renderTarget(instr.reconv, bodySize).c_str());
+        break;
+      case OperandForm::Bare:
+        out += name;
+        break;
+      case OperandForm::DstAB:
+        out += strFormat("%s R%u, R%u, %s", name, unsigned(instr.dst),
+                         unsigned(instr.srcA),
+                         renderOperandB(instr).c_str());
+        break;
+    }
+    return out;
+}
 
 Result<Program>
 parseAsm(std::string_view text)

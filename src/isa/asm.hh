@@ -54,6 +54,14 @@ Result<Program> parseAsm(std::string_view text);
 /** Render @p program as assembly text parseAsm accepts. */
 std::string renderAsm(const Program &program);
 
+/**
+ * One instruction as it appears in renderAsm's body. Branch targets
+ * inside [0, @p bodySize) print as labels "L<pc>", others as bare
+ * indices; with the default 0 every target is an index, so the line
+ * parses back on its own.
+ */
+std::string renderInstruction(const Instruction &instr, int bodySize = 0);
+
 } // namespace bvf::isa
 
 #endif // BVF_ISA_ASM_HH

@@ -2,15 +2,15 @@
  * @file
  * Decoded instruction representation.
  *
- * This is the form the SM pipeline executes. The assembler maps it to and
- * from the per-architecture 64-bit binary encodings (isa/encoding.hh).
+ * This is the form the SM pipeline executes. The encoder maps it to and
+ * from the per-architecture 64-bit binary encodings (isa/encoding.hh);
+ * isa/asm.hh renders it as text.
  */
 
 #ifndef BVF_ISA_INSTRUCTION_HH
 #define BVF_ISA_INSTRUCTION_HH
 
 #include <cstdint>
-#include <string>
 
 #include "isa/opcode.hh"
 
@@ -53,9 +53,6 @@ struct Instruction
     std::int32_t reconv = 0;
 
     bool operator==(const Instruction &o) const = default;
-
-    /** Assembly-like rendering for debugging. */
-    std::string toString() const;
 };
 
 } // namespace bvf::isa

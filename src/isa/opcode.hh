@@ -13,6 +13,8 @@
 #ifndef BVF_ISA_OPCODE_HH
 #define BVF_ISA_OPCODE_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -79,35 +81,170 @@ enum class CmpOp : std::uint8_t
     Ne,
 };
 
-/** Mnemonic, e.g. "FFMA". */
-std::string opcodeName(Opcode op);
+/**
+ * Operand shape of an opcode: how the assembler spells it, and with it
+ * which instruction fields the opcode reads and writes.
+ */
+enum class OperandForm : std::uint8_t
+{
+    DstAB,   //!< OP Rd, Ra, Rb|#imm
+    DstA,    //!< OP Rd, Ra
+    DstB,    //!< MOV Rd, Rb|#imm
+    Special, //!< S2R Rd, SR_<name>
+    Compare, //!< SETP.<cmp> Pd, Ra, Rb|#imm
+    Load,    //!< OP Rd, [Ra + imm]
+    Store,   //!< OP [Ra + imm], Rb
+    Branch,  //!< BRA target, join=target
+    Bare,    //!< OP
+};
 
-/** Does the opcode access memory? */
-bool isMemoryOp(Opcode op);
+/** Everything the model knows about one opcode besides its semantics. */
+struct OpcodeInfo
+{
+    const char *name;  //!< mnemonic, e.g. "FFMA"
+    OperandForm form;
+    int latency;       //!< core cycles; 0 = resolved by the memory system
+    bool readsDst;     //!< d = a * b + d
+    bool fp;           //!< issues to the floating-point pipeline
+};
+
+/** The opcode table, indexed by Opcode. */
+inline constexpr std::array<OpcodeInfo,
+                            static_cast<std::size_t>(Opcode::NumOpcodes)>
+    opcodeTable = {{
+        {"FFMA", OperandForm::DstAB, 6, true, true},
+        {"FADD", OperandForm::DstAB, 5, false, true},
+        {"FMUL", OperandForm::DstAB, 5, false, true},
+        {"IADD", OperandForm::DstAB, 4, false, false},
+        {"MOV", OperandForm::DstB, 4, false, false},
+        {"LDG", OperandForm::Load, 0, false, false},
+        {"STG", OperandForm::Store, 4, false, false},
+        {"IMAD", OperandForm::DstAB, 6, true, false},
+        {"S2R", OperandForm::Special, 4, false, false},
+        {"SETP", OperandForm::Compare, 4, false, false},
+        {"LDS", OperandForm::Load, 24, false, false},
+        {"STS", OperandForm::Store, 24, false, false},
+        {"IMUL", OperandForm::DstAB, 5, false, false},
+        {"ISUB", OperandForm::DstAB, 4, false, false},
+        {"SHL", OperandForm::DstAB, 4, false, false},
+        {"SHR", OperandForm::DstAB, 4, false, false},
+        {"AND", OperandForm::DstAB, 4, false, false},
+        {"OR", OperandForm::DstAB, 4, false, false},
+        {"XOR", OperandForm::DstAB, 4, false, false},
+        {"LDC", OperandForm::Load, 0, false, false},
+        {"LDT", OperandForm::Load, 0, false, false},
+        {"I2F", OperandForm::DstA, 4, false, true},
+        {"F2I", OperandForm::DstA, 4, false, true},
+        {"CLZ", OperandForm::DstA, 4, false, false},
+        {"MIN", OperandForm::DstAB, 4, false, false},
+        {"MAX", OperandForm::DstAB, 4, false, false},
+        {"BRA", OperandForm::Branch, 4, false, false},
+        {"EXIT", OperandForm::Bare, 4, false, false},
+        {"BAR", OperandForm::Bare, 4, false, false},
+        {"NOP", OperandForm::Bare, 4, false, false},
+    }};
+
+/** Table row of @p op, which must be below NumOpcodes. */
+constexpr const OpcodeInfo &
+opcodeInfo(Opcode op)
+{
+    return opcodeTable[static_cast<std::size_t>(op)];
+}
+
+constexpr OperandForm
+operandForm(Opcode op)
+{
+    return opcodeInfo(op).form;
+}
+
+/** Mnemonic, e.g. "FFMA". */
+inline std::string
+opcodeName(Opcode op)
+{
+    return opcodeInfo(op).name;
+}
 
 /** Does the opcode read from memory? */
-bool isLoadOp(Opcode op);
+constexpr bool
+isLoadOp(Opcode op)
+{
+    return operandForm(op) == OperandForm::Load;
+}
 
 /** Does the opcode write to memory? */
-bool isStoreOp(Opcode op);
+constexpr bool
+isStoreOp(Opcode op)
+{
+    return operandForm(op) == OperandForm::Store;
+}
+
+/** Does the opcode access memory? */
+constexpr bool
+isMemoryOp(Opcode op)
+{
+    return isLoadOp(op) || isStoreOp(op);
+}
 
 /** Control-flow / no-data opcodes (clear the encoding framing bits). */
-bool isControlOp(Opcode op);
+constexpr bool
+isControlOp(Opcode op)
+{
+    return operandForm(op) == OperandForm::Branch
+           || operandForm(op) == OperandForm::Bare;
+}
+
+/**
+ * Is the opcode a pure function of its register operands, computed by
+ * isa::evalAlu (isa/semantics.hh)?
+ */
+constexpr bool
+isDataOp(Opcode op)
+{
+    const OperandForm f = operandForm(op);
+    return f == OperandForm::DstAB || f == OperandForm::DstA
+           || f == OperandForm::DstB;
+}
 
 /** Does the opcode produce a destination register value? */
-bool writesRegister(Opcode op);
+constexpr bool
+writesRegister(Opcode op)
+{
+    return isDataOp(op) || operandForm(op) == OperandForm::Special
+           || isLoadOp(op);
+}
 
 /** Does the opcode read the srcA register? */
-bool readsSrcA(Opcode op);
+constexpr bool
+readsSrcA(Opcode op)
+{
+    const OperandForm f = operandForm(op);
+    return f == OperandForm::DstAB || f == OperandForm::DstA
+           || f == OperandForm::Compare || f == OperandForm::Load
+           || f == OperandForm::Store;
+}
 
 /** Does the opcode read the srcB register (when not immediate)? */
-bool readsSrcB(Opcode op);
+constexpr bool
+readsSrcB(Opcode op)
+{
+    const OperandForm f = operandForm(op);
+    return f == OperandForm::DstAB || f == OperandForm::DstB
+           || f == OperandForm::Compare || f == OperandForm::Store;
+}
 
 /** Does the opcode read its own destination register (d = a * b + d)? */
-bool readsDst(Opcode op);
+constexpr bool
+readsDst(Opcode op)
+{
+    return opcodeInfo(op).readsDst;
+}
 
 /** Execution latency in core cycles (dependency-visible). */
-int opcodeLatency(Opcode op);
+constexpr int
+opcodeLatency(Opcode op)
+{
+    return opcodeInfo(op).latency;
+}
 
 } // namespace bvf::isa
 

@@ -76,6 +76,45 @@ TEST(Asm, RenderParseEncodeIsTheIdentityOverTheSuite)
     }
 }
 
+TEST(Asm, RenderInstructionShapes)
+{
+    isa::Instruction i;
+    i.op = isa::Opcode::IAdd;
+    i.dst = 3;
+    i.srcA = 1;
+    i.srcB = 2;
+    EXPECT_EQ(isa::renderInstruction(i), "IADD R3, R1, R2");
+
+    i.srcB = 0;
+    i.immB = true;
+    i.imm = 42;
+    EXPECT_EQ(isa::renderInstruction(i), "IADD R3, R1, #42");
+
+    isa::Instruction ld;
+    ld.op = isa::Opcode::Ldg;
+    ld.dst = 9;
+    ld.srcA = 5;
+    ld.imm = 16;
+    EXPECT_EQ(isa::renderInstruction(ld), "LDG R9, [R5 + 16]");
+
+    isa::Instruction br;
+    br.op = isa::Opcode::Bra;
+    br.pred = 1;
+    br.predNegate = true;
+    br.imm = 7;
+    br.reconv = 9;
+    EXPECT_EQ(isa::renderInstruction(br), "@!P1 BRA 7, join=9");
+    EXPECT_EQ(isa::renderInstruction(br, 10), "@!P1 BRA L7, join=L9");
+
+    // Every (canonical) rendered line parses back to the instruction.
+    for (const isa::Instruction &instr : {i, ld, br}) {
+        const isa::Program p =
+            mustParse(".launch 1 32\n" + isa::renderInstruction(instr));
+        ASSERT_EQ(p.body.size(), 1u);
+        EXPECT_EQ(p.body[0], instr);
+    }
+}
+
 TEST(Asm, UnknownMnemonicNamesTheLine)
 {
     auto parsed = isa::parseAsm(".kernel k\n"

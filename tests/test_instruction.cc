@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the decoded-instruction representation and printing.
+ * Unit tests for the decoded-instruction representation.
  */
 
 #include <gtest/gtest.h>
@@ -34,40 +34,6 @@ TEST(Instruction, EqualityCoversAllFields)
     b = a;
     b.predNegate = true;
     EXPECT_NE(a, b);
-}
-
-TEST(Instruction, PrintingShapes)
-{
-    Instruction i;
-    i.op = Opcode::IAdd;
-    i.dst = 3;
-    i.srcA = 1;
-    i.srcB = 2;
-    EXPECT_EQ(i.toString(), "IADD R3, R1, R2");
-
-    i.immB = true;
-    i.imm = 42;
-    EXPECT_EQ(i.toString(), "IADD R3, R1, 42");
-
-    Instruction ld;
-    ld.op = Opcode::Ldg;
-    ld.dst = 9;
-    ld.srcA = 5;
-    ld.imm = 16;
-    const auto s = ld.toString();
-    EXPECT_NE(s.find("LDG R9"), std::string::npos);
-    EXPECT_NE(s.find("[R5 + 16]"), std::string::npos);
-
-    Instruction br;
-    br.op = Opcode::Bra;
-    br.pred = 1;
-    br.predNegate = true;
-    br.imm = 7;
-    br.reconv = 9;
-    const auto bs = br.toString();
-    EXPECT_NE(bs.find("@!P1"), std::string::npos);
-    EXPECT_NE(bs.find("-> 7"), std::string::npos);
-    EXPECT_NE(bs.find("join 9"), std::string::npos);
 }
 
 TEST(LaunchDims, WarpArithmetic)

@@ -13,6 +13,7 @@
 #include "analysis/known_bits.hh"
 #include "coder/nv_coder.hh"
 #include "common/rng.hh"
+#include "isa/semantics.hh"
 
 using namespace bvf;
 using namespace bvf::analysis;
@@ -279,31 +280,15 @@ TEST(KnownBitsPropertyTest, BinaryTransferSoundness)
     Rng rng(0xb1750001);
     struct Case
     {
-        const char *name;
         KnownBits (*abs)(const KnownBits &, const KnownBits &);
-        Word (*conc)(Word, Word);
+        isa::Opcode op;
     };
     const Case cases[] = {
-        {"add", kbAdd, [](Word x, Word y) { return x + y; }},
-        {"sub", kbSub, [](Word x, Word y) { return x - y; }},
-        {"and", kbAnd, [](Word x, Word y) { return x & y; }},
-        {"or", kbOr, [](Word x, Word y) { return x | y; }},
-        {"xor", kbXor, [](Word x, Word y) { return x ^ y; }},
-        {"shl", kbShl, [](Word x, Word y) { return x << (y & 31); }},
-        {"shr", kbShr, [](Word x, Word y) { return x >> (y & 31); }},
-        {"mul", kbMul, [](Word x, Word y) { return x * y; }},
-        {"min", kbMinSigned,
-         [](Word x, Word y) {
-             return static_cast<Word>(
-                 std::min(static_cast<std::int32_t>(x),
-                          static_cast<std::int32_t>(y)));
-         }},
-        {"max", kbMaxSigned,
-         [](Word x, Word y) {
-             return static_cast<Word>(
-                 std::max(static_cast<std::int32_t>(x),
-                          static_cast<std::int32_t>(y)));
-         }},
+        {kbAdd, isa::Opcode::IAdd},      {kbSub, isa::Opcode::ISub},
+        {kbAnd, isa::Opcode::And},       {kbOr, isa::Opcode::Or},
+        {kbXor, isa::Opcode::Xor},       {kbShl, isa::Opcode::Shl},
+        {kbShr, isa::Opcode::Shr},       {kbMul, isa::Opcode::IMul},
+        {kbMinSigned, isa::Opcode::Min}, {kbMaxSigned, isa::Opcode::Max},
     };
     for (const Case &c : cases) {
         for (int i = 0; i < propertyRounds; ++i) {
@@ -311,12 +296,12 @@ TEST(KnownBitsPropertyTest, BinaryTransferSoundness)
             const Word y = rng.nextU32();
             const auto a = abstractionAround(rng, x);
             const auto b = abstractionAround(rng, y);
-            const Word result = c.conc(x, y);
+            const Word result = isa::evalAlu(c.op, x, y, 0);
             const auto r = c.abs(a, b);
             ASSERT_TRUE(r.contains(result))
-                << c.name << "(" << x << ", " << y << ") = " << result
-                << " not in " << r.toString() << " from " << a.toString()
-                << " x " << b.toString();
+                << isa::opcodeName(c.op) << "(" << x << ", " << y
+                << ") = " << result << " not in " << r.toString()
+                << " from " << a.toString() << " x " << b.toString();
         }
     }
 }
@@ -347,23 +332,13 @@ TEST(KnownBitsPropertyTest, CompareSoundness)
                        - static_cast<Word>(rng.nextBounded(2)) * 256u;
         const auto a = abstractionAround(rng, x);
         const auto b = abstractionAround(rng, y);
-        const auto sx = static_cast<std::int32_t>(x);
-        const auto sy = static_cast<std::int32_t>(y);
         for (const auto op : ops) {
-            bool conc = false;
-            switch (op) {
-              case isa::CmpOp::Lt: conc = sx < sy; break;
-              case isa::CmpOp::Le: conc = sx <= sy; break;
-              case isa::CmpOp::Gt: conc = sx > sy; break;
-              case isa::CmpOp::Ge: conc = sx >= sy; break;
-              case isa::CmpOp::Eq: conc = sx == sy; break;
-              case isa::CmpOp::Ne: conc = sx != sy; break;
-            }
+            const bool conc = isa::evalCmp(op, x, y);
             const Bool3 abs = kbCompare(op, a, b);
             if (abs != Bool3::Unknown) {
                 ASSERT_EQ(abs, conc ? Bool3::True : Bool3::False)
-                    << "cmp " << static_cast<int>(op) << " of " << sx
-                    << ", " << sy;
+                    << "cmp " << static_cast<int>(op) << " of "
+                    << isa::asInt(x) << ", " << isa::asInt(y);
             }
         }
     }

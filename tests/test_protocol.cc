@@ -356,7 +356,7 @@ TEST(Fuzz, RandomFramesRoundTripAndRandomBytesNeverCrash)
 TEST(Messages, SubmitKernelRoundTrip)
 {
     SubmitKernelRequest req;
-    req.bytecode = std::string("BVFK-ish blob \x00\xff\x7f with NULs", 29);
+    req.bytecode = std::string("BVFK-ish blob \x00\xff\x7f with NULs", 27);
     const auto decoded = SubmitKernelRequest::decode(req.encode());
     ASSERT_TRUE(decoded.ok()) << decoded.error().message;
     EXPECT_EQ(decoded.value().bytecode, req.bytecode);

@@ -18,6 +18,7 @@
 #include "core/experiment.hh"
 #include "core/static_check.hh"
 #include "gpu/gpu.hh"
+#include "isa/asm.hh"
 #include "workload/app_spec.hh"
 #include "workload/kernel_builder.hh"
 
@@ -302,7 +303,7 @@ TEST(StaticCheckTest, RandomKernelsNeverContradictStaticFacts)
         if (!violations.empty()) {
             std::string listing;
             for (const auto &instr : program.body)
-                listing += instr.toString() + "\n";
+                listing += isa::renderInstruction(instr) + "\n";
             FAIL() << "kernel " << i << ": " << violations.front()
                    << "\n" << listing;
         }
