@@ -73,6 +73,7 @@
 #include "coder/scenario.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "core/experiment.hh"
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "server/protocol.hh"
@@ -212,7 +213,8 @@ parse(int argc, char **argv)
             o.evalAfterSubmit = true;
         } else if (arg == "--cells-bitline") {
             o.cellsBitline = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 1, 8192));
+                cli::parseInteger(arg, args.value(arg), 1,
+                                  core::Pricing::maxCellsPerBitline));
         } else if (arg == "--retries") {
             o.retries = cli::parseInteger(arg, args.value(arg), 0, 100);
         } else if (arg == "--backoff-ms") {

@@ -56,6 +56,7 @@
 #include "circuit/mem_cell.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
+#include "core/experiment.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/fleet_campaign.hh"
 #include "server/server.hh"
@@ -189,7 +190,8 @@ parse(int argc, char **argv)
             o.campaign.ecc = true;
         } else if (arg == "--cells-bitline") {
             o.campaign.cellsBitline = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 1, 8192));
+                cli::parseInteger(arg, args.value(arg), 1,
+                                  core::Pricing::maxCellsPerBitline));
         } else if (arg == "--host") {
             o.serve.host = args.value(arg);
         } else if (arg == "--port") {

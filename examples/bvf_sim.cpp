@@ -8,8 +8,8 @@
  * With a journal the run becomes a crash-safe *campaign*: per-app
  * results are persisted as they finish, a killed campaign resumes
  * bit-identically with --resume, hanging apps are timed out by a
- * watchdog, repeatedly failing apps are quarantined, and golden-result
- * snapshots detect silent numerical drift across refactors.
+ * watchdog, repeatedly failing apps are quarantined, and checking the
+ * report against a golden one detects silent numerical drift.
  *
  * Usage:
  *   bvf_sim [options] APP...
@@ -54,8 +54,8 @@
  *   --jobs N              simulate N apps concurrently (default 1);
  *                         the report stays byte-identical to --jobs 1
  *   --report FILE         write the canonical (bit-stable) report
- *   --golden record|verify  snapshot / check per-app energy digests
- *   --golden-file FILE    snapshot location (required with --golden)
+ *   --golden FILE         compare the report against FILE (a report
+ *                         recorded with --report); exit 1 on any drift
  *
  * Selecting --cell bvf6t additionally arms the Section 7.1 read-disturb
  * model: the per-bit flip probability is derived from the transient
@@ -74,7 +74,6 @@
 #include "analysis/advisor.hh"
 #include "analysis/lint.hh"
 #include "campaign/campaign.hh"
-#include "campaign/golden.hh"
 #include "core/pivot_sweep.hh"
 #include "core/static_check.hh"
 #include "common/atomic_file.hh"
@@ -90,14 +89,6 @@ using namespace bvf;
 
 namespace
 {
-
-/** What --golden asks for. */
-enum class GoldenMode
-{
-    Off,
-    Record,
-    Verify,
-};
 
 struct Options
 {
@@ -127,7 +118,6 @@ struct Options
     int maxRetries = 1;
     int jobs = 1;
     std::string reportFile;
-    GoldenMode golden = GoldenMode::Off;
     std::string goldenFile;
 };
 
@@ -155,7 +145,7 @@ usage()
                  "               [--journal FILE] [--resume] "
                  "[--app-timeout SEC] [--max-retries N]\n"
                  "               [--jobs N] [--report FILE] "
-                 "[--golden record|verify] [--golden-file FILE]\n"
+                 "[--golden FILE]\n"
                  "               APP... | --list\n");
     std::exit(cli::kExitUsage);
 }
@@ -235,7 +225,8 @@ parse(int argc, char **argv)
         } else if (arg == "--ecc") {
             o.ecc = true;
         } else if (arg == "--cells-bitline") {
-            o.cellsBitline = parseInteger(arg, next(), 1, 8192);
+            o.cellsBitline = parseInteger(arg, next(), 1,
+                                          core::Pricing::maxCellsPerBitline);
         } else if (arg == "--log-level") {
             const auto v = next();
             LogLevel level;
@@ -261,15 +252,6 @@ parse(int argc, char **argv)
             o.reportFile = next();
             o.campaign = true;
         } else if (arg == "--golden") {
-            const auto v = next();
-            if (v == "record")
-                o.golden = GoldenMode::Record;
-            else if (v == "verify")
-                o.golden = GoldenMode::Verify;
-            else
-                badChoice(arg, v, "record, verify");
-            o.campaign = true;
-        } else if (arg == "--golden-file") {
             o.goldenFile = next();
             o.campaign = true;
         } else if (arg == "--analyze") {
@@ -290,10 +272,6 @@ parse(int argc, char **argv)
         usage();
     if (o.resume && o.journalFile.empty())
         dieUsage("--resume requires --journal FILE");
-    if (o.golden != GoldenMode::Off && o.goldenFile.empty())
-        dieUsage("--golden requires --golden-file FILE");
-    if (o.goldenFile.size() && o.golden == GoldenMode::Off)
-        dieUsage("--golden-file requires --golden record|verify");
     if (o.campaign && !o.traceFile.empty())
         dieUsage("--trace is not supported in campaign mode");
     if (o.analyze && o.campaign)
@@ -356,7 +334,7 @@ resolveApps(const std::vector<std::string> &names)
 
 /**
  * Campaign mode: crash-safe journaled sweep with watchdog, retry,
- * quarantine and golden-result checking.
+ * quarantine and an optional check against a golden report.
  * @return process exit code
  */
 int
@@ -427,46 +405,31 @@ runCampaign(const Options &o)
                 report.completed, report.resumed, report.retried,
                 report.quarantined);
 
+    const std::string rendered = report.render();
     if (!o.reportFile.empty()) {
-        const auto written =
-            atomicWriteFile(o.reportFile, report.render());
+        const auto written = atomicWriteFile(o.reportFile, rendered);
         fatal_if(!written.ok(), "cannot write report: %s",
                  written.error().describe().c_str());
         std::printf("report -> %s\n", o.reportFile.c_str());
     }
 
-    if (o.golden == GoldenMode::Record) {
-        const auto recorded =
-            campaign::recordGolden(o.goldenFile, report);
-        fatal_if(!recorded.ok(), "cannot record golden snapshot: %s",
-                 recorded.error().describe().c_str());
-        std::printf("golden snapshot -> %s\n", o.goldenFile.c_str());
-    } else if (o.golden == GoldenMode::Verify) {
-        const auto checked =
-            campaign::verifyGolden(o.goldenFile, report);
-        fatal_if(!checked.ok(), "cannot verify golden snapshot: %s",
-                 checked.error().describe().c_str());
-        const campaign::GoldenCheck &check = checked.value();
-        if (!check.ok()) {
-            for (const auto &drift : check.drifts)
-                std::fprintf(stderr, "golden drift: %s\n",
-                             drift.describe().c_str());
-            for (const auto &key : check.missing)
-                std::fprintf(stderr, "golden missing: %s\n",
-                             key.c_str());
-            for (const auto &key : check.unexpected)
-                std::fprintf(stderr, "golden unexpected: %s\n",
-                             key.c_str());
+    if (!o.goldenFile.empty()) {
+        const auto golden = readFileBytes(o.goldenFile);
+        fatal_if(!golden.ok(), "cannot read golden report: %s",
+                 golden.error().describe().c_str());
+        const auto diffs = campaign::diffReports(golden.value(), rendered);
+        fatal_if(!diffs.ok(), "cannot check against golden report '%s': %s",
+                 o.goldenFile.c_str(), diffs.error().describe().c_str());
+        for (const std::string &diff : diffs.value())
+            std::fprintf(stderr, "golden drift: %s\n", diff.c_str());
+        if (!diffs.value().empty()) {
             std::fprintf(stderr,
-                         "golden verify FAILED against %s (%zu drift(s),"
-                         " %zu missing, %zu unexpected)\n",
-                         o.goldenFile.c_str(), check.drifts.size(),
-                         check.missing.size(),
-                         check.unexpected.size());
+                         "golden check FAILED against %s "
+                         "(%zu difference(s))\n",
+                         o.goldenFile.c_str(), diffs.value().size());
             return 1;
         }
-        std::printf("golden verify OK against %s\n",
-                    o.goldenFile.c_str());
+        std::printf("golden check OK against %s\n", o.goldenFile.c_str());
     }
     return 0;
 }

@@ -4,9 +4,10 @@
 # Runs a reference campaign to completion, then starts the identical
 # campaign again, SIGKILLs it mid-run, resumes it from the journal, and
 # asserts that the resumed report is byte-identical to the reference.
-# Also exercises the golden harness: a snapshot recorded from the
-# reference must verify cleanly against the resumed campaign, and a
-# deliberately perturbed snapshot must make verification fail.
+# Also exercises the golden check: the reference report, given to
+# --golden, must accept the resumed campaign, and a copy with one hex
+# digit flipped must fail it with exit status 1, naming the app and the
+# column that drifted.
 #
 # Usage: scripts/ci_kill_resume.sh [path/to/bvf_sim]
 # The work directory is printed on entry; CI uploads it on failure.
@@ -51,30 +52,37 @@ cmp "$WORK/ref.report" "$WORK/int.report" \
     || fail "resumed report differs from the uninterrupted reference"
 echo "resumed report is byte-identical to the reference"
 
-echo "== golden snapshot: record from reference, verify on resumed =="
-"$BVF_SIM" --journal "$WORK/ref.journal" --resume \
-    --golden record --golden-file "$WORK/golden.txt" "${APPS[@]}" \
-    >/dev/null || fail "golden record exited nonzero"
+echo "== golden report: the reference report checks the resumed campaign =="
 "$BVF_SIM" --journal "$WORK/int.journal" --resume \
-    --golden verify --golden-file "$WORK/golden.txt" "${APPS[@]}" \
-    >/dev/null || fail "golden verify failed on the resumed campaign"
-echo "golden verify clean on the resumed campaign"
+    --golden "$WORK/ref.report" "${APPS[@]}" >/dev/null \
+    || fail "--golden rejected the resumed campaign"
+echo "golden check clean on the resumed campaign"
 
-echo "== golden snapshot: a perturbed value must be caught =="
-# Bump the mantissa of the first recorded energy value.
-awk 'BEGIN { done = 0 }
-     { if (!done && $0 !~ /^#/ && sub(/ 0x1\./, " 0x2.")) done = 1; print }
-     END { exit done ? 0 : 1 }' "$WORK/golden.txt" \
-    > "$WORK/golden-perturbed.txt" \
-    || fail "could not perturb the golden snapshot"
-cmp -s "$WORK/golden.txt" "$WORK/golden-perturbed.txt" \
-    && fail "perturbation did not change the snapshot"
-if "$BVF_SIM" --journal "$WORK/int.journal" --resume \
-    --golden verify --golden-file "$WORK/golden-perturbed.txt" \
-    "${APPS[@]}" >/dev/null 2>&1; then
-    fail "golden verify accepted a perturbed snapshot"
-fi
-echo "golden verify rejected the perturbed snapshot"
+echo "== golden report: a perturbed value must be caught =="
+# Flip one hex digit of the first hexfloat of the first app line, the
+# chip:Baseline energy of ${APPS[0]}.
+awk '!done && /^app / {
+         i = index($0, " 0x1.")
+         if (i) {
+             d = substr($0, i + 5, 1)
+             $0 = substr($0, 1, i + 4) (d == "0" ? "1" : "0") substr($0, i + 6)
+             done = 1
+         }
+     }
+     { print }
+     END { exit done ? 0 : 1 }' "$WORK/ref.report" > "$WORK/perturbed.report" \
+    || fail "could not perturb the reference report"
+cmp -s "$WORK/ref.report" "$WORK/perturbed.report" \
+    && fail "perturbation did not change the report"
+"$BVF_SIM" --journal "$WORK/int.journal" --resume \
+    --golden "$WORK/perturbed.report" "${APPS[@]}" \
+    >/dev/null 2>"$WORK/perturbed.err"
+status=$?
+[ "$status" -eq 1 ] \
+    || fail "--golden exited $status on a perturbed report, expected 1"
+grep -q "golden drift: ${APPS[0]} chip:Baseline expected" "$WORK/perturbed.err" \
+    || fail "the drift report does not name ${APPS[0]} chip:Baseline: $(cat "$WORK/perturbed.err")"
+echo "golden check rejected the perturbed report: $(head -n 1 "$WORK/perturbed.err")"
 
 rm -rf "$WORK"
 echo "PASS: kill -9 / resume / golden checks all green"

@@ -5,8 +5,10 @@
 
 #include "campaign/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include "common/atomic_file.hh"
@@ -19,10 +21,10 @@
 namespace bvf::campaign
 {
 
-using coder::Scenario;
-
 namespace
 {
+
+constexpr const char *reportMagic = "# BVF campaign report v1";
 
 /** Hexfloat: exact, locale-free, round-trips bit-identically. */
 std::string
@@ -31,13 +33,119 @@ exactDouble(double v)
     return strFormat("%a", v);
 }
 
+std::vector<std::string>
+splitWords(const std::string &line)
+{
+    std::istringstream in(line);
+    std::vector<std::string> words;
+    for (std::string word; in >> word;)
+        words.push_back(word);
+    return words;
+}
+
+/** A rendered report: its `#` lines and its `app` lines by app. */
+struct ReportLines
+{
+    std::vector<std::string> header;
+    std::vector<std::pair<std::string, std::string>> apps; //!< abbr, line
+
+    /** The rest of the first header line starting with @p prefix. */
+    std::string
+    headerField(const std::string &prefix) const
+    {
+        for (const std::string &line : header) {
+            if (line.rfind(prefix, 0) == 0)
+                return line.substr(prefix.size());
+        }
+        return "";
+    }
+
+    const std::string *
+    app(const std::string &abbr) const
+    {
+        for (const auto &[name, line] : apps) {
+            if (name == abbr)
+                return &line;
+        }
+        return nullptr;
+    }
+};
+
+Result<ReportLines>
+splitReport(std::string_view text, const char *side)
+{
+    std::istringstream in{std::string(text)};
+    std::string line;
+    if (!std::getline(in, line) || line != reportMagic) {
+        return Error{ErrorCode::Corrupt,
+                     strFormat("%s text is not a campaign report", side)};
+    }
+    ReportLines out;
+    out.header.push_back(line);
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        if (line[0] == '#') {
+            out.header.push_back(line);
+            continue;
+        }
+        const auto words = splitWords(line);
+        if (words.size() < 3 || words[0] != "app") {
+            return Error{ErrorCode::Corrupt,
+                         strFormat("%s report has a malformed line: %s",
+                                   side, line.c_str())};
+        }
+        out.apps.emplace_back(words[1], line);
+    }
+    return out;
+}
+
+/** Append the differences between two `app` lines of one app. */
+void
+diffAppLine(const std::vector<std::string> &columns,
+            const std::string &expected, const std::string &actual,
+            std::vector<std::string> &diffs)
+{
+    if (expected == actual)
+        return;
+    // Word i of an app line sits in column i - 1: the line starts with
+    // "app" and the abbreviation's column is called "app".
+    const auto e = splitWords(expected);
+    const auto a = splitWords(actual);
+    const char *abbr = e[1].c_str();
+    if (e[2] != a[2]) {
+        diffs.push_back(strFormat("%s status expected %s got %s", abbr,
+                                  e[2].c_str(), a[2].c_str()));
+        return;
+    }
+    if (e[2] != appStatusName(AppStatus::Completed)) {
+        // Failed on both sides, with different free-form error text.
+        diffs.push_back(strFormat("%s expected '%s' got '%s'", abbr,
+                                  expected.c_str(), actual.c_str()));
+        return;
+    }
+    for (std::size_t i = 3; i < std::max(e.size(), a.size()); ++i) {
+        const std::string want = i < e.size() ? e[i] : "(none)";
+        const std::string got = i < a.size() ? a[i] : "(none)";
+        if (want == got)
+            continue;
+        const std::string column = i - 1 < columns.size()
+                                       ? columns[i - 1]
+                                       : strFormat("#%zu", i - 1);
+        diffs.push_back(strFormat("%s %s expected %s got %s", abbr,
+                                  column.c_str(), want.c_str(),
+                                  got.c_str()));
+    }
+}
+
 } // namespace
 
 std::string
 CampaignReport::render() const
 {
     std::string out;
-    out += "# BVF campaign report v1\n";
+    out += reportMagic;
+    out += "\n";
     out += strFormat("# config %08x\n", configCrc);
     out += strFormat("# apps %zu completed %d quarantined %d\n",
                      results.size(), completed, quarantined);
@@ -66,6 +174,55 @@ CampaignReport::render() const
         out += "\n";
     }
     return out;
+}
+
+Result<std::vector<std::string>>
+diffReports(std::string_view expected, std::string_view actual)
+{
+    const auto expectedLines = splitReport(expected, "expected");
+    if (!expectedLines.ok())
+        return expectedLines.error();
+    const auto actualLines = splitReport(actual, "actual");
+    if (!actualLines.ok())
+        return actualLines.error();
+    const ReportLines &e = expectedLines.value();
+    const ReportLines &a = actualLines.value();
+
+    const std::string wantConfig = e.headerField("# config ");
+    const std::string gotConfig = a.headerField("# config ");
+    if (wantConfig != gotConfig) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("the reports were produced under different "
+                               "campaign configurations (digest %s, "
+                               "expected %s)",
+                               gotConfig.c_str(), wantConfig.c_str())};
+    }
+
+    std::vector<std::string> diffs;
+    for (std::size_t i = 0; i < std::max(e.header.size(), a.header.size());
+         ++i) {
+        const std::string want = i < e.header.size() ? e.header[i] : "(none)";
+        const std::string got = i < a.header.size() ? a.header[i] : "(none)";
+        if (want != got) {
+            diffs.push_back(strFormat("header expected '%s' got '%s'",
+                                      want.c_str(), got.c_str()));
+        }
+    }
+
+    const auto columns = splitWords(e.headerField("# columns: "));
+    for (const auto &[abbr, line] : e.apps) {
+        if (const std::string *other = a.app(abbr))
+            diffAppLine(columns, line, *other, diffs);
+        else
+            diffs.push_back(abbr + " missing");
+    }
+    for (const auto &[abbr, line] : a.apps) {
+        if (!e.app(abbr))
+            diffs.push_back(abbr + " unexpected");
+    }
+    if (diffs.empty() && expected != actual)
+        diffs.push_back("the same lines in a different order or layout");
+    return diffs;
 }
 
 CampaignRunner::CampaignRunner(const core::ExperimentDriver &driver,
@@ -156,12 +313,8 @@ CampaignRunner::runOneApp(const workload::AppSpec &spec) const
             result.error = Error{};
             result.cycles = attempted.value().gpuStats.cycles;
             result.instructions = attempted.value().gpuStats.sm.issued;
-            for (const auto s : coder::allScenarios) {
-                const auto idx = static_cast<std::size_t>(
-                    coder::scenarioIndex(s));
-                result.chipEnergy[idx] = energy.at(s).chipTotal();
-                result.bvfUnitsEnergy[idx] = energy.at(s).bvfUnitsTotal();
-            }
+            result.chipEnergy = energy.chipTotals();
+            result.bvfUnitsEnergy = energy.bvfUnitsTotals();
             return result;
         } catch (const FatalError &e) {
             last = Error{ErrorCode::Failed, e.what()};

@@ -36,6 +36,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/journal.hh"
@@ -94,10 +95,26 @@ struct CampaignReport
     /**
      * Canonical textual report: one line per application with exact
      * (hexfloat) per-scenario energies. Identical bytes for resumed and
-     * uninterrupted campaigns of the same configuration.
+     * uninterrupted campaigns of the same configuration. A rendered
+     * report is also the golden reference (tests/golden/) a later
+     * campaign is checked against with diffReports().
      */
     std::string render() const;
 };
+
+/**
+ * Compare two rendered reports. Returns one entry per header line that
+ * differs and one per differing column of an `app` line, naming the app
+ * and the column from @p expected's `# columns:` line (e.g. "BCK chip:NV
+ * expected 0x1.74...p-18 got 0x1.75...p-18"); apps present on one side
+ * only are listed as missing or unexpected. Empty means identical.
+ *
+ * Text that is not a campaign report is a Corrupt error, and reports of
+ * two different configurations (their `# config` digests differ) are
+ * refused with InvalidArgument: their numbers are not comparable.
+ */
+Result<std::vector<std::string>> diffReports(std::string_view expected,
+                                             std::string_view actual);
 
 /**
  * Drives applications through an ExperimentDriver with journaling,

@@ -56,6 +56,26 @@ struct AppEnergy
         return byScenario[static_cast<std::size_t>(
             coder::scenarioIndex(s))];
     }
+
+    /** chipTotal() of every scenario, in scenarioIndex order. */
+    std::array<double, coder::numScenarios>
+    chipTotals() const
+    {
+        std::array<double, coder::numScenarios> out{};
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = byScenario[i].chipTotal();
+        return out;
+    }
+
+    /** bvfUnitsTotal() of every scenario, in scenarioIndex order. */
+    std::array<double, coder::numScenarios>
+    bvfUnitsTotals() const
+    {
+        std::array<double, coder::numScenarios> out{};
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = byScenario[i].bvfUnitsTotal();
+        return out;
+    }
 };
 
 /** Pricing configuration: where and how energy is evaluated. */
@@ -70,6 +90,9 @@ struct Pricing
 
     /** Bitline length of every BVF array (Table 3 machine: 128). */
     int cellsPerBitline = 128;
+
+    /** Longest bitline any front end or wire request may ask for. */
+    static constexpr int maxCellsPerBitline = 8192;
 
     /** Price BVF-6T arrays past their reliability limit (fault study). */
     bool allowUnreliableCells = false;

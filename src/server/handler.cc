@@ -65,6 +65,26 @@ runOptionsFor(const AppQuery &q)
 }
 
 /**
+ * The Pricing selected by the five wire indices ChipEnergyRequest and
+ * EvalSubmittedRequest share (already range-checked by their decoders).
+ */
+template <typename Request>
+core::Pricing
+pricingFor(const Request &req)
+{
+    core::Pricing pricing;
+    pricing.node =
+        req.node == 0 ? circuit::TechNode::N28 : circuit::TechNode::N40;
+    pricing.pstate = req.pstate == 0   ? gpu::pstateNominal()
+                     : req.pstate == 1 ? gpu::pstateMid()
+                                       : gpu::pstateLow();
+    pricing.cellKind = static_cast<circuit::CellKind>(req.cell);
+    pricing.ecc = req.ecc != 0;
+    pricing.cellsPerBitline = static_cast<int>(req.cellsBitline);
+    return pricing;
+}
+
+/**
  * Run @p body with fatal() trapped; any failure becomes an
  * ErrorResponse frame instead of an exception or process exit.
  */
@@ -232,28 +252,14 @@ RequestHandler::handleChipEnergy(const Frame &request) const
         if (!run.ok())
             return errorFrame(run.error());
 
-        core::Pricing pricing;
-        pricing.node = req.node == 0 ? circuit::TechNode::N28
-                                     : circuit::TechNode::N40;
-        pricing.pstate = req.pstate == 0   ? gpu::pstateNominal()
-                         : req.pstate == 1 ? gpu::pstateMid()
-                                           : gpu::pstateLow();
-        pricing.cellKind = static_cast<circuit::CellKind>(req.cell);
-        pricing.ecc = req.ecc != 0;
-        pricing.cellsPerBitline = static_cast<int>(req.cellsBitline);
-
         const core::AppEnergy energy =
-            driver.evaluate(run.value(), pricing);
+            driver.evaluate(run.value(), pricingFor(req));
 
         ChipEnergyResponse resp;
         resp.cycles = run.value().gpuStats.cycles;
         resp.instructions = run.value().gpuStats.sm.issued;
-        for (const coder::Scenario s : coder::allScenarios) {
-            const auto idx =
-                static_cast<std::size_t>(coder::scenarioIndex(s));
-            resp.chipEnergy[idx] = energy.at(s).chipTotal();
-            resp.bvfUnitsEnergy[idx] = energy.at(s).bvfUnitsTotal();
-        }
+        resp.chipEnergy = energy.chipTotals();
+        resp.bvfUnitsEnergy = energy.bvfUnitsTotals();
 
         Frame out;
         out.type = MsgType::ChipEnergyResponse;
@@ -459,30 +465,16 @@ RequestHandler::handleEvalSubmitted(const Frame &request) const
         if (!run.ok())
             return errorFrame(run.error());
 
-        core::Pricing pricing;
-        pricing.node = req.node == 0 ? circuit::TechNode::N28
-                                     : circuit::TechNode::N40;
-        pricing.pstate = req.pstate == 0   ? gpu::pstateNominal()
-                         : req.pstate == 1 ? gpu::pstateMid()
-                                           : gpu::pstateLow();
-        pricing.cellKind = static_cast<circuit::CellKind>(req.cell);
-        pricing.ecc = req.ecc != 0;
-        pricing.cellsPerBitline = static_cast<int>(req.cellsBitline);
-
         const core::AppEnergy energy =
-            driver.evaluate(run.value(), pricing);
+            driver.evaluate(run.value(), pricingFor(req));
 
         EvalSubmittedResponse resp;
         resp.cycles = run.value().gpuStats.cycles;
         resp.instructions = run.value().gpuStats.sm.issued;
         resp.maxWarpIssue = probe.maxIssued();
         resp.checkedAccesses = probe.checkedAccesses();
-        for (const coder::Scenario s : coder::allScenarios) {
-            const auto idx =
-                static_cast<std::size_t>(coder::scenarioIndex(s));
-            resp.chipEnergy[idx] = energy.at(s).chipTotal();
-            resp.bvfUnitsEnergy[idx] = energy.at(s).bvfUnitsTotal();
-        }
+        resp.chipEnergy = energy.chipTotals();
+        resp.bvfUnitsEnergy = energy.bvfUnitsTotals();
 
         Frame out;
         out.type = MsgType::EvalSubmittedResponse;

@@ -10,6 +10,7 @@
 
 #include "analysis/verifier.hh"
 #include "common/crc32.hh"
+#include "core/experiment.hh"
 
 namespace bvf::server
 {
@@ -345,13 +346,14 @@ getAppQuery(WireReader &r, AppQuery &q)
            && r.getU8(q.dynamicIsa);
 }
 
+/**
+ * Range-check the machine fields AppQuery and EvalSubmittedRequest
+ * share: architecture, scheduler, VS pivot and the dynamic-ISA flag.
+ */
+template <typename Request>
 Result<void>
-validateAppQuery(const AppQuery &q)
+validateMachine(const Request &q)
 {
-    if (q.abbr.empty()) {
-        return Error{ErrorCode::InvalidArgument,
-                     "empty application abbreviation"};
-    }
     if (q.arch > 3) {
         return Error{ErrorCode::InvalidArgument,
                      strFormat("architecture index %u out of range",
@@ -366,6 +368,60 @@ validateAppQuery(const AppQuery &q)
         return Error{ErrorCode::InvalidArgument,
                      strFormat("VS pivot %u out of range [0, 31]",
                                q.vsPivot)};
+    }
+    if (q.dynamicIsa > 1) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("dynamic-ISA flag %u is not 0 or 1",
+                               q.dynamicIsa)};
+    }
+    return {};
+}
+
+Result<void>
+validateAppQuery(const AppQuery &q)
+{
+    if (q.abbr.empty()) {
+        return Error{ErrorCode::InvalidArgument,
+                     "empty application abbreviation"};
+    }
+    return validateMachine(q);
+}
+
+/**
+ * Range-check the pricing fields ChipEnergyRequest and
+ * EvalSubmittedRequest share; the bitline bound is the one every front
+ * end enforces.
+ */
+template <typename Request>
+Result<void>
+validatePricing(const Request &req)
+{
+    if (req.node > 1) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("technology node index %u out of range",
+                               req.node)};
+    }
+    if (req.pstate > 2) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("P-state index %u out of range",
+                               req.pstate)};
+    }
+    if (req.cell > 4) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("cell kind index %u out of range",
+                               req.cell)};
+    }
+    if (req.ecc > 1) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("ECC flag %u is not 0 or 1", req.ecc)};
+    }
+    if (req.cellsBitline < 1
+        || req.cellsBitline > core::Pricing::maxCellsPerBitline) {
+        return Error{ErrorCode::InvalidArgument,
+                     strFormat("cells per bitline %u out of range "
+                               "[1, %d]",
+                               req.cellsBitline,
+                               core::Pricing::maxCellsPerBitline)};
     }
     return {};
 }
@@ -583,24 +639,8 @@ ChipEnergyRequest::decode(std::string_view payload)
         return trailingGarbage();
     if (auto valid = validateAppQuery(req.query); !valid.ok())
         return valid.error();
-    if (req.node > 1) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("node index %u out of range", req.node)};
-    }
-    if (req.pstate > 2) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("pstate index %u out of range", req.pstate)};
-    }
-    if (req.cell > 4) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("cell index %u out of range", req.cell)};
-    }
-    if (req.cellsBitline < 1 || req.cellsBitline > 8192) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("cells per bitline %u out of range "
-                               "[1, 8192]",
-                               req.cellsBitline)};
-    }
+    if (auto valid = validatePricing(req); !valid.ok())
+        return valid.error();
     return req;
 }
 
@@ -952,46 +992,10 @@ EvalSubmittedRequest::decode(std::string_view payload)
         return trailingGarbage();
     if (req.digest.empty())
         return Error{ErrorCode::InvalidArgument, "empty kernel digest"};
-    if (req.arch > 3) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("architecture index %u out of range",
-                               req.arch)};
-    }
-    if (req.sched > 2) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("scheduler index %u out of range",
-                               req.sched)};
-    }
-    if (req.vsPivot > 31) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("VS pivot %u out of range [0, 31]",
-                               req.vsPivot)};
-    }
-    if (req.dynamicIsa > 1 || req.ecc > 1) {
-        return Error{ErrorCode::InvalidArgument,
-                     "boolean flag is not 0 or 1"};
-    }
-    if (req.node > 1) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("technology node index %u out of range",
-                               req.node)};
-    }
-    if (req.pstate > 2) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("P-state index %u out of range",
-                               req.pstate)};
-    }
-    if (req.cell > 4) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("cell kind index %u out of range",
-                               req.cell)};
-    }
-    if (req.cellsBitline == 0 || req.cellsBitline > 1024) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("cells per bitline %u out of range "
-                               "[1, 1024]",
-                               req.cellsBitline)};
-    }
+    if (auto valid = validateMachine(req); !valid.ok())
+        return valid.error();
+    if (auto valid = validatePricing(req); !valid.ok())
+        return valid.error();
     return req;
 }
 

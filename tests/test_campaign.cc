@@ -4,8 +4,8 @@
  * round-trip results bit-exactly and salvage torn tails, a resumed
  * campaign must render byte-identically to an uninterrupted one, the
  * watchdog must quarantine a hanging application without sinking the
- * run, retries must be counted and exhausted into quarantine, and the
- * golden harness must flag a single ULP of energy drift.
+ * run, retries must be counted and exhausted into quarantine, and a
+ * report diffed against a golden one must flag a single ULP of drift.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
-#include "campaign/golden.hh"
 #include "common/atomic_file.hh"
 
 namespace bvf::campaign
@@ -387,15 +386,18 @@ TEST(Campaign, BrokenSpecExhaustsRetriesIntoQuarantine)
               std::string::npos);
 }
 
-TEST(Campaign, ParallelReportIsByteIdenticalToSerial)
+class ParallelCampaign : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(ParallelCampaign, ReportIsByteIdenticalToSerial)
 {
     // The headline determinism claim: --jobs changes the wall clock and
-    // nothing else. Use enough apps that the pool actually interleaves.
-    const auto &suite = workload::evaluationSuite();
-    const std::size_t count = suite.size() < 6 ? suite.size() : 6;
-    const std::vector<workload::AppSpec> apps(
-        suite.begin(),
-        suite.begin() + static_cast<std::ptrdiff_t>(count));
+    // nothing else. Two apps on four workers run concurrently.
+    const auto first =
+        workload::evaluationSuite().begin()
+        + static_cast<std::ptrdiff_t>(GetParam());
+    const std::vector<workload::AppSpec> apps(first, first + 2);
     core::ExperimentDriver driver(gpu::baselineConfig());
 
     CampaignOptions serialOpts;
@@ -413,6 +415,15 @@ TEST(Campaign, ParallelReportIsByteIdenticalToSerial)
               serial.value().quarantined);
     EXPECT_EQ(parallel.value().render(), serial.value().render());
 }
+
+// The first six suite apps, two per entry so each entry fits the
+// per-test timeout under the sanitizers.
+INSTANTIATE_TEST_SUITE_P(
+    Apps, ParallelCampaign, ::testing::Values(0, 2, 4),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        return "Apps" + std::to_string(info.param) + "to"
+               + std::to_string(info.param + 1);
+    });
 
 TEST(Campaign, ParallelJournalHoldsEveryResultAndSupportsResume)
 {
@@ -490,25 +501,28 @@ syntheticReport()
     return report;
 }
 
+/** Every diff line, one per line, for failure messages. */
+std::string
+listing(const std::vector<std::string> &diffs)
+{
+    std::string out;
+    for (const std::string &diff : diffs)
+        out += diff + "\n";
+    return out;
+}
+
 TEST(Golden, RecordThenVerifyIsClean)
 {
-    TempDir dir;
-    const std::string path = dir.path("golden.txt");
-    const CampaignReport report = syntheticReport();
-    ASSERT_TRUE(recordGolden(path, report).ok());
-
-    const auto checked = verifyGolden(path, report);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_TRUE(checked.value().ok());
-    EXPECT_TRUE(checked.value().drifts.empty());
+    const std::string golden = syntheticReport().render();
+    const auto diffs = diffReports(golden, syntheticReport().render());
+    ASSERT_TRUE(diffs.ok()) << diffs.error().describe();
+    EXPECT_TRUE(diffs.value().empty()) << listing(diffs.value());
 }
 
 TEST(Golden, SingleUlpDriftIsDetected)
 {
-    TempDir dir;
-    const std::string path = dir.path("golden.txt");
+    const std::string golden = syntheticReport().render();
     CampaignReport report = syntheticReport();
-    ASSERT_TRUE(recordGolden(path, report).ok());
 
     // Nudge one chip energy by exactly one ULP.
     std::uint64_t bits = 0;
@@ -516,70 +530,67 @@ TEST(Golden, SingleUlpDriftIsDetected)
     ++bits;
     std::memcpy(&report.results[1].chipEnergy[2], &bits, sizeof(bits));
 
-    const auto checked = verifyGolden(path, report);
-    ASSERT_TRUE(checked.ok());
-    ASSERT_EQ(checked.value().drifts.size(), 1u);
-    const auto &drift = checked.value().drifts[0];
-    EXPECT_EQ(drift.abbr, "BBB");
-    EXPECT_EQ(drift.field, "chip");
-    EXPECT_FALSE(sameBits(drift.expected, drift.actual));
-    EXPECT_FALSE(drift.describe().empty());
+    const auto diffs = diffReports(golden, report.render());
+    ASSERT_TRUE(diffs.ok()) << diffs.error().describe();
+    ASSERT_EQ(diffs.value().size(), 1u) << listing(diffs.value());
+    const std::string column =
+        "chip:" + coder::scenarioName(coder::allScenarios[2]);
+    EXPECT_EQ(diffs.value()[0].rfind("BBB " + column + " expected 0x", 0),
+              0u)
+        << diffs.value()[0];
 }
 
 TEST(Golden, MissingAndUnexpectedAppsAreReported)
 {
-    TempDir dir;
-    const std::string path = dir.path("golden.txt");
-    const CampaignReport full = syntheticReport();
-    ASSERT_TRUE(recordGolden(path, full).ok());
+    const std::string golden = syntheticReport().render();
 
-    // Fresh campaign lost BBB and gained CCC.
-    CampaignReport shifted = full;
+    // The fresh campaign lost BBB and gained CCC.
+    CampaignReport shifted = syntheticReport();
     shifted.results[1] = sampleResult("CCC", 3.0);
-    const auto checked = verifyGolden(path, shifted);
-    ASSERT_TRUE(checked.ok());
-    EXPECT_FALSE(checked.value().ok());
-    EXPECT_TRUE(checked.value().drifts.empty());
-    ASSERT_EQ(checked.value().missing.size(),
-              static_cast<std::size_t>(coder::numScenarios));
-    EXPECT_EQ(checked.value().missing[0].rfind("BBB ", 0), 0u);
-    ASSERT_EQ(checked.value().unexpected.size(),
-              static_cast<std::size_t>(coder::numScenarios));
-    EXPECT_EQ(checked.value().unexpected[0].rfind("CCC ", 0), 0u);
+    const auto diffs = diffReports(golden, shifted.render());
+    ASSERT_TRUE(diffs.ok()) << diffs.error().describe();
+    EXPECT_EQ(diffs.value(),
+              (std::vector<std::string>{"BBB missing", "CCC unexpected"}));
 }
 
-TEST(Golden, QuarantinedAppsNeverEnterTheSnapshot)
+TEST(Golden, QuarantinedAppShowsAsADiff)
 {
-    TempDir dir;
-    const std::string path = dir.path("golden.txt");
-    ASSERT_TRUE(recordGolden(path, syntheticReport()).ok());
-    const auto bytes = readFileBytes(path);
-    ASSERT_TRUE(bytes.ok());
-    EXPECT_EQ(bytes.value().find("BRK"), std::string::npos);
+    // BRK was quarantined when the golden report was recorded; the
+    // fresh campaign completes it, and a quarantine of AAA is new.
+    const std::string golden = syntheticReport().render();
+    CampaignReport report = syntheticReport();
+    report.results[2] = sampleResult("BRK", 4.0);
+    report.results[0].status = AppStatus::Quarantined;
+    report.results[0].error = Error{ErrorCode::Failed, "hung"};
+    const auto diffs = diffReports(golden, report.render());
+    ASSERT_TRUE(diffs.ok()) << diffs.error().describe();
+    EXPECT_EQ(diffs.value(),
+              (std::vector<std::string>{
+                  "AAA status expected ok got quarantined",
+                  "BRK status expected quarantined got ok"}));
 }
 
 TEST(Golden, ForeignConfigurationIsRefused)
 {
-    TempDir dir;
-    const std::string path = dir.path("golden.txt");
     const CampaignReport report = syntheticReport();
-    ASSERT_TRUE(recordGolden(path, report).ok());
-
     CampaignReport other = report;
     other.configCrc = 0x0bad;
-    const auto checked = verifyGolden(path, other);
-    ASSERT_FALSE(checked.ok());
-    EXPECT_EQ(checked.error().code, ErrorCode::InvalidArgument);
+    const auto diffs = diffReports(report.render(), other.render());
+    ASSERT_FALSE(diffs.ok());
+    EXPECT_EQ(diffs.error().code, ErrorCode::InvalidArgument);
 }
 
 TEST(Golden, GarbageSnapshotIsAStructuredError)
 {
-    TempDir dir;
-    const std::string path = dir.path("golden.txt");
-    ASSERT_TRUE(atomicWriteFile(path, "not a snapshot\n").ok());
-    const auto checked = verifyGolden(path, syntheticReport());
-    ASSERT_FALSE(checked.ok());
-    EXPECT_EQ(checked.error().code, ErrorCode::Corrupt);
+    const std::string report = syntheticReport().render();
+    for (const auto &[expected, actual] :
+         {std::pair<std::string, std::string>{"not a report\n", report},
+          {report, "not a report\n"},
+          {report, report + "stray line\n"}}) {
+        const auto diffs = diffReports(expected, actual);
+        ASSERT_FALSE(diffs.ok());
+        EXPECT_EQ(diffs.error().code, ErrorCode::Corrupt);
+    }
 }
 
 } // namespace

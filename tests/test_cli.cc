@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -254,6 +258,51 @@ TEST(ExitTwo, AssemblerValidatesItsCommandLine)
     EXPECT_NE(out.find("unknown command"), std::string::npos) << out;
     EXPECT_EQ(runTool("bvf_asm", "asm", out), kExitUsage);
     EXPECT_EQ(runTool("bvf_asm", "dump", out), kExitUsage);
+}
+
+TEST(GoldenCli, BvfSimChecksItsReportAgainstAGoldenReport)
+{
+    char tmpl[] = "/tmp/bvf-golden-cli-XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    const std::string golden = dir + "/golden.txt";
+    const std::string drifted = dir + "/drifted.txt";
+    const std::string garbage = dir + "/garbage.txt";
+    std::string out;
+
+    // Recording is --report; checking a fresh run against it is clean.
+    ASSERT_EQ(runTool("bvf_sim", "--report " + golden + " NQU", out), 0)
+        << out;
+    EXPECT_EQ(runTool("bvf_sim", "--golden " + golden + " NQU", out), 0)
+        << out;
+
+    // Flip one hex digit of the first hexfloat (chip:Baseline).
+    std::ifstream in(golden);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::size_t at = text.find(" 0x1.", text.find("app NQU "));
+    ASSERT_NE(at, std::string::npos) << text;
+    char &digit = text[at + 5];
+    digit = digit == '0' ? '1' : '0';
+    std::ofstream(drifted) << text;
+    EXPECT_EQ(runTool("bvf_sim", "--golden " + drifted + " NQU", out), 1)
+        << out;
+    EXPECT_NE(out.find("golden drift: NQU chip:Baseline expected"),
+              std::string::npos)
+        << out;
+
+    std::ofstream(garbage) << "not a report\n";
+    EXPECT_EQ(runTool("bvf_sim", "--golden " + garbage + " NQU", out), 1)
+        << out;
+    EXPECT_NE(out.find("not a campaign report"), std::string::npos) << out;
+
+    // The old record/verify mode flag and its file flag are gone.
+    EXPECT_EQ(runTool("bvf_sim", "--golden-file " + golden + " NQU", out),
+              kExitUsage);
+
+    for (const std::string &file : {golden, drifted, garbage})
+        std::remove(file.c_str());
+    ::rmdir(dir.c_str());
 }
 
 } // namespace

@@ -28,6 +28,8 @@
 #include "isa/semantics.hh"
 #include "sram/access_sink.hh"
 
+#include "kernel_shards.hh"
+
 using namespace bvf;
 using analysis::AbsValue;
 using analysis::LaneAffine;
@@ -618,12 +620,18 @@ class SoundnessProbe : public gpu::ExecProbe
 
 } // namespace
 
-TEST(DomainSoundnessTest, ConcreteLanesNeverEscapeAbstractFacts)
+class DomainSoundnessTest
+    : public ::testing::TestWithParam<tests::KernelShard>
+{
+};
+
+TEST_P(DomainSoundnessTest, ConcreteLanesNeverEscapeAbstractFacts)
 {
     Rng rng(0xd0a145edu);
-    constexpr int kernels = 1000;
-    for (int i = 0; i < kernels; ++i) {
+    for (int i = 0; i < GetParam().end; ++i) {
         const isa::Program program = soundnessKernel(rng, i);
+        if (i < GetParam().begin)
+            continue;
         const analysis::AnalysisResult analysis =
             analysis::analyzeProgram(program);
         SoundnessProbe probe(analysis);
@@ -643,3 +651,8 @@ TEST(DomainSoundnessTest, ConcreteLanesNeverEscapeAbstractFacts)
         }
     }
 }
+
+// 1000 kernels from one stream, in five entries for the sanitizer jobs.
+INSTANTIATE_TEST_SUITE_P(Shards, DomainSoundnessTest,
+                         ::testing::ValuesIn(tests::kernelShards(1000, 5)),
+                         tests::kernelShardName);

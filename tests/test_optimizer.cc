@@ -25,6 +25,7 @@
 #include "isa/bytecode.hh"
 #include "workload/kernel_builder.hh"
 
+#include "kernel_shards.hh"
 #include "random_kernel.hh"
 
 using namespace bvf;
@@ -305,16 +306,20 @@ namespace
  * loop must account byte-identical per-unit bit densities and energy.
  */
 void
-randomOptimizerProperty(std::uint64_t seed, int count, int maxSimPairs)
+randomOptimizerProperty(std::uint64_t seed, tests::KernelShard shard,
+                        int maxSimPairs)
 {
     const core::ExperimentDriver driver(gpu::baselineConfig());
     Rng rng(seed);
+    const int count = shard.end - shard.begin;
     int admitted = 0;
     int accepted = 0;
     int simPairs = 0;
 
-    for (int k = 0; k < count; ++k) {
+    for (int k = 0; k < shard.end; ++k) {
         const std::string text = tests::randomKernelAsm(rng);
+        if (k < shard.begin)
+            continue;
         auto parsed = isa::parseAsm(text);
         ASSERT_TRUE(parsed.ok())
             << "kernel " << k << ": " << parsed.error().message;
@@ -376,23 +381,32 @@ randomOptimizerProperty(std::uint64_t seed, int count, int maxSimPairs)
 
 // 4 x 250 = 1000 random kernels total, distinct seed per shard. The
 // sim-pair budget is kept modest so the shards stay comfortably under
-// the test timeout in the sanitizer builds.
-TEST(Optimizer, RandomKernelsValidateShard0)
+// the test timeout in the sanitizer builds; shard 0 is split further,
+// in two entries of 125 kernels with half the sim-pair budget each.
+class OptimizerShard0 : public ::testing::TestWithParam<tests::KernelShard>
 {
-    randomOptimizerProperty(0xb1f1001u, 250, 10);
+};
+
+TEST_P(OptimizerShard0, RandomKernelsValidate)
+{
+    randomOptimizerProperty(0xb1f1001u, GetParam(), 5);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, OptimizerShard0,
+                         ::testing::ValuesIn(tests::kernelShards(250, 2)),
+                         tests::kernelShardName);
 
 TEST(Optimizer, RandomKernelsValidateShard1)
 {
-    randomOptimizerProperty(0xb1f1002u, 250, 10);
+    randomOptimizerProperty(0xb1f1002u, {0, 250}, 10);
 }
 
 TEST(Optimizer, RandomKernelsValidateShard2)
 {
-    randomOptimizerProperty(0xb1f1003u, 250, 10);
+    randomOptimizerProperty(0xb1f1003u, {0, 250}, 10);
 }
 
 TEST(Optimizer, RandomKernelsValidateShard3)
 {
-    randomOptimizerProperty(0xb1f1004u, 250, 10);
+    randomOptimizerProperty(0xb1f1004u, {0, 250}, 10);
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/experiment.hh"
 #include "server/protocol.hh"
 
 namespace bvf::server
@@ -557,6 +558,62 @@ TEST(Messages, EvalSubmittedValidatesEveryEnumIndex)
         EXPECT_FALSE(EvalSubmittedRequest::decode(req.encode()).ok());
     }
     EXPECT_TRUE(EvalSubmittedRequest::decode(good.encode()).ok());
+}
+
+TEST(Messages, PricingFieldsValidateAlikeOnBothPricedRequests)
+{
+    // ChipEnergy and EvalSubmitted carry the same five pricing fields
+    // and must accept and refuse exactly the same values: the range
+    // every front end's --cells-bitline accepts, and 0/1 for ECC.
+    ChipEnergyRequest energy;
+    energy.query.abbr = "KMN";
+    EvalSubmittedRequest eval;
+    eval.digest = "k0-0";
+    const auto bothDecode = [&](auto mutate) {
+        ChipEnergyRequest e = energy;
+        EvalSubmittedRequest s = eval;
+        mutate(e);
+        mutate(s);
+        const bool energyOk = ChipEnergyRequest::decode(e.encode()).ok();
+        EXPECT_EQ(energyOk, EvalSubmittedRequest::decode(s.encode()).ok());
+        return energyOk;
+    };
+    EXPECT_TRUE(bothDecode([](auto &r) { r.cellsBitline = 2000; }));
+    EXPECT_TRUE(bothDecode([](auto &r) {
+        r.cellsBitline = core::Pricing::maxCellsPerBitline;
+    }));
+    EXPECT_FALSE(bothDecode([](auto &r) {
+        r.cellsBitline = core::Pricing::maxCellsPerBitline + 1;
+    }));
+    EXPECT_FALSE(bothDecode([](auto &r) { r.cellsBitline = 0; }));
+    EXPECT_TRUE(bothDecode([](auto &r) { r.ecc = 1; }));
+    EXPECT_FALSE(bothDecode([](auto &r) { r.ecc = 2; }));
+}
+
+TEST(Messages, DynamicIsaFlagIsZeroOrOneOnEveryRequest)
+{
+    AppQuery query;
+    query.abbr = "KMN";
+    query.dynamicIsa = 2;
+    BitDensityRequest density;
+    density.query = query;
+    EXPECT_FALSE(BitDensityRequest::decode(density.encode()).ok());
+    ChipEnergyRequest energy;
+    energy.query = query;
+    EXPECT_FALSE(ChipEnergyRequest::decode(energy.encode()).ok());
+    StaticQueryRequest stat;
+    stat.query = query;
+    EXPECT_FALSE(StaticQueryRequest::decode(stat.encode()).ok());
+    StaticAdviceRequest advice;
+    advice.query = query;
+    EXPECT_FALSE(StaticAdviceRequest::decode(advice.encode()).ok());
+    EvalSubmittedRequest eval;
+    eval.digest = "k0-0";
+    eval.dynamicIsa = 2;
+    EXPECT_FALSE(EvalSubmittedRequest::decode(eval.encode()).ok());
+
+    density.query.dynamicIsa = 1;
+    EXPECT_TRUE(BitDensityRequest::decode(density.encode()).ok());
 }
 
 TEST(Messages, EvalSubmittedResponseRoundTrip)

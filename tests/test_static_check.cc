@@ -22,6 +22,8 @@
 #include "workload/app_spec.hh"
 #include "workload/kernel_builder.hh"
 
+#include "kernel_shards.hh"
+
 using namespace bvf;
 using isa::CmpOp;
 using isa::Instruction;
@@ -293,12 +295,18 @@ simulateAndCheck(const isa::Program &program)
 
 } // namespace
 
-TEST(StaticCheckTest, RandomKernelsNeverContradictStaticFacts)
+class StaticCheckRandomKernels
+    : public ::testing::TestWithParam<tests::KernelShard>
+{
+};
+
+TEST_P(StaticCheckRandomKernels, NeverContradictStaticFacts)
 {
     Rng rng(0x5eed5eedu);
-    constexpr int kernels = 1000;
-    for (int i = 0; i < kernels; ++i) {
+    for (int i = 0; i < GetParam().end; ++i) {
         const auto program = randomKernel(rng, i);
+        if (i < GetParam().begin)
+            continue;
         const auto violations = simulateAndCheck(program);
         if (!violations.empty()) {
             std::string listing;
@@ -309,6 +317,11 @@ TEST(StaticCheckTest, RandomKernelsNeverContradictStaticFacts)
         }
     }
 }
+
+// 1000 kernels from one stream, in five entries for the sanitizer jobs.
+INSTANTIATE_TEST_SUITE_P(Shards, StaticCheckRandomKernels,
+                         ::testing::ValuesIn(tests::kernelShards(1000, 5)),
+                         tests::kernelShardName);
 
 TEST(StaticCheckTest, PredictionIsWellFormed)
 {
