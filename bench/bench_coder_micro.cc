@@ -7,7 +7,9 @@
  * hardware; in software they should run at memory bandwidth, which
  * these numbers verify for the simulator's accounting hot path, along
  * with the per-call cost of that path itself: the SECDED check byte and
- * one EnergyAccountant::onAccess of a full warp-sized block.
+ * one EnergyAccountant::onAccess of a full warp-sized block. The last
+ * benchmark times admission's abstract-interpreter fixpoint
+ * (analyzeProgram) on three suite kernels.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +18,7 @@
 #include <map>
 #include <vector>
 
+#include "analysis/interpreter.hh"
 #include "coder/bus_invert.hh"
 #include "coder/isa_coder.hh"
 #include "coder/nv_coder.hh"
@@ -24,6 +27,8 @@
 #include "core/accountant.hh"
 #include "fault/secded.hh"
 #include "isa/encoding.hh"
+#include "workload/app_spec.hh"
+#include "workload/kernel_builder.hh"
 
 using namespace bvf;
 
@@ -166,6 +171,32 @@ BENCHMARK(BM_AccountantOnAccess)
                    {static_cast<int>(coder::UnitId::Reg),
                     static_cast<int>(coder::UnitId::Sme),
                     static_cast<int>(coder::UnitId::L2)}});
+
+/**
+ * One analyzeProgram per iteration; arg indexes NN (42 instructions),
+ * HIS (70) and FFT (75, the suite's most worklist steps).
+ */
+void
+BM_AnalyzeProgram(benchmark::State &state)
+{
+    static const char *const kApps[] = {"NN", "HIS", "FFT"};
+    const char *abbr = kApps[state.range(0)];
+    const isa::Program program =
+        workload::buildProgram(workload::findApp(abbr));
+    std::uint64_t steps = 0;
+    for (auto _ : state) {
+        const analysis::AnalysisResult result =
+            analysis::analyzeProgram(program);
+        steps = result.steps;
+        benchmark::DoNotOptimize(steps);
+    }
+    state.SetLabel(abbr);
+    state.counters["steps"] = static_cast<double>(steps);
+    state.counters["ns_per_step"] = benchmark::Counter(
+        static_cast<double>(steps) * static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AnalyzeProgram)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

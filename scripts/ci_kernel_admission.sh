@@ -10,7 +10,9 @@
 #      encoded straight from the builder;
 #   2. every kernel's bytecode is submitted to bvfd with `bvf_client
 #      submit`; all 58 must come back admitted (the static verifier
-#      must prove termination and memory bounds for the whole suite);
+#      must prove termination and memory bounds for the whole suite),
+#      and /metrics must then count exactly one abstract-interpreter
+#      fixpoint per submission (bvfd_kernels_analysis_steps_total);
 #   3. for a sample of kernels the admitted copy is simulated with
 #      `--eval` -- under the runtime admission contract -- and its
 #      per-scenario chip energy must match the compiled-in path
@@ -88,6 +90,20 @@ $(cat "$WORK/$APP.submit")"
 done
 [ "$COUNT" -eq 58 ] || fail "expected 58 admitted kernels, got $COUNT"
 echo "PASS: all $COUNT suite kernels admitted and round-trip exactly"
+
+# Exactly one abstract-interpreter fixpoint per submission: the steps
+# counter must equal one analyzeProgram pass over the suite (the figure
+# tests/analysis_pins.hh pins).
+SUITE_ANALYSIS_STEPS=1188980
+"$CLIENT" --unix "$SOCK" metrics > "$WORK/metrics.submit" 2>&1 \
+    || fail "metrics scrape after the submit loop failed"
+grep -q "^bvfd_kernels_analysis_steps_total $SUITE_ANALYSIS_STEPS\$" \
+    "$WORK/metrics.submit" \
+    || fail "analysis steps after 58 submissions are not one fixpoint each
+(expected $SUITE_ANALYSIS_STEPS):
+$(grep '^bvfd_kernels_analysis_steps_total' "$WORK/metrics.submit")"
+echo "PASS: 58 submissions ran $SUITE_ANALYSIS_STEPS fixpoint steps, one
+analysis each"
 
 for APP in $EVAL_SAMPLE; do
     "$CLIENT" --unix "$SOCK" submit "$WORK/$APP.bvfk" --eval \

@@ -830,6 +830,17 @@ validateTranslation(const isa::Program &original,
                     std::span<const int> sourcePc,
                     const EquivOptions &options)
 {
+    return validateTranslation(original, analyzeProgram(original),
+                               optimized, sourcePc, options);
+}
+
+EquivVerdict
+validateTranslation(const isa::Program &original,
+                    const AnalysisResult &ar,
+                    const isa::Program &optimized,
+                    std::span<const int> sourcePc,
+                    const EquivOptions &options)
+{
     EquivVerdict v;
     auto fail = [&](std::string reason) {
         v.equivalent = false;
@@ -876,7 +887,6 @@ validateTranslation(const isa::Program &original,
     }
 
     // Layer 1: symbolic matching against the original's own facts.
-    const AnalysisResult ar = analyzeProgram(original);
     const std::vector<char> leader = blockLeaders(original);
     std::vector<const Instruction *> effective(
         static_cast<std::size_t>(size), nullptr);

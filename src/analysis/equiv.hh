@@ -7,9 +7,11 @@
  * anything downstream may prefer it. Validation is independent of the
  * optimizer's own reasoning and has two layers:
  *
- *  1. Per-instruction symbolic matching. The validator re-runs the
- *     reduced-product abstract interpreter and its own backward
- *     liveness over the *original* program, then demands a
+ *  1. Per-instruction symbolic matching. The validator takes the
+ *     reduced-product abstract interpreter's fixpoint over the
+ *     *original* program (a pure function of it, which a caller that
+ *     already ran it may pass in), runs its own backward liveness over
+ *     it, then demands a
  *     justification for every edit: a kept instruction must be
  *     identical modulo remapped branch fields, or a rewrite the
  *     original's own abstract facts prove (a constant fold whose
@@ -45,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/interpreter.hh"
 #include "isa/program.hh"
 
 namespace bvf::analysis
@@ -82,6 +85,16 @@ struct EquivVerdict
  * accepts a pair it cannot justify.
  */
 EquivVerdict validateTranslation(const isa::Program &original,
+                                 const isa::Program &optimized,
+                                 std::span<const int> sourcePc,
+                                 const EquivOptions &options = {});
+
+/**
+ * As above, with @p originalFacts = analyzeProgram(original) supplied
+ * by a caller that already ran the fixpoint (the optimizer).
+ */
+EquivVerdict validateTranslation(const isa::Program &original,
+                                 const AnalysisResult &originalFacts,
                                  const isa::Program &optimized,
                                  std::span<const int> sourcePc,
                                  const EquivOptions &options = {});

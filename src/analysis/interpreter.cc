@@ -46,47 +46,69 @@ initialState()
     return s;
 }
 
+/**
+ * Join @p next into @p into in place; returns whether @p into changed.
+ * With @p doWiden, any component still growing is widened per the
+ * domain's own rule (see product.hh) so loops terminate; finite-height
+ * components pass through.
+ *
+ * Registers whose two sides are already equal are skipped: every value
+ * a state holds comes out of a transfer or a join, which return
+ * normalized values, and join and widen are idempotent on those, so
+ * join(a, a) == a and widen(a, a) == a exactly.
+ */
 bool
-sameState(const AbsState &a, const AbsState &b)
+joinInto(AbsState &into, const AbsState &next, bool doWiden)
 {
-    return a.reachable == b.reachable && a.regWritten == b.regWritten
-           && a.predWritten == b.predWritten && a.regs == b.regs
-           && a.preds == b.preds;
+    const std::uint64_t regWritten = into.regWritten & next.regWritten;
+    const auto predWritten =
+        static_cast<std::uint8_t>(into.predWritten & next.predWritten);
+    bool changed = regWritten != into.regWritten
+                   || predWritten != into.predWritten;
+    into.regWritten = regWritten;
+    into.predWritten = predWritten;
+    for (std::size_t i = 0; i < isa::numRegisters; ++i) {
+        AbsValue &old = into.regs[i];
+        const AbsValue &add = next.regs[i];
+        if (old == add)
+            continue;
+        AbsValue j = join(old, add);
+        if (doWiden)
+            j = widen(old, j);
+        if (!(j == old)) {
+            old = j;
+            changed = true;
+        }
+    }
+    for (std::size_t i = 0; i < isa::numPredicates; ++i) {
+        const PredValue j = join(into.preds[i], next.preds[i]);
+        if (j != into.preds[i]) {
+            into.preds[i] = j;
+            changed = true;
+        }
+    }
+    return changed;
 }
 
 /**
- * Join @p next into @p into. With @p doWiden, any component still
- * growing is widened per the domain's own rule (see product.hh) so
- * loops terminate; finite-height components pass through.
+ * Join of every image word (constant 0 for an empty image), in one
+ * pass. Equal to folding join over KnownBits::constant(w): the bits
+ * all words share plus their min and max are already normalized
+ * (every word lies in [min, max], so the leading bits min and max
+ * agree on are among the shared ones), so each join's normalized() is
+ * the identity and the fold reduces to and/and/min/max.
  */
-AbsState
-joinState(const AbsState &into, const AbsState &next, bool doWiden)
-{
-    AbsState r;
-    r.reachable = true;
-    r.regWritten = into.regWritten & next.regWritten;
-    r.predWritten = into.predWritten & next.predWritten;
-    for (int i = 0; i < isa::numRegisters; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        AbsValue j = join(into.regs[idx], next.regs[idx]);
-        if (doWiden)
-            j = widen(into.regs[idx], j);
-        r.regs[idx] = j;
-    }
-    for (int i = 0; i < isa::numPredicates; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        r.preds[idx] = join(into.preds[idx], next.preds[idx]);
-    }
-    return r;
-}
-
 KnownBits
 joinImage(const std::vector<Word> &image)
 {
     KnownBits kb = KnownBits::constant(image.empty() ? 0 : image.front());
-    for (Word w : image)
-        kb = join(kb, KnownBits::constant(w));
-    return kb;
+    for (Word w : image) {
+        kb.knownZero &= ~w;
+        kb.knownOne &= w;
+        kb.lo = std::min(kb.lo, w);
+        kb.hi = std::max(kb.hi, w);
+    }
+    return kb.normalized();
 }
 
 /** SignedInterval transfer; top where the reduction from kb does better. */
@@ -191,13 +213,31 @@ laAluResult(const Instruction &instr, const AbsState &s)
 struct Successor
 {
     int pc;
-    AbsState state;
+    const AbsState *state;
+};
+
+/** At most two successors: a branch's target and its fallthrough. */
+struct Successors
+{
+    std::array<Successor, 2> slot{};
+    int count = 0;
+
+    void
+    add(int pc, const AbsState &state)
+    {
+        slot[static_cast<std::size_t>(count++)] = {pc, &state};
+    }
+
+    const Successor *begin() const { return slot.data(); }
+    const Successor *end() const { return slot.data() + count; }
 };
 
 /**
  * One abstract instruction step: returns the successor program points
  * with their OUT states and reports stored values / written results to
  * the caller (for the memory fixpoint and regAnywhere accumulation).
+ * An OUT state is either the IN state itself or the stepper's scratch
+ * state, valid until the next step.
  */
 class Stepper
 {
@@ -224,7 +264,7 @@ class Stepper
     }
     std::uint64_t writtenMask() const { return writtenMask_; }
 
-    std::vector<Successor> step(int pc, const AbsState &in);
+    Successors step(int pc, const AbsState &in);
 
   private:
     void
@@ -246,37 +286,58 @@ class Stepper
     bool anySharedStore_ = false;
     std::array<KnownBits, isa::numRegisters> written_{};
     std::uint64_t writtenMask_ = 0;
+    AbsState out_;
 };
 
-std::vector<Successor>
+Successors
 Stepper::step(int pc, const AbsState &in)
 {
     const Instruction &instr = program_.body[static_cast<std::size_t>(pc)];
     const Bool3 guard = guardValue(in, instr);
 
+    Successors succs;
     switch (instr.op) {
       case Opcode::Exit:
         // The SM retires the warp regardless of the guard predicate.
-        return {};
+        return succs;
       case Opcode::Bar:
       case Opcode::Nop:
-        return {{pc + 1, in}};
-      case Opcode::Bra: {
-        std::vector<Successor> succs;
-        if (guard != Bool3::False)
-            succs.push_back({instr.imm, in});
-        if (guard != Bool3::True)
-            succs.push_back({pc + 1, in});
+        succs.add(pc + 1, in);
         return succs;
-      }
+      case Opcode::Bra:
+        if (guard != Bool3::False)
+            succs.add(instr.imm, in);
+        if (guard != Bool3::True)
+            succs.add(pc + 1, in);
+        return succs;
       default:
         break;
     }
 
-    if (guard == Bool3::False)
-        return {{pc + 1, in}};
+    if (guard == Bool3::False) {
+        succs.add(pc + 1, in);
+        return succs;
+    }
 
-    AbsState out = in;
+    // A store only feeds the memory summaries; registers pass through.
+    if (isa::isStoreOp(instr.op)) {
+        const KnownBits value = in.regs[regIndex(instr.srcB)].kb();
+        if (instr.op == Opcode::Stg) {
+            storedGlobal_ = anyGlobalStore_ ? join(storedGlobal_, value)
+                                            : value;
+            anyGlobalStore_ = true;
+        } else {
+            storedShared_ = anySharedStore_ ? join(storedShared_, value)
+                                            : value;
+            anySharedStore_ = true;
+        }
+        succs.add(pc + 1, in);
+        return succs;
+    }
+
+    AbsState &out = out_;
+    out = in;
+    succs.add(pc + 1, out);
     const bool certain = guard == Bool3::True;
 
     // Whole-warp write: when this instruction executes at all, every
@@ -314,21 +375,7 @@ Stepper::step(int pc, const AbsState &in)
             out.preds[idx].uni = wholeWarp ? join(in.preds[idx].uni, uni)
                                            : Uniformity::MayDiverge;
         }
-        return {{pc + 1, out}};
-    }
-
-    if (isa::isStoreOp(instr.op)) {
-        const KnownBits value = in.regs[regIndex(instr.srcB)].kb();
-        if (instr.op == Opcode::Stg) {
-            storedGlobal_ = anyGlobalStore_ ? join(storedGlobal_, value)
-                                            : value;
-            anyGlobalStore_ = true;
-        } else {
-            storedShared_ = anySharedStore_ ? join(storedShared_, value)
-                                            : value;
-            anySharedStore_ = true;
-        }
-        return {{pc + 1, out}};
+        return succs;
     }
 
     // Register-writing instructions (ALU ops and loads).
@@ -345,7 +392,7 @@ Stepper::step(int pc, const AbsState &in)
     if (certain)
         out.regWritten |= std::uint64_t(1) << idx;
     noteWrite(static_cast<int>(idx), out.regs[idx].kb());
-    return {{pc + 1, out}};
+    return succs;
 }
 
 /**
@@ -640,8 +687,11 @@ analyzeProgram(const isa::Program &program)
                 const int pc = worklist.front();
                 worklist.pop_front();
                 queued[static_cast<std::size_t>(pc)] = false;
+                ++result.steps;
 
-                const AbsState in = result.in[static_cast<std::size_t>(pc)];
+                // Joining a state into itself (a branch to its own pc)
+                // changes nothing, so reading IN in place is safe.
+                const AbsState &in = result.in[static_cast<std::size_t>(pc)];
                 for (const Successor &succ : stepper.step(pc, in)) {
                     if (succ.pc < 0 || succ.pc >= size) {
                         result.fellOffEnd = true;
@@ -649,14 +699,15 @@ analyzeProgram(const isa::Program &program)
                     }
                     const auto sidx = static_cast<std::size_t>(succ.pc);
                     AbsState &old = result.in[sidx];
-                    AbsState merged =
-                        old.reachable
-                            ? joinState(old, succ.state,
-                                        updates[sidx] >= widenThreshold)
-                            : succ.state;
-                    merged.reachable = true;
-                    if (!old.reachable || !sameState(merged, old)) {
-                        old = merged;
+                    bool changed = true;
+                    if (old.reachable) {
+                        changed = joinInto(old, *succ.state,
+                                           updates[sidx] >= widenThreshold);
+                    } else {
+                        old = *succ.state;
+                        old.reachable = true;
+                    }
+                    if (changed) {
                         ++updates[sidx];
                         if (!queued[sidx]) {
                             queued[sidx] = true;

@@ -170,6 +170,12 @@ struct AnalysisResult
 
     /** Some path runs past the last instruction (lint: FallsOffEnd). */
     bool fellOffEnd = false;
+
+    /**
+     * Worklist pops summed over every outer round (memory and
+     * divergence): the fixpoint's exact work count.
+     */
+    std::uint64_t steps = 0;
 };
 
 /** Run the fixpoint. Handles empty bodies (returns no states). */

@@ -555,6 +555,17 @@ OptimizeResult
 optimizeProgram(const isa::Program &program,
                 const OptimizeOptions &options)
 {
+    const Admission admission = admitProgram(program, options.verify);
+    OptimizeResult res = optimizeProgram(program, admission, options);
+    if (admission.analysis)
+        res.analysisSteps += admission.analysis->steps;
+    return res;
+}
+
+OptimizeResult
+optimizeProgram(const isa::Program &program, const Admission &admission,
+                const OptimizeOptions &options)
+{
     OptimizeResult res;
     res.program = program;
     res.sourcePc.resize(program.body.size());
@@ -562,7 +573,7 @@ optimizeProgram(const isa::Program &program,
         res.sourcePc[static_cast<std::size_t>(j)] =
             static_cast<int>(j);
 
-    const Verdict orig_verdict = verifyProgram(program, options.verify);
+    const Verdict &orig_verdict = admission.verdict;
     if (!orig_verdict.admitted) {
         res.note = "original program is not admitted";
         return res;
@@ -570,12 +581,13 @@ optimizeProgram(const isa::Program &program,
     res.originalAdmitted = true;
     res.certificate = orig_verdict.certificate;
 
-    const int size = static_cast<int>(program.body.size());
-    const AnalysisResult ar = analyzeProgram(program);
-    if (static_cast<int>(ar.in.size()) != size) {
+    if (!admission.analysis
+        || admission.analysis->in.size() != program.body.size()) {
         res.note = "analysis did not cover the body";
         return res;
     }
+    const int size = static_cast<int>(program.body.size());
+    const AnalysisResult &ar = *admission.analysis;
 
     std::vector<Instruction> work = program.body;
     std::vector<char> kept(static_cast<std::size_t>(size), 1);
@@ -607,13 +619,15 @@ optimizeProgram(const isa::Program &program,
 
     if (options.validate) {
         const EquivVerdict eq = validateTranslation(
-            program, opt, source, options.equiv);
+            program, ar, opt, source, options.equiv);
         if (!eq.equivalent) {
             res.note = "translation validation failed: " + eq.reason;
             return res;
         }
-        const Verdict opt_verdict =
-            verifyProgram(opt, options.verify);
+        const Admission readmission = admitProgram(opt, options.verify);
+        if (readmission.analysis)
+            res.analysisSteps += readmission.analysis->steps;
+        const Verdict &opt_verdict = readmission.verdict;
         if (!opt_verdict.admitted) {
             res.note =
                 "re-admission failed: "

@@ -110,6 +110,13 @@ struct OptimizeResult
 
     /** Why the optimized program was not preferred ("" when it was). */
     std::string note;
+
+    /**
+     * AnalysisResult::steps of every fixpoint this call ran itself:
+     * the original's admission unless one was passed in, and the
+     * re-admission of a rewritten program.
+     */
+    std::uint64_t analysisSteps = 0;
 };
 
 /**
@@ -119,6 +126,16 @@ struct OptimizeResult
  * validation.
  */
 OptimizeResult optimizeProgram(const isa::Program &program,
+                               const OptimizeOptions &options = {});
+
+/**
+ * As above, reusing @p admission = admitProgram(program,
+ * options.verify): its verdict gates the passes and its fixpoint is
+ * the facts they rewrite by, so admitting and optimizing a program
+ * runs the abstract interpreter once.
+ */
+OptimizeResult optimizeProgram(const isa::Program &program,
+                               const Admission &admission,
                                const OptimizeOptions &options = {});
 
 } // namespace bvf::analysis

@@ -100,7 +100,7 @@ class Verifier
     {
     }
 
-    Verdict run();
+    Admission run();
 
   private:
     void reject(RejectReason reason, int pc, std::string message);
@@ -125,7 +125,7 @@ class Verifier
     void transfer(const Instruction &instr, int pc, Bool3 guard,
                   AbsState &state);
 
-    Verdict finish();
+    Admission finish();
 
     const isa::Program &program_;
     const VerifyOptions &options_;
@@ -550,7 +550,7 @@ Verifier::explore(int pc, int lowPc, int endPc, AbsState state, int depth)
     return r;
 }
 
-Verdict
+Admission
 Verifier::run()
 {
     // Pass 1: structural. Anything here makes the later passes
@@ -619,19 +619,21 @@ Verifier::run()
     return finish();
 }
 
-Verdict
+Admission
 Verifier::finish()
 {
     std::stable_sort(rejections_.begin(), rejections_.end(),
                      [](const Rejection &a, const Rejection &b) {
                          return a.pc < b.pc;
                      });
-    Verdict verdict;
+    Admission out;
+    Verdict &verdict = out.verdict;
     verdict.admitted = rejections_.empty();
     verdict.rejections = std::move(rejections_);
     if (verdict.admitted)
         verdict.certificate = cert_;
-    return verdict;
+    out.analysis = std::move(analysis_);
+    return out;
 }
 
 } // namespace
@@ -662,10 +664,16 @@ Rejection::toString() const
            + ": " + message;
 }
 
+Admission
+admitProgram(const isa::Program &program, const VerifyOptions &options)
+{
+    return Verifier(program, options).run();
+}
+
 Verdict
 verifyProgram(const isa::Program &program, const VerifyOptions &options)
 {
-    return Verifier(program, options).run();
+    return admitProgram(program, options).verdict;
 }
 
 } // namespace bvf::analysis

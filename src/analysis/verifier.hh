@@ -37,9 +37,11 @@
 #define BVF_ANALYSIS_VERIFIER_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/interpreter.hh"
 #include "isa/program.hh"
 
 namespace bvf::analysis
@@ -163,10 +165,29 @@ struct Verdict
     Certificate certificate;
 };
 
+/** A verdict together with the fixpoint it was decided on. */
+struct Admission
+{
+    Verdict verdict;
+
+    /**
+     * The interpreter fixpoint (analyzeProgram) the semantic checks
+     * ran on. Absent when a structural rejection ended admission
+     * before the fixpoint; always present when the verdict admits.
+     */
+    std::optional<AnalysisResult> analysis;
+};
+
 /**
- * Statically verify @p program for admission. Total over every
- * decodeProgram / parseAsm result: never crashes, never simulates.
+ * Statically verify @p program for admission and keep the fixpoint,
+ * so a caller that needs the program's facts too (the optimizer) does
+ * not run it a second time. Total over every decodeProgram / parseAsm
+ * result: never crashes, never simulates.
  */
+Admission admitProgram(const isa::Program &program,
+                       const VerifyOptions &options = {});
+
+/** admitProgram's verdict alone. */
 Verdict verifyProgram(const isa::Program &program,
                       const VerifyOptions &options = {});
 

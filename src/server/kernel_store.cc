@@ -42,13 +42,18 @@ KernelStore::submit(std::string_view bytecode, bool optimize)
         return decoded.error();
     }
 
-    const analysis::Verdict verdict =
-        analysis::verifyProgram(decoded.value());
+    // One fixpoint per submission: the optimizer reuses admission's.
+    const analysis::Admission admission =
+        analysis::admitProgram(decoded.value());
+    const analysis::Verdict &verdict = admission.verdict;
+    std::uint64_t steps =
+        admission.analysis ? admission.analysis->steps : 0;
     if (!verdict.admitted) {
         SubmitOutcome out;
         out.admitted = false;
         out.rejections = verdict.rejections;
         std::lock_guard<std::mutex> lock(mutex_);
+        analysisSteps_ += steps;
         for (const analysis::Rejection &rej : verdict.rejections)
             ++rejectedBy_[static_cast<std::size_t>(rej.reason)];
         return out;
@@ -68,7 +73,8 @@ KernelStore::submit(std::string_view bytecode, bool optimize)
     std::shared_ptr<const StoredKernel> opt_stored;
     if (optimize) {
         analysis::OptimizeResult opt =
-            analysis::optimizeProgram(stored->program);
+            analysis::optimizeProgram(stored->program, admission);
+        steps += opt.analysisSteps;
         out.optStats = opt.stats;
         if (opt.accepted && opt.changed) {
             opt_bytes = isa::encodeProgram(opt.program);
@@ -84,6 +90,7 @@ KernelStore::submit(std::string_view bytecode, bool optimize)
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
+    analysisSteps_ += steps;
     const auto it = kernels_.find(out.digest);
     if (it == kernels_.end()) {
         if (kernels_.size() >= kMaxResident) {
@@ -165,6 +172,11 @@ KernelStore::renderMetrics() const
             static_cast<unsigned long long>(
                 rejectedBy_[static_cast<std::size_t>(i)]));
     }
+    out += "# HELP bvfd_kernels_analysis_steps_total Abstract-"
+           "interpreter worklist steps run for submissions.\n";
+    out += "# TYPE bvfd_kernels_analysis_steps_total counter\n";
+    out += strFormat("bvfd_kernels_analysis_steps_total %llu\n",
+                     static_cast<unsigned long long>(analysisSteps_));
     out += "# HELP bvfd_kernels_optimize_requested_total Submissions "
            "that asked for optimize-on-submit.\n";
     out += "# TYPE bvfd_kernels_optimize_requested_total counter\n";

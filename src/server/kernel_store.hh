@@ -11,7 +11,9 @@
  *
  * The store also keeps the admission counters surfaced on /metrics:
  * submissions, admissions, rejections broken down by machine-readable
- * reason, and bytecode that did not even decode. All methods are
+ * reason, bytecode that did not even decode, and the abstract
+ * interpreter's worklist steps (one fixpoint per submission, shared by
+ * admission and optimize-on-submit). All methods are
  * thread-safe; pool workers share one store per daemon.
  */
 
@@ -107,6 +109,9 @@ class KernelStore
     std::uint64_t admitted_ = 0;
     std::uint64_t decodeFailures_ = 0;
     std::array<std::uint64_t, analysis::kNumRejectReasons> rejectedBy_{};
+
+    /** AnalysisResult::steps of every fixpoint submit() ran. */
+    std::uint64_t analysisSteps_ = 0;
 
     // Optimize-on-submit counters (per-pass totals count rewrites the
     // accepted optimized programs actually shipped with).

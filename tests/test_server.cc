@@ -20,12 +20,16 @@
 #include <string>
 #include <thread>
 
+#include "analysis_pins.hh"
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
+#include "kernel_shards.hh"
 #include "server/http.hh"
 #include "server/kernel_store.hh"
 #include "server/protocol.hh"
 #include "server/server.hh"
+#include "workload/app_spec.hh"
+#include "workload/kernel_builder.hh"
 
 namespace bvf::server
 {
@@ -584,6 +588,56 @@ TEST(Server, OptimizeOnSubmitFallsBackToTheOriginalAdmission)
         EXPECT_NE(text.find(needle), std::string::npos) << needle;
     }
 }
+
+// The suite in four entries, so each stays inside the per-test timeout
+// under the thread sanitizer.
+class OptimizeOnSubmit : public ::testing::TestWithParam<tests::KernelShard>
+{
+};
+
+TEST_P(OptimizeOnSubmit, RunsOneFixpointPerKernel)
+{
+    Server server(smallServer());
+    ASSERT_TRUE(server.start().ok());
+
+    TestClient client(server.port());
+    std::uint64_t steps = 0;
+    for (int i = GetParam().begin; i < GetParam().end; ++i) {
+        const auto idx = static_cast<std::size_t>(i);
+        const workload::AppSpec &spec = workload::evaluationSuite()[idx];
+        ASSERT_EQ(spec.abbr, tests::kAppAnalysisSteps[idx].abbr);
+        steps += tests::kAppAnalysisSteps[idx].steps;
+
+        SubmitKernelRequest submit;
+        submit.bytecode = isa::encodeProgram(workload::buildProgram(spec));
+        submit.optimize = 1;
+        client.send(
+            encodeFrame(MsgType::SubmitKernelRequest, submit.encode()));
+        const auto frame = client.readFrame();
+        ASSERT_TRUE(frame.ok()) << spec.abbr;
+        const auto resp =
+            SubmitKernelResponse::decode(frame.value().payload);
+        ASSERT_TRUE(resp.ok()) << spec.abbr;
+        ASSERT_EQ(resp.value().admitted, 1) << spec.abbr;
+    }
+
+    // Admission's fixpoint is the optimizer's too: the store's step
+    // counter advances by exactly one analyzeProgram per kernel.
+    const std::string text = server.renderMetrics();
+    const std::string needle =
+        "bvfd_kernels_analysis_steps_total " + std::to_string(steps) + "\n";
+    EXPECT_NE(text.find(needle), std::string::npos) << text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Apps, OptimizeOnSubmit,
+    ::testing::ValuesIn(
+        tests::kernelShards(
+            static_cast<int>(tests::kAppAnalysisSteps.size()), 4)),
+    [](const ::testing::TestParamInfo<tests::KernelShard> &info) {
+        return "Apps" + std::to_string(info.param.begin) + "to"
+               + std::to_string(info.param.end - 1);
+    });
 
 TEST(Server, RejectedKernelNeverGainsADigestAndKeepsTheConnection)
 {
