@@ -343,6 +343,8 @@ Gpu::run()
         stats_.sm.idleCycles += s.idleCycles;
         stats_.sm.pivotDivergentWrites += s.pivotDivergentWrites;
         stats_.sm.regBankConflictCycles += s.regBankConflictCycles;
+        stats_.sm.readyChecks += s.readyChecks;
+        stats_.sm.issueStalls += s.issueStalls;
     }
     stats_.noc = noc_->stats();
     stats_.dramRowHits = mc_->rowHits();

@@ -6,11 +6,23 @@
 #include "gpu/scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace bvf::gpu
 {
+
+namespace
+{
+
+bool
+isReady(std::uint64_t ready, int warp)
+{
+    return (ready >> warp) & 1u;
+}
+
+} // namespace
 
 std::unique_ptr<WarpScheduler>
 makeScheduler(SchedulerPolicy policy, int numWarps)
@@ -30,23 +42,20 @@ makeScheduler(SchedulerPolicy policy, int numWarps)
 
 GtoScheduler::GtoScheduler(int numWarps)
 {
-    fatal_if(numWarps <= 0, "scheduler needs warps");
+    fatal_if(numWarps < 1 || numWarps > 64, "scheduler needs 1 to 64 warps");
 }
 
 int
-GtoScheduler::pick(const std::vector<bool> &ready,
-                   const std::vector<std::uint64_t> &lastIssue,
-                   std::uint64_t)
+GtoScheduler::pick(std::uint64_t ready,
+                   std::span<const std::uint64_t> lastIssue, std::uint64_t)
 {
-    if (greedy_ >= 0 && greedy_ < static_cast<int>(ready.size())
-        && ready[static_cast<std::size_t>(greedy_)]) {
+    if (greedy_ >= 0 && isReady(ready, greedy_))
         return greedy_;
-    }
-    // Oldest: smallest last-issue cycle among ready warps.
+    // Oldest: smallest last-issue cycle among ready warps, lowest slot
+    // on a tie.
     int best = -1;
-    for (int w = 0; w < static_cast<int>(ready.size()); ++w) {
-        if (!ready[static_cast<std::size_t>(w)])
-            continue;
+    for (std::uint64_t rest = ready; rest; rest &= rest - 1) {
+        const int w = std::countr_zero(rest);
         if (best < 0
             || lastIssue[static_cast<std::size_t>(w)]
                    < lastIssue[static_cast<std::size_t>(best)]) {
@@ -66,21 +75,18 @@ GtoScheduler::issued(int warp, std::uint64_t)
 
 LrrScheduler::LrrScheduler(int numWarps) : numWarps_(numWarps)
 {
-    fatal_if(numWarps <= 0, "scheduler needs warps");
+    fatal_if(numWarps < 1 || numWarps > 64, "scheduler needs 1 to 64 warps");
 }
 
 int
-LrrScheduler::pick(const std::vector<bool> &ready,
-                   const std::vector<std::uint64_t> &, std::uint64_t)
+LrrScheduler::pick(std::uint64_t ready, std::span<const std::uint64_t>,
+                   std::uint64_t)
 {
-    for (int probe = 0; probe < numWarps_; ++probe) {
-        const int w = (next_ + probe) % numWarps_;
-        if (w < static_cast<int>(ready.size())
-            && ready[static_cast<std::size_t>(w)]) {
-            return w;
-        }
-    }
-    return -1;
+    // The first ready warp at or after next_, wrapping around.
+    const std::uint64_t from_next = ready & (~std::uint64_t(0) << next_);
+    if (from_next)
+        return std::countr_zero(from_next);
+    return ready ? std::countr_zero(ready) : -1;
 }
 
 void
@@ -94,7 +100,7 @@ LrrScheduler::issued(int warp, std::uint64_t)
 TwoLevelScheduler::TwoLevelScheduler(int numWarps, int activePoolSize)
     : numWarps_(numWarps), poolSize_(std::min(activePoolSize, numWarps))
 {
-    fatal_if(numWarps <= 0, "scheduler needs warps");
+    fatal_if(numWarps < 1 || numWarps > 64, "scheduler needs 1 to 64 warps");
     for (int w = 0; w < numWarps; ++w) {
         if (w < poolSize_)
             active_.push_back(w);
@@ -104,15 +110,12 @@ TwoLevelScheduler::TwoLevelScheduler(int numWarps, int activePoolSize)
 }
 
 void
-TwoLevelScheduler::refill(const std::vector<bool> &ready)
+TwoLevelScheduler::refill(std::uint64_t ready)
 {
     // Rotate stalled warps out of the active pool.
     for (auto it = active_.begin(); it != active_.end();) {
-        const int w = *it;
-        const bool is_ready = w < static_cast<int>(ready.size())
-                              && ready[static_cast<std::size_t>(w)];
-        if (!is_ready && !pending_.empty()) {
-            pending_.push_back(w);
+        if (!isReady(ready, *it) && !pending_.empty()) {
+            pending_.push_back(*it);
             it = active_.erase(it);
         } else {
             ++it;
@@ -126,8 +129,8 @@ TwoLevelScheduler::refill(const std::vector<bool> &ready)
 }
 
 int
-TwoLevelScheduler::pick(const std::vector<bool> &ready,
-                        const std::vector<std::uint64_t> &, std::uint64_t)
+TwoLevelScheduler::pick(std::uint64_t ready, std::span<const std::uint64_t>,
+                        std::uint64_t)
 {
     refill(ready);
     if (active_.empty())
@@ -136,8 +139,7 @@ TwoLevelScheduler::pick(const std::vector<bool> &ready,
     for (int probe = 0; probe < n; ++probe) {
         const int idx = (rr_ + probe) % n;
         const int w = active_[static_cast<std::size_t>(idx)];
-        if (w < static_cast<int>(ready.size())
-            && ready[static_cast<std::size_t>(w)]) {
+        if (isReady(ready, w)) {
             rr_ = (idx + 1) % n;
             return w;
         }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpu/gpu_config.hh"
@@ -20,7 +21,9 @@ namespace bvf::gpu
 {
 
 /**
- * Scheduler interface: given the set of ready warps, pick one.
+ * Scheduler interface: given the set of ready warps, pick one. A warp
+ * set is a 64-bit mask, bit w for warp slot w, so an SM holds at most
+ * 64 warps.
  */
 class WarpScheduler
 {
@@ -28,13 +31,13 @@ class WarpScheduler
     virtual ~WarpScheduler() = default;
 
     /**
-     * @param ready per-warp readiness flags (index = warp slot)
+     * @param ready bit w set when warp slot w is ready
      * @param lastIssue per-warp cycle of last issue
      * @param cycle current cycle
      * @return selected warp slot, or -1 if none ready
      */
-    virtual int pick(const std::vector<bool> &ready,
-                     const std::vector<std::uint64_t> &lastIssue,
+    virtual int pick(std::uint64_t ready,
+                     std::span<const std::uint64_t> lastIssue,
                      std::uint64_t cycle) = 0;
 
     /** Notify that @p warp issued (policy bookkeeping). */
@@ -53,8 +56,7 @@ class GtoScheduler : public WarpScheduler
 {
   public:
     explicit GtoScheduler(int numWarps);
-    int pick(const std::vector<bool> &ready,
-             const std::vector<std::uint64_t> &lastIssue,
+    int pick(std::uint64_t ready, std::span<const std::uint64_t> lastIssue,
              std::uint64_t cycle) override;
     void issued(int warp, std::uint64_t cycle) override;
 
@@ -67,8 +69,7 @@ class LrrScheduler : public WarpScheduler
 {
   public:
     explicit LrrScheduler(int numWarps);
-    int pick(const std::vector<bool> &ready,
-             const std::vector<std::uint64_t> &lastIssue,
+    int pick(std::uint64_t ready, std::span<const std::uint64_t> lastIssue,
              std::uint64_t cycle) override;
     void issued(int warp, std::uint64_t cycle) override;
 
@@ -85,13 +86,12 @@ class TwoLevelScheduler : public WarpScheduler
 {
   public:
     TwoLevelScheduler(int numWarps, int activePoolSize = 8);
-    int pick(const std::vector<bool> &ready,
-             const std::vector<std::uint64_t> &lastIssue,
+    int pick(std::uint64_t ready, std::span<const std::uint64_t> lastIssue,
              std::uint64_t cycle) override;
     void issued(int warp, std::uint64_t cycle) override;
 
   private:
-    void refill(const std::vector<bool> &ready);
+    void refill(std::uint64_t ready);
 
     int numWarps_;
     int poolSize_;

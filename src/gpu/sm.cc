@@ -20,6 +20,61 @@ using isa::Opcode;
 using coder::UnitId;
 using sram::AccessType;
 
+namespace
+{
+
+/**
+ * A list of at most one entry per lane, on the stack: the issue path
+ * runs every cycle and must not allocate.
+ */
+template <typename T>
+class LaneList
+{
+  public:
+    void push(T v) { items_[size_++] = v; }
+
+    /** Append @p v unless it is already listed. */
+    void
+    pushUnique(T v)
+    {
+        if (std::find(begin(), end(), v) == end())
+            push(v);
+    }
+
+    const T *begin() const { return items_.data(); }
+    const T *end() const { return items_.data() + size_; }
+    std::size_t size() const { return size_; }
+    std::span<const T> span() const { return {items_.data(), size_}; }
+
+  private:
+    // Not zeroed: only [0, size_) is read, and push writes each entry
+    // first. Zeroing the lists cost the `stall` benchmark about 7%.
+    std::array<T, warpSize> items_;
+    std::size_t size_ = 0;
+};
+
+/**
+ * The cycle from which the scoreboard lets @p instr issue: its guard
+ * predicate and every source are readable (and the destination, which
+ * FFMA/IMAD also read and loads must not overwrite early).
+ */
+std::uint64_t
+operandsReadyAt(const Warp &warp, const Instruction &instr)
+{
+    std::uint64_t at = 0;
+    if (instr.pred != isa::predTrue)
+        at = std::max(at, warp.predReadyCycle(instr.pred));
+    if (isa::readsSrcA(instr.op))
+        at = std::max(at, warp.regReadyCycle(instr.srcA));
+    if (isa::readsSrcB(instr.op) && !instr.immB)
+        at = std::max(at, warp.regReadyCycle(instr.srcB));
+    if (isa::writesRegister(instr.op) || isa::readsDst(instr.op))
+        at = std::max(at, warp.regReadyCycle(instr.dst));
+    return at;
+}
+
+} // namespace
+
 Sm::Sm(int smId, const GpuConfig &config, const isa::Program &program,
        sram::AccessSink &sink, ChipInterface &chip)
     : smId_(smId), config_(config), program_(program), sink_(sink),
@@ -30,12 +85,18 @@ Sm::Sm(int smId, const GpuConfig &config, const isa::Program &program,
       l1c_("L1C", config.l1cBytes, 2, 64, 4),
       l1t_("L1T", config.l1tBytes, 2, config.lineBytes, 8)
 {
+    fatal_if(config.maxWarpsPerSm < 1 || config.maxWarpsPerSm > 64,
+             "maxWarpsPerSm %d is outside [1, 64]: the SM's ready set is "
+             "one 64-bit mask",
+             config.maxWarpsPerSm);
     warps_.resize(static_cast<std::size_t>(config.maxWarpsPerSm));
     slotUsed_.assign(static_cast<std::size_t>(config.maxWarpsPerSm), false);
     slotBlock_.assign(static_cast<std::size_t>(config.maxWarpsPerSm), -1);
     ifbGroup_.assign(static_cast<std::size_t>(config.maxWarpsPerSm), -1);
     ifetchPending_.assign(static_cast<std::size_t>(config.maxWarpsPerSm),
                           false);
+    wakeCycle_.assign(static_cast<std::size_t>(config.maxWarpsPerSm), never);
+    lastIssue_.assign(static_cast<std::size_t>(config.maxWarpsPerSm), 0);
     scheduler_ = makeScheduler(config.scheduler, config.maxWarpsPerSm);
 }
 
@@ -86,6 +147,8 @@ Sm::assignBlock(int blockId)
             w, blockId, program_.launch.blockThreads);
         ifbGroup_[static_cast<std::size_t>(slot)] = -1;
         ifetchPending_[static_cast<std::size_t>(slot)] = false;
+        lastIssue_[static_cast<std::size_t>(slot)] = 0;
+        wake(slot);
     }
     return true;
 }
@@ -140,16 +203,16 @@ Sm::accountRegWrite(const Warp &warp, int reg, std::uint32_t guard,
 // Fetch / readiness
 // ---------------------------------------------------------------------
 
-bool
-Sm::fetchReady(int slot, std::uint64_t cycle)
+std::uint64_t
+Sm::fetchReadyAt(int slot, std::uint64_t cycle)
 {
     Warp &warp = warps_[static_cast<std::size_t>(slot)];
     const int pc = warp.pc();
     const int group = pc / ifbInstrs;
     if (ifbGroup_[static_cast<std::size_t>(slot)] == group)
-        return true;
+        return cycle;
     if (ifetchPending_[static_cast<std::size_t>(slot)])
-        return false;
+        return never; // onInstrFill wakes it
 
     // Refill the IFB from L1I.
     const std::uint32_t line_addr =
@@ -159,67 +222,94 @@ Sm::fetchReady(int slot, std::uint64_t cycle)
     if (outcome == CacheOutcome::Hit) {
         // L1I read + IFB fill of the fetch group.
         const int group_start = group * ifbInstrs;
-        std::vector<Word64> instrs;
+        LaneList<Word64> instrs;
         for (int i = 0; i < ifbInstrs
                         && group_start + i
                                < static_cast<int>(program_.body.size());
              ++i) {
-            instrs.push_back(chip_.instrBinary(group_start + i));
+            instrs.push(chip_.instrBinary(group_start + i));
         }
-        sink_.onFetch(UnitId::L1I, AccessType::Read, instrs, cycle);
-        sink_.onFetch(UnitId::Ifb, AccessType::Write, instrs, cycle);
+        sink_.onFetch(UnitId::L1I, AccessType::Read, instrs.span(), cycle);
+        sink_.onFetch(UnitId::Ifb, AccessType::Write, instrs.span(), cycle);
         ifbGroup_[static_cast<std::size_t>(slot)] = group;
-        return true;
+        return cycle;
     }
     if (outcome == CacheOutcome::MshrFull)
-        return false;
+        return cycle + 1;
 
     ifetchPending_[static_cast<std::size_t>(slot)] = true;
     waitingInstr_[line_addr].push_back(slot);
     if (outcome == CacheOutcome::Miss)
         chip_.sendReadRequest(smId_, line_addr, true, cycle);
-    return false;
+    return never;
 }
 
-bool
-Sm::warpReady(int slot, std::uint64_t cycle)
+std::uint64_t
+Sm::warpReadyAt(int slot, std::uint64_t cycle)
 {
+    ++stats_.readyChecks;
     if (!slotUsed_[static_cast<std::size_t>(slot)])
-        return false;
+        return never; // assignBlock wakes it
     Warp &warp = warps_[static_cast<std::size_t>(slot)];
     if (warp.done() || warp.atBarrier)
-        return false;
+        return never; // a barrier release wakes it
 
     // Under the uniform-dispatch contract the SIMT stack provably never
     // grows past its initial frame, so reconvergence maintenance is
     // dead work.
     if (!uniformDispatch_)
         warp.reconvergeIfNeeded();
-    if (!fetchReady(slot, cycle))
-        return false;
+    const std::uint64_t fetched = fetchReadyAt(slot, cycle);
+    if (fetched > cycle)
+        return fetched;
+    return std::max(cycle,
+                    operandsReadyAt(warp,
+                                    program_.body[static_cast<std::size_t>(
+                                        warp.pc())]));
+}
 
-    const Instruction &instr =
-        program_.body[static_cast<std::size_t>(warp.pc())];
+void
+Sm::wake(int slot)
+{
+    // Due at once: the next step evaluates it.
+    wakeCycle_[static_cast<std::size_t>(slot)] = 0;
+    nextWake_ = 0;
+}
 
-    // Scoreboard: guard predicate and all sources (and the destination,
-    // which FFMA/IMAD also read and loads must not overwrite early).
-    if (instr.pred != isa::predTrue
-        && warp.predReadyCycle(instr.pred) > cycle) {
-        return false;
+void
+Sm::checkSkippedWarps(std::uint64_t cycle) const
+{
+    for (int s = 0; s < config_.maxWarpsPerSm; ++s) {
+        const bool in_mask = (readyMask_ >> s) & 1u;
+        if (!in_mask && wakeCycle_[static_cast<std::size_t>(s)] <= cycle)
+            continue; // step() evaluates it
+        const Warp &warp = warps_[static_cast<std::size_t>(s)];
+        if (!slotUsed_[static_cast<std::size_t>(s)] || warp.done()
+            || warp.atBarrier) {
+            panic_if(in_mask, "SM %d slot %d: stopped warp in ready set",
+                     smId_, s);
+            continue;
+        }
+        panic_if(!warp.reconverged(),
+                 "SM %d slot %d: skipped warp would have reconverged",
+                 smId_, s);
+        if (ifbGroup_[static_cast<std::size_t>(s)] != warp.pc() / ifbInstrs) {
+            panic_if(!ifetchPending_[static_cast<std::size_t>(s)],
+                     "SM %d slot %d: skipped warp would have fetched",
+                     smId_, s);
+            panic_if(in_mask, "SM %d slot %d: fetching warp in ready set",
+                     smId_, s);
+            continue;
+        }
+        const bool ready =
+            operandsReadyAt(warp, program_.body[static_cast<std::size_t>(
+                                      warp.pc())])
+            <= cycle;
+        panic_if(ready != in_mask,
+                 "SM %d slot %d at cycle %llu: skipped warp %s",
+                 smId_, s, static_cast<unsigned long long>(cycle),
+                 ready ? "would have been ready" : "left the ready set");
     }
-    if (isa::readsSrcA(instr.op)
-        && warp.regReadyCycle(instr.srcA) > cycle) {
-        return false;
-    }
-    if (isa::readsSrcB(instr.op) && !instr.immB
-        && warp.regReadyCycle(instr.srcB) > cycle) {
-        return false;
-    }
-    if ((isa::writesRegister(instr.op) || isa::readsDst(instr.op))
-        && warp.regReadyCycle(instr.dst) > cycle) {
-        return false;
-    }
-    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -230,32 +320,47 @@ void
 Sm::step(std::uint64_t cycle)
 {
     checkLocalFills(cycle);
+#ifndef NDEBUG
+    checkSkippedWarps(cycle);
+#endif
 
-    std::vector<bool> &ready = readyScratch_;
-    std::vector<std::uint64_t> &last = lastScratch_;
-    ready.assign(static_cast<std::size_t>(config_.maxWarpsPerSm), false);
-    last.assign(static_cast<std::size_t>(config_.maxWarpsPerSm), 0);
-    bool any = false;
-    for (int s = 0; s < config_.maxWarpsPerSm; ++s) {
-        const bool r = warpReady(s, cycle);
-        ready[static_cast<std::size_t>(s)] = r;
-        last[static_cast<std::size_t>(s)] =
-            warps_[static_cast<std::size_t>(s)].lastIssueCycle;
-        any = any || r;
+    // Evaluate, in slot order, only the warps outside the ready set
+    // whose wake cycle has come.
+    if (cycle >= nextWake_) {
+        std::uint64_t next = never;
+        for (int s = 0; s < config_.maxWarpsPerSm; ++s) {
+            const std::uint64_t bit = std::uint64_t(1) << s;
+            if (readyMask_ & bit)
+                continue;
+            std::uint64_t &wake_at = wakeCycle_[static_cast<std::size_t>(s)];
+            if (wake_at <= cycle) {
+                wake_at = warpReadyAt(s, cycle);
+                if (wake_at <= cycle) {
+                    readyMask_ |= bit;
+                    continue;
+                }
+            }
+            next = std::min(next, wake_at);
+        }
+        nextWake_ = next;
     }
-    if (!any) {
-        ++stats_.idleCycles;
-        return;
-    }
-    const int slot = scheduler_->pick(ready, last, cycle);
+
+    // No pick without a ready warp: the two-level scheduler would rotate
+    // its pool.
+    const int slot = readyMask_ ? scheduler_->pick(readyMask_, lastIssue_,
+                                                   cycle)
+                                : -1;
     if (slot < 0) {
         ++stats_.idleCycles;
         return;
     }
-    issueWarp(slot, cycle);
+    if (issueWarp(slot, cycle)) {
+        readyMask_ &= ~(std::uint64_t(1) << slot);
+        wake(slot);
+    }
 }
 
-void
+bool
 Sm::issueWarp(int slot, std::uint64_t cycle)
 {
     Warp &warp = warps_[static_cast<std::size_t>(slot)];
@@ -270,7 +375,7 @@ Sm::issueWarp(int slot, std::uint64_t cycle)
     // architectural effect or accounting.
     if (isa::isMemoryOp(instr.op)) {
         if (guard != 0 && !executeMemory(slot, instr, guard, cycle))
-            return;
+            return false;
         if (guard == 0)
             warp.advancePc();
     }
@@ -280,11 +385,12 @@ Sm::issueWarp(int slot, std::uint64_t cycle)
     sink_.onFetch(UnitId::Ifb, AccessType::Read, {&bin, 1}, cycle);
 
     ++stats_.issued;
-    warp.lastIssueCycle = cycle;
+    lastIssue_[static_cast<std::size_t>(slot)] = cycle;
     scheduler_->issued(slot, cycle);
 
     if (!isa::isMemoryOp(instr.op))
         executeAlu(slot, instr, guard, cycle);
+    return true;
 }
 
 void
@@ -440,7 +546,7 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
     // Resolve per-lane addresses (memory divergence: lanes may touch
     // several lines).
     std::array<std::uint32_t, warpSize> addr{};
-    std::vector<std::uint32_t> lines;
+    LaneList<std::uint32_t> lines;
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
@@ -448,29 +554,27 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
             warp.reg(lane, instr.srcA)
             + static_cast<std::uint32_t>(instr.imm);
         addr[static_cast<std::size_t>(lane)] = a;
-        const std::uint32_t line = l1d_.lineAddr(a);
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-            lines.push_back(line);
+        lines.pushUnique(l1d_.lineAddr(a));
     }
 
     // Tag phase: resolve every line's outcome before committing any
     // architectural effect, so a structural stall can abort cleanly.
-    std::vector<std::uint32_t> hit_lines;
-    std::vector<std::uint32_t> missed;
-    std::vector<std::uint32_t> new_requests;
+    LaneList<std::uint32_t> hit_lines;
+    LaneList<std::uint32_t> missed;
+    LaneList<std::uint32_t> new_requests;
     bool stalled = false;
     for (std::uint32_t line : lines) {
         const auto outcome = l1d_.access(line);
         switch (outcome) {
           case CacheOutcome::Hit:
-            hit_lines.push_back(line);
+            hit_lines.push(line);
             break;
           case CacheOutcome::Miss:
-            missed.push_back(line);
-            new_requests.push_back(line);
+            missed.push(line);
+            new_requests.push(line);
             break;
           case CacheOutcome::MissMerged:
-            missed.push_back(line);
+            missed.push(line);
             break;
           case CacheOutcome::MshrFull:
             stalled = true;
@@ -484,6 +588,7 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
         // deadlock the retry (which will see MissMerged, not Miss).
         for (std::uint32_t line : new_requests)
             chip_.sendReadRequest(smId_, line, false, cycle);
+        ++stats_.issueStalls;
         return false;
     }
 
@@ -502,16 +607,16 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
 
     for (std::uint32_t line : hit_lines) {
         // Account the words these lanes read out of L1D.
-        std::vector<Word> words;
+        LaneList<Word> words;
         for (int lane = 0; lane < warpSize; ++lane) {
             if (((guard >> lane) & 1u)
                 && l1d_.lineAddr(addr[static_cast<std::size_t>(lane)])
                        == line) {
-                words.push_back(value[static_cast<std::size_t>(lane)]);
+                words.push(value[static_cast<std::size_t>(lane)]);
             }
         }
-        sink_.onAccess(UnitId::L1D, AccessType::Read, words, fullMask,
-                       cycle);
+        sink_.onAccess(UnitId::L1D, AccessType::Read, words.span(),
+                       fullMask, cycle);
     }
     const int outstanding = static_cast<int>(missed.size());
 
@@ -564,6 +669,7 @@ Sm::completeLoad(int loadId, std::uint64_t cycle)
     }
     accountRegWrite(warp, load.dstReg, load.guard, cycle);
     warp.setRegReadyCycle(load.dstReg, cycle + 2);
+    wake(load.warpSlot);
     freeLoadIds_.push_back(loadId);
 }
 
@@ -579,7 +685,7 @@ Sm::executeGlobalStore(int slot, const Instruction &instr,
 
     // Coalesce active lanes per line; write-evict: invalidate the local
     // copy and push the data to L2.
-    std::vector<std::uint32_t> lines;
+    LaneList<std::uint32_t> lines;
     std::array<std::uint32_t, warpSize> addr{};
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
@@ -588,9 +694,7 @@ Sm::executeGlobalStore(int slot, const Instruction &instr,
             warp.reg(lane, instr.srcA)
             + static_cast<std::uint32_t>(instr.imm);
         addr[static_cast<std::size_t>(lane)] = a;
-        const std::uint32_t line = l1d_.lineAddr(a);
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-            lines.push_back(line);
+        lines.pushUnique(l1d_.lineAddr(a));
     }
 
     for (std::uint32_t line : lines) {
@@ -628,7 +732,7 @@ Sm::executeShared(int slot, const Instruction &instr, std::uint32_t guard,
 
     // Bank-conflict model: 32 banks, word-interleaved.
     std::array<int, 32> bank_load{};
-    std::vector<Word> words;
+    LaneList<Word> words;
     const std::size_t shared_words = block.shared.size();
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
@@ -642,11 +746,11 @@ Sm::executeShared(int slot, const Instruction &instr, std::uint32_t guard,
             const Word v = warp.reg(lane, instr.srcB);
             if (shared_words)
                 block.shared[idx] = v;
-            words.push_back(v);
+            words.push(v);
         } else {
             const Word v = shared_words ? block.shared[idx] : 0;
             warp.setReg(lane, instr.dst, v);
-            words.push_back(v);
+            words.push(v);
         }
     }
 
@@ -659,8 +763,8 @@ Sm::executeShared(int slot, const Instruction &instr, std::uint32_t guard,
     }
 
     sink_.onAccess(UnitId::Sme,
-                   is_store ? AccessType::Write : AccessType::Read, words,
-                   fullMask, cycle);
+                   is_store ? AccessType::Write : AccessType::Read,
+                   words.span(), fullMask, cycle);
 
     if (!is_store) {
         accountRegWrite(warp, instr.dst, guard, cycle);
@@ -687,8 +791,8 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
 
     // Unique word addresses touched (constant loads broadcast).
     std::array<std::uint32_t, warpSize> addr{};
-    std::vector<std::uint32_t> unique_words;
-    std::vector<std::uint32_t> lines;
+    LaneList<std::uint32_t> unique_words;
+    LaneList<std::uint32_t> lines;
     for (int lane = 0; lane < warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;
@@ -697,33 +801,28 @@ Sm::executeConstOrTex(int slot, const Instruction &instr,
                 + static_cast<std::uint32_t>(instr.imm),
             image.size());
         addr[static_cast<std::size_t>(lane)] = a;
-        if (std::find(unique_words.begin(), unique_words.end(), a)
-            == unique_words.end()) {
-            unique_words.push_back(a);
-        }
-        const std::uint32_t line = cache.lineAddr(a);
-        if (std::find(lines.begin(), lines.end(), line) == lines.end())
-            lines.push_back(line);
+        unique_words.pushUnique(a);
+        lines.pushUnique(cache.lineAddr(a));
     }
 
     // Constant/texture misses resolve locally, so a full MSHR file just
     // costs miss latency here instead of stalling the issue slot.
     bool all_hit = true;
-    std::vector<std::uint32_t> missed;
+    LaneList<std::uint32_t> missed;
     for (std::uint32_t line : lines) {
         const auto outcome = cache.access(line);
         if (outcome != CacheOutcome::Hit) {
             all_hit = false;
             if (outcome == CacheOutcome::Miss)
-                missed.push_back(line);
+                missed.push(line);
         }
     }
 
     // Account the read words.
-    std::vector<Word> words;
+    LaneList<Word> words;
     for (std::uint32_t a : unique_words)
-        words.push_back(isa::loadImage(image, a));
-    sink_.onAccess(unit, AccessType::Read, words, fullMask, cycle);
+        words.push(isa::loadImage(image, a));
+    sink_.onAccess(unit, AccessType::Read, words.span(), fullMask, cycle);
 
     // Deliver values functionally now; latency via the scoreboard.
     for (int lane = 0; lane < warpSize; ++lane) {
@@ -849,8 +948,10 @@ Sm::onInstrFill(std::uint32_t lineAddr, std::uint64_t cycle)
     auto it = waitingInstr_.find(lineAddr);
     if (it == waitingInstr_.end())
         return;
-    for (int slot : it->second)
+    for (int slot : it->second) {
         ifetchPending_[static_cast<std::size_t>(slot)] = false;
+        wake(slot);
+    }
     waitingInstr_.erase(it);
 }
 
@@ -876,8 +977,11 @@ Sm::handleBarrierRelease(int blockIdx)
             return;
     }
     for (int w = 0; w < block.numWarps; ++w) {
-        warps_[static_cast<std::size_t>(block.firstWarp + w)].atBarrier =
-            false;
+        Warp &warp = warps_[static_cast<std::size_t>(block.firstWarp + w)];
+        if (warp.atBarrier) {
+            warp.atBarrier = false;
+            wake(block.firstWarp + w);
+        }
     }
 }
 

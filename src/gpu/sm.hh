@@ -115,6 +115,16 @@ struct SmStats
      * overhead" is measurable.
      */
     std::uint64_t pivotDivergentWrites = 0;
+
+    /**
+     * Work counters, neither rendered nor journaled. readyChecks counts
+     * warp readiness evaluations: only warps whose state changed are
+     * evaluated, where scanning every slot would count maxWarpsPerSm
+     * per SM step. issueStalls counts global-load issue attempts that
+     * found the MSHR file full and retry the next cycle.
+     */
+    std::uint64_t readyChecks = 0;
+    std::uint64_t issueStalls = 0;
 };
 
 /**
@@ -164,6 +174,9 @@ class Sm
     /** Instructions per IFB refill. */
     static constexpr int ifbInstrs = 8;
 
+    /** Wake cycle of a warp only an event can make ready. */
+    static constexpr std::uint64_t never = ~std::uint64_t(0);
+
     struct ResidentBlock
     {
         int blockId = 0;
@@ -194,9 +207,29 @@ class Sm
     };
 
     // --- pipeline stages ----------------------------------------------
-    bool warpReady(int slot, std::uint64_t cycle);
-    bool fetchReady(int slot, std::uint64_t cycle);
-    void issueWarp(int slot, std::uint64_t cycle);
+    /**
+     * Evaluate the warp in @p slot: the earliest cycle it can issue, or
+     * @c never while it waits on an event (exit, barrier, ifetch, a
+     * load). Reconverges its SIMT stack and may refill its IFB, so it
+     * runs only where the every-slot-every-cycle model would have had
+     * an effect (DESIGN.md §3).
+     */
+    std::uint64_t warpReadyAt(int slot, std::uint64_t cycle);
+
+    /** @c cycle once the IFB holds the warp's pc; may fetch from L1I. */
+    std::uint64_t fetchReadyAt(int slot, std::uint64_t cycle);
+
+    /** Issue from @p slot; false on a structural (MSHR-full) stall. */
+    bool issueWarp(int slot, std::uint64_t cycle);
+
+    /** Re-evaluate @p slot at the next step: its state has changed. */
+    void wake(int slot);
+
+    /**
+     * Debug builds: panic if a warp step() did not evaluate would have
+     * been ready, would have fetched, or left the ready set.
+     */
+    void checkSkippedWarps(std::uint64_t cycle) const;
 
     /** Execute a non-memory instruction functionally. */
     void executeAlu(int slot, const isa::Instruction &instr,
@@ -265,10 +298,14 @@ class Sm
     std::unordered_map<std::uint32_t, std::vector<int>> waitingInstr_;
     std::vector<LocalFill> localFills_;
 
-    // Per-cycle scheduler scratch, hoisted out of step() so the hot
-    // loop does not allocate.
-    std::vector<bool> readyScratch_;
-    std::vector<std::uint64_t> lastScratch_;
+    // Wake-driven issue (DESIGN.md §3). Bit s of readyMask_ is set while
+    // the warp in slot s is ready and has not issued; any other slot is
+    // next evaluated at wakeCycle_[s], and nextWake_ is the least of
+    // those, so a step with nothing due evaluates no warp.
+    std::uint64_t readyMask_ = 0;
+    std::vector<std::uint64_t> wakeCycle_;
+    std::uint64_t nextWake_ = 0;
+    std::vector<std::uint64_t> lastIssue_; //!< per slot, for GTO
 
     SmStats stats_;
 };

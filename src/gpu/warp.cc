@@ -18,7 +18,6 @@ Warp::init(int warpIdInBlock, int blockId, int blockThreads)
     done_ = false;
     pendingLoads = 0;
     atBarrier = false;
-    lastIssueCycle = 0;
 
     const int first_thread = warpIdInBlock * warpSize;
     const int live = std::max(0, std::min(warpSize,

@@ -72,6 +72,13 @@ class Warp
     /** Pop reconverged entries; call before each fetch. */
     void reconvergeIfNeeded();
 
+    /** True when reconvergeIfNeeded() would pop nothing. */
+    bool
+    reconverged() const
+    {
+        return stack_.size() == 1 || stack_.back().pc != stack_.back().rpc;
+    }
+
     /** SIMT stack depth (for tests). */
     std::size_t stackDepth() const { return stack_.size(); }
 
@@ -145,9 +152,6 @@ class Warp
 
     /** Waiting at a block barrier. */
     bool atBarrier = false;
-
-    /** Last cycle this warp issued (GTO greedy state). */
-    std::uint64_t lastIssueCycle = 0;
 
     int warpIdInBlock() const { return warpIdInBlock_; }
     int blockId() const { return blockId_; }

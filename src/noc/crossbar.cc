@@ -39,6 +39,7 @@ Crossbar::injectRequest(Packet pkt)
     panic_if(pkt.srcSm < 0 || pkt.srcSm >= numSms_, "bad source SM");
     panic_if(pkt.dstBank < 0 || pkt.dstBank >= numBanks_, "bad bank");
     ++stats_.packets;
+    ++request_.queued;
     request_.sourceQueues[static_cast<std::size_t>(pkt.srcSm)]
         .push_back(InFlight{std::move(pkt), 0});
 }
@@ -49,6 +50,7 @@ Crossbar::injectReply(Packet pkt)
     panic_if(pkt.srcSm < 0 || pkt.srcSm >= numSms_, "bad destination SM");
     panic_if(pkt.dstBank < 0 || pkt.dstBank >= numBanks_, "bad bank");
     ++stats_.packets;
+    ++reply_.queued;
     reply_.sourceQueues[static_cast<std::size_t>(pkt.dstBank)]
         .push_back(InFlight{std::move(pkt), 0});
 }
@@ -91,6 +93,7 @@ Crossbar::stepNetwork(Network &net, bool isRequest, std::uint64_t cycle)
                 stats_.totalLatency += cycle - head.pkt.issueCycle;
                 Packet done = std::move(head.pkt);
                 queue.pop_front();
+                --net.queued;
                 if (isRequest) {
                     panic_if(!deliverRequest_, "no request handler");
                     deliverRequest_(done);
@@ -108,22 +111,10 @@ Crossbar::stepNetwork(Network &net, bool isRequest, std::uint64_t cycle)
 void
 Crossbar::step(std::uint64_t cycle)
 {
-    stepNetwork(request_, true, cycle);
-    stepNetwork(reply_, false, cycle);
-}
-
-bool
-Crossbar::busy() const
-{
-    for (const auto &q : request_.sourceQueues) {
-        if (!q.empty())
-            return true;
-    }
-    for (const auto &q : reply_.sourceQueues) {
-        if (!q.empty())
-            return true;
-    }
-    return false;
+    if (request_.queued)
+        stepNetwork(request_, true, cycle);
+    if (reply_.queued)
+        stepNetwork(reply_, false, cycle);
 }
 
 } // namespace bvf::noc

@@ -67,7 +67,7 @@ class Crossbar
     void step(std::uint64_t cycle);
 
     /** Any traffic still in flight? */
-    bool busy() const;
+    bool busy() const { return request_.queued + reply_.queued > 0; }
 
     const NocStats &stats() const { return stats_; }
 
@@ -94,6 +94,9 @@ class Crossbar
         std::vector<std::deque<InFlight>> sourceQueues;
         // Per destination port: round-robin pointer over sources.
         std::vector<int> rrPointer;
+        // Packets in sourceQueues. With none, a step sends no flit and
+        // moves no rrPointer, so it can be skipped.
+        int queued = 0;
     };
 
     void stepNetwork(Network &net, bool isRequest, std::uint64_t cycle);

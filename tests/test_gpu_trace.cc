@@ -1,0 +1,504 @@
+/**
+ * @file
+ * Exactness pins for the cycle model.
+ *
+ * A hashing AccessSink folds every onAccess, onFetch and onNocPacket,
+ * in call order, into one digest and into one sub-digest per unit
+ * (NoC packets go to the Noc unit). A run's GpuStats fields and its
+ * ExecProbe::onIssue call count fold into a stats sub-digest, which
+ * closes the digest. tests/gpu_pins.hh pins the parts of every entry:
+ *
+ *   - the 58 suite apps at the default configuration (GTO);
+ *   - LRR and two-level on the 12 apps of the `stall` benchmark;
+ *   - the extreme machines of test_stress (one MSHR, tiny caches, one
+ *     DRAM channel, 4 and 8 warp slots, tail-warp blocks);
+ *   - 600 seeded tests/random_kernel.hh kernels, in 6 shards.
+ *
+ * A simulator change that keeps every simulated bit keeps every
+ * digest; a mismatch names the units whose sub-digests moved. The
+ * pins also hold GpuStats::sm.issueStalls per entry, and per suite app
+ * the readyChecks work count (see gpu_pins.hh).
+ *
+ * Re-deriving the pins is for intended model changes only:
+ *   build/tests/test_gpu_trace --gtest_also_run_disabled_tests \
+ *       --gtest_filter='*PrintPins*'
+ * prints the table body of gpu_pins.hh.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "common/logging.hh"
+#include "common/rng.hh"
+#include "gpu/gpu.hh"
+#include "gpu_pins.hh"
+#include "isa/asm.hh"
+#include "kernel_shards.hh"
+#include "random_kernel.hh"
+#include "workload/app_spec.hh"
+#include "workload/kernel_builder.hh"
+
+namespace bvf::gpu
+{
+namespace
+{
+
+using tests::TracePin;
+
+/** Bijective in @p v for a fixed @p h, so one changed value moves it. */
+void
+fold(std::uint64_t &h, std::uint64_t v)
+{
+    h ^= v;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+}
+
+constexpr std::size_t statsPart = coder::numUnits;
+constexpr std::uint64_t digestSeed = 0xcbf29ce484222325ULL;
+
+/** A run's digest: the pinned parts, before the stall count. */
+struct TraceDigest
+{
+    std::uint64_t digest = digestSeed;
+    std::array<std::uint64_t, tests::tracePinParts> parts{};
+
+    TraceDigest() { parts.fill(digestSeed); }
+};
+
+class HashingSink : public sram::AccessSink
+{
+  public:
+    explicit HashingSink(TraceDigest &out) : out_(out) {}
+
+    void
+    onAccess(coder::UnitId unit, sram::AccessType type,
+             std::span<const Word> block, std::uint32_t activeMask,
+             std::uint64_t cycle) override
+    {
+        record(coder::unitIndex(unit),
+               {1, static_cast<std::uint64_t>(type), activeMask, cycle,
+                block.size()});
+        for (Word w : block)
+            both(coder::unitIndex(unit), w);
+    }
+
+    void
+    onFetch(coder::UnitId unit, sram::AccessType type,
+            std::span<const Word64> instrs, std::uint64_t cycle) override
+    {
+        record(coder::unitIndex(unit),
+               {2, static_cast<std::uint64_t>(type), cycle, instrs.size()});
+        for (Word64 w : instrs)
+            both(coder::unitIndex(unit), w);
+    }
+
+    void
+    onNocPacket(int channel, std::span<const Word> payload,
+                bool instrStream, std::uint64_t cycle) override
+    {
+        const std::size_t noc = coder::unitIndex(coder::UnitId::Noc);
+        record(noc, {3, static_cast<std::uint64_t>(channel),
+                     static_cast<std::uint64_t>(instrStream), cycle,
+                     payload.size()});
+        for (Word w : payload)
+            both(noc, w);
+    }
+
+  private:
+    void
+    both(std::size_t part, std::uint64_t v)
+    {
+        fold(out_.digest, v);
+        fold(out_.parts[part], v);
+    }
+
+    void
+    record(std::size_t part, std::initializer_list<std::uint64_t> values)
+    {
+        for (std::uint64_t v : values)
+            both(part, v);
+    }
+
+    TraceDigest &out_;
+};
+
+class CountingProbe : public ExecProbe
+{
+  public:
+    void
+    onIssue(int, int, const isa::Instruction &, const Warp &,
+            std::uint32_t, std::uint64_t) override
+    {
+        ++calls;
+    }
+
+    std::uint64_t calls = 0;
+};
+
+/** One traced run: its digest and its statistics. */
+struct TraceRun
+{
+    TraceDigest digest;
+    GpuStats stats;
+};
+
+TraceRun
+traceRun(const GpuConfig &config, isa::Program program)
+{
+    TraceRun run;
+    HashingSink sink(run.digest);
+    CountingProbe probe;
+    Gpu gpu(config, std::move(program), sink);
+    gpu.setExecProbe(&probe);
+    run.stats = gpu.run();
+
+    const GpuStats &s = run.stats;
+    std::uint64_t &h = run.digest.parts[statsPart];
+    for (std::uint64_t v :
+         {s.cycles, s.sm.issued, s.sm.fpOps, s.sm.intOps, s.sm.loads,
+          s.sm.stores, s.sm.controlOps, s.sm.sharedAccesses,
+          s.sm.bankConflictCycles, s.sm.regBankConflictCycles,
+          s.sm.idleCycles, s.sm.pivotDivergentWrites, s.l2Hits,
+          s.l2Misses, s.noc.packets, s.noc.flits, s.noc.totalLatency,
+          s.dramRowHits, s.dramRowMisses, probe.calls}) {
+        fold(h, v);
+    }
+    fold(run.digest.digest, h);
+    return run;
+}
+
+/** Several runs folded into one entry (a random-kernel shard). */
+void
+foldRun(TraceRun &into, const TraceRun &run)
+{
+    fold(into.digest.digest, run.digest.digest);
+    for (std::size_t p = 0; p < tests::tracePinParts; ++p)
+        fold(into.digest.parts[p], run.digest.parts[p]);
+    into.stats.sm.issueStalls += run.stats.sm.issueStalls;
+    into.stats.sm.readyChecks += run.stats.sm.readyChecks;
+}
+
+// --- the entries -----------------------------------------------------------
+
+workload::AppSpec
+smallApp(const char *abbr)
+{
+    workload::AppSpec spec = workload::findApp(abbr);
+    spec.gridBlocks = std::min(spec.gridBlocks, 8);
+    spec.loopIters = std::min(spec.loopIters, 3);
+    return spec;
+}
+
+TraceRun
+appRun(const std::string &abbr, SchedulerPolicy policy)
+{
+    GpuConfig config = baselineConfig();
+    config.scheduler = policy;
+    return traceRun(config, workload::buildProgram(workload::findApp(abbr)));
+}
+
+/** The 12 apps of the `stall` benchmark workload. */
+const std::vector<std::string> &
+stallApps()
+{
+    static const std::vector<std::string> apps = {
+        "BTR", "NN", "NW", "HIS", "SPM", "BFS", "QTC", "LBF", "BH", "MST",
+        "SP", "SSP"};
+    return apps;
+}
+
+struct Machine
+{
+    const char *name;
+    std::function<TraceRun()> run;
+};
+
+/** test_stress's extreme machines and launch shapes. */
+const std::vector<Machine> &
+machines()
+{
+    static const std::vector<Machine> list = {
+        {"single-mshr",
+         [] {
+             GpuConfig config = baselineConfig();
+             config.mshrsPerSm = 1;
+             return traceRun(config, workload::buildProgram(smallApp("ATA")));
+         }},
+        {"tiny-caches",
+         [] {
+             GpuConfig config = baselineConfig();
+             config.l1dBytes = 1024;
+             config.l1iBytes = 512;
+             config.l2BytesPerBank = 4 * 1024;
+             return traceRun(config, workload::buildProgram(smallApp("SYR")));
+         }},
+        {"one-dram-channel",
+         [] {
+             GpuConfig config = baselineConfig();
+             config.dramChannels = 1;
+             return traceRun(config, workload::buildProgram(smallApp("ATA")));
+         }},
+        {"warps-8",
+         [] {
+             GpuConfig config = baselineConfig();
+             config.numSms = 1;
+             config.maxWarpsPerSm = 8;
+             workload::AppSpec spec = smallApp("TRI");
+             spec.gridBlocks = 10;
+             return traceRun(config, workload::buildProgram(spec));
+         }},
+        {"warps-4",
+         [] {
+             GpuConfig config = baselineConfig();
+             config.numSms = 1;
+             config.maxWarpsPerSm = 4;
+             workload::AppSpec spec = smallApp("NQU");
+             spec.gridBlocks = 6;
+             spec.blockThreads = 32;
+             return traceRun(config, workload::buildProgram(spec));
+         }},
+        {"tail-warps",
+         [] {
+             // 80 threads per block: the third warp has 16 live lanes.
+             isa::Program program = workload::buildProgram(smallApp("NN"));
+             program.launch.blockThreads = 80;
+             return traceRun(baselineConfig(), std::move(program));
+         }},
+    };
+    return list;
+}
+
+constexpr std::uint64_t randomSeed = 0x6a0c7e11u;
+constexpr int randomKernels = 600;
+constexpr int randomShards = 6;
+
+/**
+ * Random kernels [begin, end) on one SM with one MSHR, so blocks share
+ * an SM and loads contend. Kernels built not to terminate are skipped.
+ */
+TraceRun
+randomRun(tests::KernelShard shard)
+{
+    GpuConfig config = baselineConfig();
+    config.numSms = 1;
+    config.mshrsPerSm = 1;
+    Rng rng(randomSeed);
+    TraceRun total;
+    for (int k = 0; k < shard.end; ++k) {
+        const std::string text = tests::randomKernelAsm(rng);
+        if (k < shard.begin || text.find("Lspin") != std::string::npos)
+            continue;
+        auto parsed = isa::parseAsm(text);
+        panic_if(!parsed.ok(), "random kernel %d does not parse", k);
+        foldRun(total, traceRun(config, parsed.value()));
+    }
+    return total;
+}
+
+std::string
+randomName(tests::KernelShard shard)
+{
+    return "random/" + std::to_string(shard.begin) + "-"
+           + std::to_string(shard.end - 1);
+}
+
+// --- checking --------------------------------------------------------------
+
+const TracePin *
+findPin(const std::string &name)
+{
+    for (const TracePin &pin : tests::kTracePins) {
+        if (pin.name == name)
+            return &pin;
+    }
+    return nullptr;
+}
+
+std::string
+partName(std::size_t part)
+{
+    return part == statsPart
+               ? std::string("stats")
+               : coder::unitName(static_cast<coder::UnitId>(part));
+}
+
+void
+expectMatchesPin(const std::string &name, const TraceRun &run)
+{
+    const TracePin *pin = findPin(name);
+    ASSERT_NE(pin, nullptr) << "no pin for " << name;
+    std::string moved;
+    for (std::size_t p = 0; p < tests::tracePinParts; ++p) {
+        if (run.digest.parts[p] != pin->parts[p]) {
+            moved += strFormat("\n  %s: pinned %016llx, got %016llx",
+                               partName(p).c_str(),
+                               static_cast<unsigned long long>(pin->parts[p]),
+                               static_cast<unsigned long long>(
+                                   run.digest.parts[p]));
+        }
+    }
+    EXPECT_TRUE(moved.empty()) << name << " moved in:" << moved;
+    EXPECT_EQ(run.digest.digest, pin->digest)
+        << name << ": call order across units moved";
+    EXPECT_EQ(run.stats.sm.issueStalls, pin->issueStalls)
+        << name << ": MSHR-full load retries moved";
+}
+
+class GpuTraceApp : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(GpuTraceApp, MatchesItsParentDigest)
+{
+    const workload::AppSpec &spec = workload::evaluationSuite()[GetParam()];
+    const TraceRun run = appRun(spec.abbr, SchedulerPolicy::Gto);
+    expectMatchesPin("app/" + spec.abbr, run);
+    EXPECT_EQ(run.stats.sm.readyChecks,
+              tests::kAppReadyChecks[GetParam()].count)
+        << spec.abbr << ": warp readiness evaluations moved";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, GpuTraceApp,
+    ::testing::Range<std::size_t>(0, workload::evaluationSuite().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        return workload::evaluationSuite()[info.param].abbr;
+    });
+
+TEST(GpuTracePins, ReadyCheckPinsFollowTheSuite)
+{
+    const auto &suite = workload::evaluationSuite();
+    ASSERT_EQ(suite.size(), tests::kAppReadyChecks.size());
+    for (std::size_t i = 0; i < suite.size(); ++i)
+        EXPECT_EQ(suite[i].abbr, tests::kAppReadyChecks[i].abbr);
+}
+
+struct SchedEntry
+{
+    SchedulerPolicy policy;
+    std::string abbr;
+};
+
+std::string
+schedKey(SchedulerPolicy policy)
+{
+    return policy == SchedulerPolicy::Lrr ? "lrr" : "two-level";
+}
+
+std::vector<SchedEntry>
+schedEntries()
+{
+    std::vector<SchedEntry> out;
+    for (SchedulerPolicy policy :
+         {SchedulerPolicy::Lrr, SchedulerPolicy::TwoLevel}) {
+        for (const std::string &abbr : stallApps())
+            out.push_back({policy, abbr});
+    }
+    return out;
+}
+
+class GpuTraceSched : public ::testing::TestWithParam<SchedEntry>
+{
+};
+
+TEST_P(GpuTraceSched, MatchesItsParentDigest)
+{
+    expectMatchesPin(schedKey(GetParam().policy) + "/" + GetParam().abbr,
+                     appRun(GetParam().abbr, GetParam().policy));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, GpuTraceSched, ::testing::ValuesIn(schedEntries()),
+    [](const ::testing::TestParamInfo<SchedEntry> &info) {
+        return (info.param.policy == SchedulerPolicy::Lrr ? "LRR_"
+                                                          : "TwoLevel_")
+               + info.param.abbr;
+    });
+
+class GpuTraceMachine : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(GpuTraceMachine, MatchesItsParentDigest)
+{
+    const Machine &m = machines()[GetParam()];
+    expectMatchesPin(std::string("machine/") + m.name, m.run());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Machines, GpuTraceMachine,
+    ::testing::Range<std::size_t>(0, machines().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        std::string name = machines()[info.param].name;
+        std::erase(name, '-');
+        return name;
+    });
+
+class GpuTraceRandom : public ::testing::TestWithParam<tests::KernelShard>
+{
+};
+
+TEST_P(GpuTraceRandom, MatchesItsParentDigest)
+{
+    expectMatchesPin(randomName(GetParam()), randomRun(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shards, GpuTraceRandom,
+    ::testing::ValuesIn(tests::kernelShards(randomKernels, randomShards)),
+    tests::kernelShardName);
+
+// --- re-deriving -----------------------------------------------------------
+
+void
+printPin(const std::string &name, const TraceRun &run)
+{
+    std::printf("    {\"%s\", 0x%016llxULL,\n     {", name.c_str(),
+                static_cast<unsigned long long>(run.digest.digest));
+    for (std::size_t p = 0; p < tests::tracePinParts; ++p) {
+        std::printf("0x%016llxULL%s",
+                    static_cast<unsigned long long>(run.digest.parts[p]),
+                    p + 1 == tests::tracePinParts ? ""
+                    : p % 2 == 1                  ? ",\n      "
+                                                  : ", ");
+    }
+    std::printf("},\n     %llu},\n",
+                static_cast<unsigned long long>(run.stats.sm.issueStalls));
+}
+
+TEST(GpuTracePins, DISABLED_PrintPins)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> ready;
+    std::printf("kTracePins:\n");
+    for (const workload::AppSpec &spec : workload::evaluationSuite()) {
+        const TraceRun run = appRun(spec.abbr, SchedulerPolicy::Gto);
+        ready.emplace_back(spec.abbr, run.stats.sm.readyChecks);
+        printPin("app/" + spec.abbr, run);
+    }
+    for (const SchedEntry &e : schedEntries())
+        printPin(schedKey(e.policy) + "/" + e.abbr, appRun(e.abbr, e.policy));
+    for (const Machine &m : machines())
+        printPin(std::string("machine/") + m.name, m.run());
+    for (const tests::KernelShard &shard :
+         tests::kernelShards(randomKernels, randomShards)) {
+        printPin(randomName(shard), randomRun(shard));
+    }
+    std::printf("kAppReadyChecks:\n");
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+        std::printf("{\"%s\", %llu},%s", ready[i].first.c_str(),
+                    static_cast<unsigned long long>(ready[i].second),
+                    i % 3 == 2 ? "\n" : " ");
+        total += ready[i].second;
+    }
+    std::printf("\nkSuiteReadyChecks = %llu\n",
+                static_cast<unsigned long long>(total));
+}
+
+} // namespace
+} // namespace bvf::gpu

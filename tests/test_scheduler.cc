@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "gpu/scheduler.hh"
 
 namespace bvf::gpu
@@ -12,12 +13,13 @@ namespace bvf::gpu
 namespace
 {
 
-std::vector<bool>
-ready(std::initializer_list<int> warps, int n = 8)
+/** The ready mask with bit w set for each listed warp. */
+std::uint64_t
+ready(std::initializer_list<int> warps)
 {
-    std::vector<bool> r(static_cast<std::size_t>(n), false);
+    std::uint64_t r = 0;
     for (int w : warps)
-        r[static_cast<std::size_t>(w)] = true;
+        r |= std::uint64_t(1) << w;
     return r;
 }
 
@@ -47,14 +49,14 @@ TEST(Gto, NoReadyWarpReturnsMinusOne)
 {
     GtoScheduler sched(4);
     std::vector<std::uint64_t> last(4, 0);
-    EXPECT_EQ(sched.pick(ready({}, 4), last, 1), -1);
+    EXPECT_EQ(sched.pick(ready({}), last, 1), -1);
 }
 
 TEST(Lrr, RotatesThroughWarps)
 {
     LrrScheduler sched(4);
     std::vector<std::uint64_t> last(4, 0);
-    const auto r = ready({0, 1, 2, 3}, 4);
+    const auto r = ready({0, 1, 2, 3});
     std::vector<int> order;
     for (int c = 0; c < 8; ++c) {
         const int w = sched.pick(r, last, static_cast<std::uint64_t>(c));
@@ -68,7 +70,7 @@ TEST(Lrr, SkipsUnreadyWarps)
 {
     LrrScheduler sched(4);
     std::vector<std::uint64_t> last(4, 0);
-    const auto r = ready({1, 3}, 4);
+    const auto r = ready({1, 3});
     const int first = sched.pick(r, last, 0);
     sched.issued(first, 0);
     const int second = sched.pick(r, last, 1);
@@ -81,7 +83,7 @@ TEST(TwoLevel, PrefersActivePool)
 {
     TwoLevelScheduler sched(16, 4); // active pool starts as {0,1,2,3}
     std::vector<std::uint64_t> last(16, 0);
-    const auto r = ready({0, 1, 2, 3, 8, 9}, 16);
+    const auto r = ready({0, 1, 2, 3, 8, 9});
     for (int c = 0; c < 8; ++c) {
         const int w = sched.pick(r, last, static_cast<std::uint64_t>(c));
         EXPECT_LT(w, 4); // pending warps 8/9 stay out while pool is ready
@@ -96,7 +98,7 @@ TEST(TwoLevel, RotatesStalledWarpsOut)
     // Warps 0 and 1 stall; only 4 is ready. The pool swaps stalled
     // warps out one refill round at a time, so warp 4 reaches the
     // active pool within a few cycles.
-    const auto r = ready({4}, 8);
+    const auto r = ready({4});
     int picked = -1;
     for (int cycle = 0; cycle < 8 && picked < 0; ++cycle)
         picked = sched.pick(r, last, static_cast<std::uint64_t>(cycle));
@@ -107,7 +109,42 @@ TEST(TwoLevel, AllStalledReturnsMinusOne)
 {
     TwoLevelScheduler sched(8, 2);
     std::vector<std::uint64_t> last(8, 0);
-    EXPECT_EQ(sched.pick(ready({}, 8), last, 1), -1);
+    EXPECT_EQ(sched.pick(ready({}), last, 1), -1);
+}
+
+TEST(Gto, OldestAcrossAllSixtyFourSlots)
+{
+    GtoScheduler sched(64);
+    std::vector<std::uint64_t> last(64, 9);
+    last[63] = 2; // oldest ready warp, in the mask's top bit
+    last[40] = 2; // as old but not ready
+    EXPECT_EQ(sched.pick(ready({0, 17, 63}), last, 10), 63);
+}
+
+TEST(Lrr, WrapsPastTheTopSlot)
+{
+    LrrScheduler sched(64);
+    std::vector<std::uint64_t> last(64, 0);
+    sched.issued(62, 0); // next round starts at 63
+    EXPECT_EQ(sched.pick(ready({5, 63}), last, 1), 63);
+    sched.issued(63, 1); // next round starts at 0
+    EXPECT_EQ(sched.pick(ready({5, 63}), last, 2), 5);
+}
+
+TEST(Factory, RejectsMoreWarpsThanTheMaskHolds)
+{
+    for (const auto policy : {SchedulerPolicy::Gto, SchedulerPolicy::Lrr,
+                              SchedulerPolicy::TwoLevel}) {
+        std::string message;
+        try {
+            ScopedFatalTrap trap;
+            makeScheduler(policy, 65);
+        } catch (const FatalError &e) {
+            message = e.what();
+        }
+        EXPECT_NE(message.find("1 to 64 warps"), std::string::npos)
+            << schedulerName(policy);
+    }
 }
 
 TEST(Factory, BuildsEveryPolicy)

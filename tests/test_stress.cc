@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "core/experiment.hh"
 #include "gpu/gpu.hh"
 #include "workload/kernel_builder.hh"
@@ -125,6 +126,39 @@ TEST(Stress, SingleWarpMachine)
     sram::NullSink sink;
     Gpu gpu(config, workload::buildProgram(spec), sink);
     EXPECT_GT(gpu.run().cycles, 0u);
+}
+
+TEST(Stress, WarpSlotsOutsideTheReadyMaskAreRejected)
+{
+    // An SM's ready set is one 64-bit mask.
+    for (int warps : {0, 65}) {
+        GpuConfig config = baselineConfig();
+        config.maxWarpsPerSm = warps;
+        sram::NullSink sink;
+        std::string message;
+        try {
+            ScopedFatalTrap trap;
+            Gpu gpu(config, workload::buildProgram(smallApp("ATA")), sink);
+        } catch (const FatalError &e) {
+            message = e.what();
+        }
+        EXPECT_NE(message.find("outside [1, 64]"), std::string::npos)
+            << warps << " warp slots: " << message;
+    }
+}
+
+TEST(Stress, SixtyFourWarpSlotsComplete)
+{
+    // Slot 63 is the mask's top bit.
+    GpuConfig config = baselineConfig();
+    config.numSms = 1;
+    config.maxWarpsPerSm = 64;
+    workload::AppSpec spec = smallApp("ATA");
+    spec.gridBlocks = 20;
+    sram::NullSink sink;
+    Gpu gpu(config, workload::buildProgram(spec), sink);
+    const auto stats = gpu.run();
+    EXPECT_EQ(stats.sm.issued % (20u * 4u), 0u);
 }
 
 TEST(Stress, AccountingSurvivesExtremeConfig)
