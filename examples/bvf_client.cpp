@@ -32,13 +32,9 @@
  *   --host H      TCP host (default 127.0.0.1)
  *   --port N      TCP port of the daemon
  *   --unix PATH   connect over a Unix socket instead
- *   --arch fermi|kepler|maxwell|pascal   (default pascal)
- *   --sched gto|lrr|two                  (default gto)
- *   --pivot N     VS register pivot      (default 21)
- *   --dynamic-isa per-app ISA mask
+ *   --arch --sched --pivot --dynamic-isa --node --pstate --cell --ecc
+ *   --cells-bitline  the shared evaluation knobs, as in bvf_sim
  *   --mask HEX    explicit ISA mask for eval-coder isa
- *   --node 28|40  --pstate 700|500|300  --cell bvf8t|bvf6t|8t|6t|edram
- *   --ecc         --cells-bitline N     (energy command)
  *   --retries N      transport retries after the first attempt
  *                    (default 0; each reconnects from scratch)
  *   --backoff-ms N   first retry delay, doubled per retry (default 100)
@@ -68,12 +64,11 @@
 #include <sstream>
 
 #include "analysis/verifier.hh"
-#include "circuit/mem_cell.hh"
 #include "coder/bvf_space.hh"
 #include "coder/scenario.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "core/experiment.hh"
+#include "core/eval_config.hh"
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "server/protocol.hh"
@@ -92,14 +87,8 @@ struct Options
     std::string command;
     std::vector<std::string> args;
 
-    AppQuery query;
+    core::EvalConfig eval;
     std::uint64_t isaMask = 0;
-    std::uint8_t node = 0;
-    std::uint8_t pstate = 0;
-    std::uint8_t cell = static_cast<std::uint8_t>(
-        circuit::CellKind::SramBvf8T);
-    std::uint8_t ecc = 0;
-    std::uint32_t cellsBitline = 128;
 
     int retries = 0;      //!< transport retries after the first try
     int backoffMs = 100;  //!< first retry delay, doubled per retry
@@ -140,81 +129,18 @@ parse(int argc, char **argv)
     cli::ArgStream args(argc, argv);
     std::string arg;
     while (args.next(arg)) {
+        if (core::parseEvalFlag(args, arg, o.eval))
+            continue;
         if (arg == "--host") {
             o.host = args.value(arg);
         } else if (arg == "--port") {
             o.port = cli::parseInteger(arg, args.value(arg), 1, 65535);
         } else if (arg == "--unix") {
             o.unixPath = args.value(arg);
-        } else if (arg == "--arch") {
-            const auto v = args.value(arg);
-            if (v == "fermi")
-                o.query.arch = 0;
-            else if (v == "kepler")
-                o.query.arch = 1;
-            else if (v == "maxwell")
-                o.query.arch = 2;
-            else if (v == "pascal")
-                o.query.arch = 3;
-            else
-                cli::badChoice(arg, v, "fermi, kepler, maxwell, pascal");
-        } else if (arg == "--sched") {
-            const auto v = args.value(arg);
-            if (v == "gto")
-                o.query.sched = 0;
-            else if (v == "lrr")
-                o.query.sched = 1;
-            else if (v == "two")
-                o.query.sched = 2;
-            else
-                cli::badChoice(arg, v, "gto, lrr, two");
-        } else if (arg == "--pivot") {
-            o.query.vsPivot = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 0, 31));
-        } else if (arg == "--dynamic-isa") {
-            o.query.dynamicIsa = 1;
         } else if (arg == "--mask") {
             o.isaMask = parseHex64(arg, args.value(arg));
-        } else if (arg == "--node") {
-            const auto v = args.value(arg);
-            if (v == "28")
-                o.node = 0;
-            else if (v == "40")
-                o.node = 1;
-            else
-                cli::badChoice(arg, v, "28, 40");
-        } else if (arg == "--pstate") {
-            const auto v = args.value(arg);
-            if (v == "700")
-                o.pstate = 0;
-            else if (v == "500")
-                o.pstate = 1;
-            else if (v == "300")
-                o.pstate = 2;
-            else
-                cli::badChoice(arg, v, "700, 500, 300");
-        } else if (arg == "--cell") {
-            const auto v = args.value(arg);
-            if (v == "6t")
-                o.cell = 0;
-            else if (v == "8t")
-                o.cell = 1;
-            else if (v == "bvf8t")
-                o.cell = 2;
-            else if (v == "bvf6t")
-                o.cell = 3;
-            else if (v == "edram")
-                o.cell = 4;
-            else
-                cli::badChoice(arg, v, "bvf8t, bvf6t, 8t, 6t, edram");
-        } else if (arg == "--ecc") {
-            o.ecc = 1;
         } else if (arg == "--eval") {
             o.evalAfterSubmit = true;
-        } else if (arg == "--cells-bitline") {
-            o.cellsBitline = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 1,
-                                  core::Pricing::maxCellsPerBitline));
         } else if (arg == "--retries") {
             o.retries = cli::parseInteger(arg, args.value(arg), 0, 100);
         } else if (arg == "--backoff-ms") {
@@ -233,7 +159,14 @@ parse(int argc, char **argv)
     }
     if (o.command.empty()) {
         cli::dieUsage("no command (ping, eval-coder, density, energy, "
-                      "static, advise, submit, eval, metrics)");
+                      "static, advise, submit, eval, metrics)\n"
+                      "usage: bvf_client (--port N [--host H] | --unix "
+                      "PATH) [--retries N]\n"
+                      "                  [--backoff-ms N] [--deadline-ms N] "
+                      "[--mask HEX] [--eval]\n"
+                      "                  "
+                      + core::evalUsage("                  ")
+                      + "\n                  COMMAND ...");
     }
     if (o.command == "submit" && o.args.size() != 1)
         cli::dieUsage("submit needs exactly one kernel file");
@@ -452,8 +385,7 @@ cmdEvalCoder(const Options &o, int fd)
         req.coder = CoderKind::Isa;
     else
         cli::badChoice("eval-coder", kind, "identity, nv, vs, isa");
-    req.arch = o.query.arch;
-    req.vsPivot = o.query.vsPivot;
+    setEvalConfig(req, o.eval);
     req.isaMask = o.isaMask;
     for (std::size_t i = 1; i < o.args.size(); ++i)
         req.words.push_back(parseHex64("eval-coder word", o.args[i]));
@@ -489,7 +421,8 @@ queryFor(const Options &o)
 {
     fatal_if(o.args.empty(), "%s needs an application abbreviation",
              o.command.c_str());
-    AppQuery q = o.query;
+    AppQuery q;
+    setEvalConfig(q, o.eval);
     q.abbr = o.args[0];
     return q;
 }
@@ -530,16 +463,29 @@ cmdDensity(const Options &o, int fd)
     return 0;
 }
 
+void
+printEnergyTable(const std::array<double, kScenarioSlots> &chip,
+                 const std::array<double, kScenarioSlots> &bvfUnits)
+{
+    const auto base = static_cast<std::size_t>(
+        coder::scenarioIndex(coder::Scenario::Baseline));
+    for (const auto s : coder::allScenarios) {
+        const auto idx =
+            static_cast<std::size_t>(coder::scenarioIndex(s));
+        std::printf("  %-10s chip %10.3f uJ (%+6.2f%%)  bvf-units "
+                    "%10.3f uJ\n",
+                    coder::scenarioName(s).c_str(), chip[idx] * 1e6,
+                    100.0 * (chip[idx] / chip[base] - 1.0),
+                    bvfUnits[idx] * 1e6);
+    }
+}
+
 int
 cmdEnergy(const Options &o, int fd)
 {
     ChipEnergyRequest req;
+    setEvalConfig(req, o.eval);
     req.query = queryFor(o);
-    req.node = o.node;
-    req.pstate = o.pstate;
-    req.cell = o.cell;
-    req.ecc = o.ecc;
-    req.cellsBitline = o.cellsBitline;
     sendAll(fd, encodeFrame(MsgType::ChipEnergyRequest, req.encode()));
     std::string buf;
     const Frame frame = recvFrame(o, fd, buf);
@@ -552,18 +498,7 @@ cmdEnergy(const Options &o, int fd)
                 req.query.abbr.c_str(),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.instructions));
-    const auto base = static_cast<std::size_t>(
-        coder::scenarioIndex(coder::Scenario::Baseline));
-    for (const auto s : coder::allScenarios) {
-        const auto idx =
-            static_cast<std::size_t>(coder::scenarioIndex(s));
-        std::printf("  %-10s chip %10.3f uJ (%+6.2f%%)  bvf-units "
-                    "%10.3f uJ\n",
-                    coder::scenarioName(s).c_str(),
-                    r.chipEnergy[idx] * 1e6,
-                    100.0 * (r.chipEnergy[idx] / r.chipEnergy[base] - 1.0),
-                    r.bvfUnitsEnergy[idx] * 1e6);
-    }
+    printEnergyTable(r.chipEnergy, r.bvfUnitsEnergy);
     return 0;
 }
 
@@ -674,38 +609,13 @@ loadKernelBytecode(const std::string &path)
     return isa::encodeProgram(parsed.value());
 }
 
-void
-printEnergyTable(const std::array<double, kScenarioSlots> &chip,
-                 const std::array<double, kScenarioSlots> &bvfUnits)
-{
-    const auto base = static_cast<std::size_t>(
-        coder::scenarioIndex(coder::Scenario::Baseline));
-    for (const auto s : coder::allScenarios) {
-        const auto idx =
-            static_cast<std::size_t>(coder::scenarioIndex(s));
-        std::printf("  %-10s chip %10.3f uJ (%+6.2f%%)  bvf-units "
-                    "%10.3f uJ\n",
-                    coder::scenarioName(s).c_str(), chip[idx] * 1e6,
-                    100.0 * (chip[idx] / chip[base] - 1.0),
-                    bvfUnits[idx] * 1e6);
-    }
-}
-
 /** Send one EvalSubmitted request and print the result. */
 int
 evalByDigest(const Options &o, int fd, const std::string &digest)
 {
     EvalSubmittedRequest req;
+    setEvalConfig(req, o.eval);
     req.digest = digest;
-    req.arch = o.query.arch;
-    req.sched = o.query.sched;
-    req.vsPivot = o.query.vsPivot;
-    req.dynamicIsa = o.query.dynamicIsa;
-    req.node = o.node;
-    req.pstate = o.pstate;
-    req.cell = o.cell;
-    req.ecc = o.ecc;
-    req.cellsBitline = o.cellsBitline;
     sendAll(fd, encodeFrame(MsgType::EvalSubmittedRequest, req.encode()));
     std::string buf;
     const Frame frame = recvFrame(o, fd, buf);

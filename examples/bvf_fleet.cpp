@@ -41,8 +41,9 @@
  *   --resume            continue from existing shard journals
  *   --jobs N            concurrent in-flight applications (default 4)
  *   --arch/--sched/--pivot/--dynamic-isa/--node/--pstate/--cell/
- *   --ecc/--cells-bitline   as in bvf_sim; bvf6t is rejected (the
- *                           wire cannot arm fault injection)
+ *   --ecc/--cells-bitline   as in bvf_sim; bvf6t past its reliability
+ *                           limit is rejected (a fault study needs a
+ *                           fault seed, which the wire cannot carry)
  *
  * Serve options:
  *   --host ADDR --port N --unix PATH --max-inflight N   as in bvfd
@@ -53,10 +54,9 @@
 #include <string>
 #include <vector>
 
-#include "circuit/mem_cell.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "core/experiment.hh"
+#include "core/eval_config.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/fleet_campaign.hh"
 #include "server/server.hh"
@@ -93,6 +93,8 @@ parse(int argc, char **argv)
     cli::ArgStream args(argc, argv);
     std::string arg;
     while (args.next(arg)) {
+        if (core::parseEvalFlag(args, arg, o.campaign.config))
+            continue;
         if (arg == "--worker") {
             auto addr = fleet::parseWorkerAddress(args.value(arg));
             if (!addr.ok())
@@ -127,71 +129,6 @@ parse(int argc, char **argv)
         } else if (arg == "--jobs") {
             o.campaign.jobs =
                 cli::parseInteger(arg, args.value(arg), 1, 64);
-        } else if (arg == "--arch") {
-            const auto v = args.value(arg);
-            if (v == "fermi")
-                o.campaign.arch = 0;
-            else if (v == "kepler")
-                o.campaign.arch = 1;
-            else if (v == "maxwell")
-                o.campaign.arch = 2;
-            else if (v == "pascal")
-                o.campaign.arch = 3;
-            else
-                cli::badChoice(arg, v, "fermi, kepler, maxwell, pascal");
-        } else if (arg == "--sched") {
-            const auto v = args.value(arg);
-            if (v == "gto")
-                o.campaign.sched = 0;
-            else if (v == "lrr")
-                o.campaign.sched = 1;
-            else if (v == "two")
-                o.campaign.sched = 2;
-            else
-                cli::badChoice(arg, v, "gto, lrr, two");
-        } else if (arg == "--pivot") {
-            o.campaign.vsPivot = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 0, 31));
-        } else if (arg == "--dynamic-isa") {
-            o.campaign.dynamicIsa = true;
-        } else if (arg == "--node") {
-            const auto v = args.value(arg);
-            if (v == "28")
-                o.campaign.node = 0;
-            else if (v == "40")
-                o.campaign.node = 1;
-            else
-                cli::badChoice(arg, v, "28, 40");
-        } else if (arg == "--pstate") {
-            const auto v = args.value(arg);
-            if (v == "700")
-                o.campaign.pstate = 0;
-            else if (v == "500")
-                o.campaign.pstate = 1;
-            else if (v == "300")
-                o.campaign.pstate = 2;
-            else
-                cli::badChoice(arg, v, "700, 500, 300");
-        } else if (arg == "--cell") {
-            const auto v = args.value(arg);
-            if (v == "6t")
-                o.campaign.cell = circuit::CellKind::Sram6T;
-            else if (v == "8t")
-                o.campaign.cell = circuit::CellKind::Sram8T;
-            else if (v == "bvf8t")
-                o.campaign.cell = circuit::CellKind::SramBvf8T;
-            else if (v == "bvf6t")
-                o.campaign.cell = circuit::CellKind::SramBvf6T;
-            else if (v == "edram")
-                o.campaign.cell = circuit::CellKind::Edram3T;
-            else
-                cli::badChoice(arg, v, "bvf8t, bvf6t, 8t, 6t, edram");
-        } else if (arg == "--ecc") {
-            o.campaign.ecc = true;
-        } else if (arg == "--cells-bitline") {
-            o.campaign.cellsBitline = static_cast<std::uint32_t>(
-                cli::parseInteger(arg, args.value(arg), 1,
-                                  core::Pricing::maxCellsPerBitline));
         } else if (arg == "--host") {
             o.serve.host = args.value(arg);
         } else if (arg == "--port") {
@@ -216,8 +153,18 @@ parse(int argc, char **argv)
             o.apps.push_back(arg);
         }
     }
-    if (o.command != "campaign" && o.command != "serve")
-        cli::dieUsage("command must be 'campaign' or 'serve'");
+    if (o.command != "campaign" && o.command != "serve") {
+        cli::dieUsage(
+            "command must be 'campaign' or 'serve'\n"
+            "usage: bvf_fleet --worker HOST:PORT [--worker ...] campaign "
+            "APP... | all\n"
+            "                 --journal-dir DIR [--report FILE] [--resume] "
+            "[--jobs N]\n"
+            "                 "
+            + core::evalUsage("                 ")
+            + "\n       bvf_fleet --worker HOST:PORT [--worker ...] serve "
+              "[--port N]");
+    }
     if (o.fleet.workers.empty())
         cli::dieUsage("at least one --worker HOST:PORT is required");
     if (o.command == "campaign") {

@@ -9,12 +9,12 @@
  * malformed reconvergence annotations.
  *
  * Usage:
- *   bvf_lint [--arch fermi|kepler|maxwell|pascal] [--advise]
+ *   bvf_lint [--arch ARCH] [--advise]
  *            [--verify] [--optimize] [--json] [APP...]
  *
- * With no APP arguments the whole 58-app suite is linted. Exit status
- * is 0 when every kernel is clean and 1 otherwise, so CI can gate on
- * it directly.
+ * ARCH is spelled as bvf_sim's --arch. With no APP arguments the whole
+ * 58-app suite is linted. Exit status is 0 when every kernel is clean
+ * and 1 otherwise, so CI can gate on it directly.
  *
  * --advise runs the static coder advisor on each kernel and prints a
  * per-kernel report (proven per-pivot density bounds, the advised VS
@@ -53,6 +53,7 @@
 #include "analysis/verifier.hh"
 #include "common/cli.hh"
 #include "common/json.hh"
+#include "core/eval_config.hh"
 #include "workload/kernel_builder.hh"
 
 using namespace bvf;
@@ -109,17 +110,8 @@ parse(int argc, char **argv)
             // The linter's diagnostics are architecture-independent,
             // but --advise specializes the ISA mask per architecture,
             // and typos should fail loudly either way.
-            const auto v = args.value(arg);
-            if (v == "fermi")
-                opt.arch = isa::GpuArch::Fermi;
-            else if (v == "kepler")
-                opt.arch = isa::GpuArch::Kepler;
-            else if (v == "maxwell")
-                opt.arch = isa::GpuArch::Maxwell;
-            else if (v == "pascal")
-                opt.arch = isa::GpuArch::Pascal;
-            else
-                cli::badChoice(arg, v, "fermi, kepler, maxwell, pascal");
+            opt.arch = core::parseSpelling(arg, args.value(arg),
+                                           core::kArchSpellings);
         } else if (arg == "--advise") {
             opt.advise = true;
         } else if (arg == "--verify") {

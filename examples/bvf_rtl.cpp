@@ -45,6 +45,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "core/eval_config.hh"
 #include "core/trace.hh"
 #include "gpu/gpu.hh"
 #include "isa/encoding.hh"
@@ -59,20 +60,6 @@ using namespace bvf;
 
 namespace
 {
-
-isa::GpuArch
-parseArch(const std::string &value)
-{
-    if (value == "fermi")
-        return isa::GpuArch::Fermi;
-    if (value == "kepler")
-        return isa::GpuArch::Kepler;
-    if (value == "maxwell")
-        return isa::GpuArch::Maxwell;
-    if (value == "pascal")
-        return isa::GpuArch::Pascal;
-    cli::badChoice("--arch", value, "fermi, kepler, maxwell, pascal");
-}
 
 /** Specialized ISA mask of one suite application. */
 Word64
@@ -95,7 +82,8 @@ runEmit(cli::ArgStream &args, std::string arg)
         if (arg == "-o" || arg == "--out")
             outDir = args.value(arg);
         else if (arg == "--arch")
-            arch = parseArch(args.value(arg));
+            arch = core::parseSpelling(arg, args.value(arg),
+                                       core::kArchSpellings);
         else if (arg == "--suite-masks")
             suiteMasks = true;
         else
@@ -178,7 +166,8 @@ runCosim(cli::ArgStream &args, std::string arg)
         else if (arg == "--seed")
             seed = cli::parseU64(arg, args.value(arg));
         else if (arg == "--arch")
-            arch = parseArch(args.value(arg));
+            arch = core::parseSpelling(arg, args.value(arg),
+                                       core::kArchSpellings);
         else if (arg == "--pivot")
             pivot = cli::parseInteger(arg, args.value(arg), 0, 31);
         else if (arg == "--dynamic-isa")

@@ -16,18 +16,16 @@
  *   bvf_sim --list
  *
  * Options:
- *   --node 28|40          technology node       (default 28)
- *   --pstate 700|500|300  DVFS point            (default 700)
- *   --sched gto|lrr|two   warp scheduler        (default gto)
- *   --cell bvf8t|bvf6t|8t|6t|edram  SRAM cells  (default bvf8t)
- *   --arch fermi|kepler|maxwell|pascal          (default pascal)
- *   --pivot N             VS register pivot     (default 21)
- *   --dynamic-isa         per-app ISA mask      (default static)
+ *   --node --pstate --sched --cell --arch --pivot --dynamic-isa --ecc
+ *   --cells-bitline       the shared evaluation knobs: technology node,
+ *                         DVFS point, warp scheduler, SRAM cells, ISA,
+ *                         VS register pivot, per-app ISA mask, SECDED
+ *                         (72,64) on every SRAM read port, bitline
+ *                         height (spellings and defaults in
+ *                         src/core/eval_config.hh)
  *   --trace FILE          dump the access trace
  *   --fault-rate R        per-bit soft-error rate per read (default 0)
  *   --fault-seed N        fault-stream seed     (default 1)
- *   --ecc                 SECDED(72,64) on every SRAM read port
- *   --cells-bitline N     bitline column height (default 128)
  *   --log-level quiet|warn|info|debug           (default warn)
  *   --list                list the 58 applications and exit
  *   --analyze             static report only (lint + density bounds),
@@ -80,6 +78,7 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "core/eval_config.hh"
 #include "core/experiment.hh"
 #include "core/trace.hh"
 #include "fault/fault_sink.hh"
@@ -92,18 +91,10 @@ namespace
 
 struct Options
 {
-    circuit::TechNode node = circuit::TechNode::N28;
-    gpu::PState pstate = gpu::pstateNominal();
-    gpu::SchedulerPolicy sched = gpu::SchedulerPolicy::Gto;
-    circuit::CellKind cell = circuit::CellKind::SramBvf8T;
-    isa::GpuArch arch = isa::GpuArch::Pascal;
-    int pivot = 21;
-    bool dynamicIsa = false;
+    core::EvalConfig eval;
     std::string traceFile;
     double faultRate = 0.0;
     std::uint64_t faultSeed = 1;
-    bool ecc = false;
-    int cellsBitline = 128;
     std::vector<std::string> apps;
     bool list = false;
     bool analyze = false;
@@ -121,7 +112,6 @@ struct Options
     std::string goldenFile;
 };
 
-using cli::badChoice;
 using cli::dieUsage;
 using cli::parseInteger;
 using cli::parseNumber;
@@ -133,20 +123,16 @@ usage()
     // The full usage block bypasses the "bvf_sim: ..." diagnostic
     // prefix; throwing would reformat it, so it prints and exits here.
     std::fprintf(stderr,
-                 "usage: bvf_sim [--node 28|40] [--pstate 700|500|300] "
-                 "[--sched gto|lrr|two]\n"
-                 "               [--cell bvf8t|bvf6t|8t|6t|edram] "
-                 "[--arch fermi|kepler|maxwell|pascal]\n"
-                 "               [--pivot N] [--dynamic-isa] "
-                 "[--trace FILE]\n"
-                 "               [--fault-rate R] [--fault-seed N] "
-                 "[--ecc] [--cells-bitline N]\n"
+                 "usage: bvf_sim %s\n"
+                 "               [--trace FILE] [--fault-rate R] "
+                 "[--fault-seed N]\n"
                  "               [--log-level quiet|warn|info|debug]\n"
                  "               [--journal FILE] [--resume] "
                  "[--app-timeout SEC] [--max-retries N]\n"
                  "               [--jobs N] [--report FILE] "
                  "[--golden FILE]\n"
-                 "               APP... | --list\n");
+                 "               APP... | --list\n",
+                 core::evalUsage("               ").c_str());
     std::exit(cli::kExitUsage);
 }
 
@@ -158,80 +144,19 @@ parse(int argc, char **argv)
     std::string arg;
     while (args.next(arg)) {
         auto next = [&]() { return args.value(arg); };
-        if (arg == "--node") {
-            const auto v = next();
-            if (v == "40")
-                o.node = circuit::TechNode::N40;
-            else if (v == "28")
-                o.node = circuit::TechNode::N28;
-            else
-                badChoice(arg, v, "28, 40");
-        } else if (arg == "--pstate") {
-            const auto v = next();
-            if (v == "300")
-                o.pstate = gpu::pstateLow();
-            else if (v == "500")
-                o.pstate = gpu::pstateMid();
-            else if (v == "700")
-                o.pstate = gpu::pstateNominal();
-            else
-                badChoice(arg, v, "700, 500, 300");
-        } else if (arg == "--sched") {
-            const auto v = next();
-            if (v == "lrr")
-                o.sched = gpu::SchedulerPolicy::Lrr;
-            else if (v == "two")
-                o.sched = gpu::SchedulerPolicy::TwoLevel;
-            else if (v == "gto")
-                o.sched = gpu::SchedulerPolicy::Gto;
-            else
-                badChoice(arg, v, "gto, lrr, two");
-        } else if (arg == "--cell") {
-            const auto v = next();
-            if (v == "8t")
-                o.cell = circuit::CellKind::Sram8T;
-            else if (v == "6t")
-                o.cell = circuit::CellKind::Sram6T;
-            else if (v == "bvf6t")
-                o.cell = circuit::CellKind::SramBvf6T;
-            else if (v == "edram")
-                o.cell = circuit::CellKind::Edram3T;
-            else if (v == "bvf8t")
-                o.cell = circuit::CellKind::SramBvf8T;
-            else
-                badChoice(arg, v, "bvf8t, bvf6t, 8t, 6t, edram");
-        } else if (arg == "--arch") {
-            const auto v = next();
-            if (v == "fermi")
-                o.arch = isa::GpuArch::Fermi;
-            else if (v == "kepler")
-                o.arch = isa::GpuArch::Kepler;
-            else if (v == "maxwell")
-                o.arch = isa::GpuArch::Maxwell;
-            else if (v == "pascal")
-                o.arch = isa::GpuArch::Pascal;
-            else
-                badChoice(arg, v, "fermi, kepler, maxwell, pascal");
-        } else if (arg == "--pivot") {
-            o.pivot = parseInteger(arg, next(), 0, 31);
-        } else if (arg == "--dynamic-isa") {
-            o.dynamicIsa = true;
-        } else if (arg == "--trace") {
+        if (core::parseEvalFlag(args, arg, o.eval))
+            continue;
+        if (arg == "--trace") {
             o.traceFile = next();
         } else if (arg == "--fault-rate") {
             o.faultRate = parseNumber(arg, next(), 0.0, 1.0);
         } else if (arg == "--fault-seed") {
             o.faultSeed = parseU64(arg, next());
-        } else if (arg == "--ecc") {
-            o.ecc = true;
-        } else if (arg == "--cells-bitline") {
-            o.cellsBitline = parseInteger(arg, next(), 1,
-                                          core::Pricing::maxCellsPerBitline);
         } else if (arg == "--log-level") {
             const auto v = next();
             LogLevel level;
             if (!parseLogLevel(v, level))
-                badChoice(arg, v, "quiet, warn, info, debug");
+                cli::badChoice(arg, v, "quiet, warn, info, debug");
             setLogLevel(level);
         } else if (arg == "--journal") {
             o.journalFile = next();
@@ -276,11 +201,11 @@ parse(int argc, char **argv)
         dieUsage("--trace is not supported in campaign mode");
     if (o.analyze && o.campaign)
         dieUsage("--analyze is a static mode; campaign flags do not apply");
-    if (o.checkStatic && o.ecc)
+    if (o.checkStatic && o.eval.ecc)
         dieUsage("--check-static is incompatible with --ecc");
     if (o.checkStatic && o.faultRate > 0.0)
         dieUsage("--check-static is incompatible with --fault-rate");
-    if (o.checkAdvice && o.ecc)
+    if (o.checkAdvice && o.eval.ecc)
         dieUsage("--check-advice is incompatible with --ecc");
     if (o.checkAdvice && o.faultRate > 0.0)
         dieUsage("--check-advice is incompatible with --fault-rate");
@@ -289,21 +214,6 @@ parse(int argc, char **argv)
     if (o.checkAdvice && o.analyze)
         dieUsage("--check-advice needs a simulation; drop --analyze");
     return o;
-}
-
-/** The fault configuration both modes share (soft errors + disturb). */
-fault::FaultConfig
-faultConfigFor(const Options &o)
-{
-    fault::FaultConfig cfg;
-    cfg.seed = o.faultSeed;
-    cfg.softErrorRate = o.faultRate;
-    cfg.readDisturbRate = fault::readDisturbFlipProbability(
-        o.cell, o.node, o.pstate.vdd, o.cellsBitline);
-    cfg.ecc = o.ecc ? fault::EccScheme::Secded72_64
-                    : fault::EccScheme::None;
-    cfg.enabled = o.faultRate > 0.0 || cfg.readDisturbRate > 0.0;
-    return cfg;
 }
 
 /** Resolve the app list ("all" expands; duplicates dropped). */
@@ -340,10 +250,7 @@ resolveApps(const std::vector<std::string> &names)
 int
 runCampaign(const Options &o)
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.scheduler = o.sched;
-    config.arch = o.arch;
-    core::ExperimentDriver driver(config);
+    core::ExperimentDriver driver(o.eval.machine());
 
     campaign::CampaignOptions copts;
     copts.journalPath = o.journalFile;
@@ -352,17 +259,9 @@ runCampaign(const Options &o)
         static_cast<long long>(o.appTimeoutSec * 1000.0));
     copts.maxRetries = o.maxRetries;
     copts.jobs = o.jobs;
-    copts.run.dynamicIsa = o.dynamicIsa;
-    copts.run.vsRegisterPivot = o.pivot;
-    copts.run.fault = faultConfigFor(o);
+    copts.run = o.eval.runOptions(o.faultRate, o.faultSeed);
     copts.run.checkStatic = o.checkStatic;
-    copts.pricing.node = o.node;
-    copts.pricing.pstate = o.pstate;
-    copts.pricing.cellKind = o.cell;
-    copts.pricing.ecc = o.ecc;
-    copts.pricing.cellsPerBitline = o.cellsBitline;
-    copts.pricing.allowUnreliableCells =
-        copts.run.fault.readDisturbRate > 0.0;
+    copts.pricing = o.eval.pricing();
 
     const auto specs = resolveApps(o.apps);
     campaign::CampaignRunner runner(driver, copts);
@@ -375,9 +274,10 @@ runCampaign(const Options &o)
     // the canonical report, which must be resume-invariant).
     TextTable table(strFormat(
         "Campaign: %zu apps on %s / %s / %s cells / %s scheduler",
-        report.results.size(), circuit::techNodeName(o.node).c_str(),
-        o.pstate.name.c_str(), circuit::cellKindName(o.cell).c_str(),
-        gpu::schedulerName(o.sched).c_str()));
+        report.results.size(), circuit::techNodeName(o.eval.node).c_str(),
+        o.eval.pstate.name.c_str(),
+        circuit::cellKindName(o.eval.cell).c_str(),
+        gpu::schedulerName(o.eval.sched).c_str()));
     table.header({"Abbr", "Status", "Attempts", "Source", "Cycles",
                   "Chip[uJ]", "BVF saving"});
     for (const auto &r : report.results) {
@@ -442,20 +342,18 @@ runCampaign(const Options &o)
 std::size_t
 runAnalyze(const Options &o, const workload::AppSpec &spec)
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.scheduler = o.sched;
-    config.arch = o.arch;
+    const gpu::GpuConfig config = o.eval.machine();
 
     isa::Program program = workload::buildProgram(spec);
     const auto findings = analysis::lintProgram(program);
 
     Word64 isa_mask = 0;
-    if (o.dynamicIsa) {
-        const isa::InstructionEncoder encoder(o.arch);
+    if (o.eval.dynamicIsa) {
+        const isa::InstructionEncoder encoder(config.arch);
         isa_mask = isa::extractPreferenceMask(encoder.encode(program.body));
     }
     const core::StaticReport report =
-        core::analyzeStatic(program, config, isa_mask, o.pivot);
+        core::analyzeStatic(program, config, isa_mask, o.eval.pivot);
 
     TextTable table(strFormat(
         "%s (%s): proven bit-1 density intervals (%zu instructions)",
@@ -502,19 +400,17 @@ runAnalyze(const Options &o, const workload::AppSpec &spec)
 void
 runOne(const Options &o, const workload::AppSpec &spec)
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.scheduler = o.sched;
-    config.arch = o.arch;
-    core::ExperimentDriver driver(config);
+    const gpu::GpuConfig config = o.eval.machine();
+    const core::ExperimentDriver driver(config);
 
     core::AccountantOptions acc_opts;
-    acc_opts.arch = o.arch;
-    acc_opts.vsRegisterPivot = o.pivot;
-    acc_opts.eccAccounting = o.ecc;
+    acc_opts.arch = config.arch;
+    acc_opts.vsRegisterPivot = o.eval.pivot;
+    acc_opts.eccAccounting = o.eval.ecc;
 
     isa::Program program = workload::buildProgram(spec);
-    if (o.dynamicIsa) {
-        const isa::InstructionEncoder encoder(o.arch);
+    if (o.eval.dynamicIsa) {
+        const isa::InstructionEncoder encoder(config.arch);
         acc_opts.dynamicIsaMask =
             isa::extractPreferenceMask(encoder.encode(program.body));
     }
@@ -524,7 +420,8 @@ runOne(const Options &o, const workload::AppSpec &spec)
 
     // Fault model: explicit soft errors, plus the physics-derived
     // read-disturb rate if a BVF-6T machine was selected.
-    const fault::FaultConfig fault_cfg = faultConfigFor(o);
+    const fault::FaultConfig fault_cfg =
+        o.eval.runOptions(o.faultRate, o.faultSeed).fault;
 
     // The static report must precede the move of the program into the
     // machine, and its knobs must mirror the accountant's.
@@ -535,7 +432,7 @@ runOne(const Options &o, const workload::AppSpec &spec)
                  "(the selected cell arms the read-disturb model)");
         static_report = core::analyzeStatic(program, config,
                                             accountant->isaMask(),
-                                            o.pivot);
+                                            o.eval.pivot);
     }
 
     // The advisor, like the static report, must see the program before
@@ -546,7 +443,7 @@ runOne(const Options &o, const workload::AppSpec &spec)
                  "--check-advice is incompatible with fault injection "
                  "(the selected cell arms the read-disturb model)");
         analysis::AdvisorOptions advisor_opts;
-        advisor_opts.arch = o.arch;
+        advisor_opts.arch = config.arch;
         advisor_opts.lineBytes = config.lineBytes;
         advice = analysis::adviseProgram(
             program, analysis::analyzeProgram(program), advisor_opts);
@@ -651,29 +548,25 @@ runOne(const Options &o, const workload::AppSpec &spec)
                     static_cast<unsigned long long>(sweep.accesses()));
     }
 
-    power::ChipModelOptions array_opts;
-    array_opts.ecc = o.ecc;
-    array_opts.cellsPerBitline = o.cellsBitline;
-    // A modelled read disturb is the only licence to price a BVF-6T
-    // array past its reliability limit.
-    array_opts.allowUnreliableCells = fault_cfg.readDisturbRate > 0.0;
-    power::ChipPowerModel model(o.node, o.pstate.vdd, o.pstate.frequency,
-                                o.cell, config, array_opts);
+    core::AppRun run;
+    run.abbr = spec.abbr;
+    run.gpuStats = stats;
+    run.accountant = accountant;
+    const core::AppEnergy energies = driver.evaluate(run, o.eval.pricing());
 
     TextTable table(strFormat(
         "%s (%s) on %s / %s / %s cells / %s scheduler",
         spec.name.c_str(), spec.abbr.c_str(),
-        circuit::techNodeName(o.node).c_str(), o.pstate.name.c_str(),
-        circuit::cellKindName(o.cell).c_str(),
-        gpu::schedulerName(o.sched).c_str()));
+        circuit::techNodeName(o.eval.node).c_str(),
+        o.eval.pstate.name.c_str(),
+        circuit::cellKindName(o.eval.cell).c_str(),
+        gpu::schedulerName(o.eval.sched).c_str()));
     table.header({"Scenario", "Chip[uJ]", "vs baseline", "Units[uJ]",
                   "NoC 1-density"});
     double base_chip = 0.0;
     for (const auto s : coder::allScenarios) {
         const auto &noc = accountant->noc(s);
-        const auto energy = model.evaluate(
-            accountant->unitStats(s), noc.toggles, noc.flits, stats,
-            s != coder::Scenario::Baseline);
+        const power::ChipEnergy &energy = energies.at(s);
         if (s == coder::Scenario::Baseline)
             base_chip = energy.chipTotal();
         table.row(
@@ -688,13 +581,13 @@ runOne(const Options &o, const workload::AppSpec &spec)
     }
     table.print();
 
-    if (fault_sink || o.ecc) {
+    if (fault_sink || o.eval.ecc) {
         TextTable faults(strFormat(
             "Faults and ECC (seed %llu, soft %.2e, disturb %.2e, "
             "%d cells/bitline, %s)",
             static_cast<unsigned long long>(fault_cfg.seed),
             fault_cfg.softErrorRate, fault_cfg.readDisturbRate,
-            o.cellsBitline, fault::eccSchemeName(fault_cfg.ecc)));
+            o.eval.cellsBitline, fault::eccSchemeName(fault_cfg.ecc)));
         faults.header({"Unit", "Codewords", "Flips", "Corrected",
                        "Uncorrectable", "Silent", "Residual bits",
                        "Uncorr. rate"});

@@ -16,6 +16,7 @@
 #include "common/cli.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "core/eval_config.hh"
 #include "core/experiment.hh"
 
 using namespace bvf;
@@ -32,11 +33,7 @@ struct Options
 circuit::TechNode
 parseNode(const std::string &flag, const std::string &value)
 {
-    if (value == "28")
-        return circuit::TechNode::N28;
-    if (value == "40")
-        return circuit::TechNode::N40;
-    cli::badChoice(flag, value, "28, 40");
+    return core::parseSpelling(flag, value, core::kNodeSpellings);
 }
 
 Options
@@ -51,7 +48,7 @@ parse(int argc, char **argv)
             opt.node = parseNode(arg, args.value(arg));
         } else if (arg.rfind("--", 0) == 0) {
             cli::dieUsage("unknown option '" + arg + "'");
-        } else if (arg == "28" || arg == "40") {
+        } else if (core::findSpelling(core::kNodeSpellings, arg)) {
             opt.node = parseNode("node", arg);
         } else if (!have_app) {
             opt.abbr = arg;

@@ -20,6 +20,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "core/eval_config.hh"
 
 using namespace bvf;
 using circuit::CellKind;
@@ -30,11 +31,7 @@ namespace
 circuit::TechNode
 parseNode(const std::string &flag, const std::string &value)
 {
-    if (value == "28")
-        return circuit::TechNode::N28;
-    if (value == "40")
-        return circuit::TechNode::N40;
-    cli::badChoice(flag, value, "28, 40");
+    return core::parseSpelling(flag, value, core::kNodeSpellings);
 }
 
 circuit::TechNode

@@ -7,6 +7,8 @@
 # mid-run and restarts it on the same port. The fleet must fail the
 # dead worker over, keep every app exactly-once, and produce a merged
 # report that is byte-for-byte identical (cmp) to the serial golden.
+# A last leg runs a 2-app --ecc campaign through the same fleet and
+# cmps it against `bvf_sim --ecc` on the same apps.
 #
 # Usage: scripts/ci_fleet_chaos.sh [path/to/bvfd] [path/to/bvf_fleet] \
 #                                  [path/to/bvf_sim]
@@ -122,6 +124,23 @@ FAILOVERS="$(sed -n 's/.*failovers \([0-9][0-9]*\).*/\1/p' "$WORK/fleet.log")"
 [ "$FAILOVERS" -ge 1 ] \
     || fail "the SIGKILL produced no failovers; the kill missed the run"
 
+echo "== --ecc leg: a 2-app fleet report equals bvf_sim --ecc =="
+"$SIM" --ecc --report "$WORK/ecc-serial.txt" GAU HWL \
+    > "$WORK/ecc-serial.log" 2>&1 \
+    || fail "serial --ecc campaign failed (see $WORK/ecc-serial.log)"
+mkdir -p "$WORK/ecc-shards"
+"$FLEET" --worker "127.0.0.1:$PORT0" --worker "127.0.0.1:$PORT1" \
+    --worker "127.0.0.1:$PORT2" --deadline-ms 60000 \
+    campaign GAU HWL --ecc --journal-dir "$WORK/ecc-shards" \
+    --report "$WORK/ecc-fleet.txt" > "$WORK/ecc-fleet.log" 2>&1 \
+    || fail "fleet --ecc campaign failed (see $WORK/ecc-fleet.log)"
+cmp "$WORK/ecc-serial.txt" "$WORK/ecc-fleet.txt" \
+    || fail "fleet --ecc report differs from bvf_sim --ecc"
+
+for pid in $WORKER_PIDS; do
+    kill "$pid" 2>/dev/null
+    wait "$pid" 2>/dev/null
+done
 echo "PASS: fleet survived a SIGKILL+restart with a bit-identical report"
 rm -rf "$WORK"
 exit 0

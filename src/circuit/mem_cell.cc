@@ -350,6 +350,13 @@ class CellEdram3T : public MemCellModel
 
 } // namespace
 
+bool
+cellReliableAt(CellKind kind, int cellsPerBitline)
+{
+    return kind != CellKind::SramBvf6T
+           || cellsPerBitline <= CellBvf6T::maxReliableCellsPerBitline;
+}
+
 std::unique_ptr<MemCellModel>
 makeCellModel(CellKind kind, const TechParams &tech, double vdd,
               int cellsPerBitline, bool allowUnreliable)
@@ -363,9 +370,7 @@ makeCellModel(CellKind kind, const TechParams &tech, double vdd,
       case CellKind::SramBvf8T:
         return std::make_unique<CellBvf8T>(tech, vdd, cellsPerBitline);
       case CellKind::SramBvf6T:
-        fatal_if(!allowUnreliable
-                     && cellsPerBitline
-                            > CellBvf6T::maxReliableCellsPerBitline,
+        fatal_if(!allowUnreliable && !cellReliableAt(kind, cellsPerBitline),
                  "BVF-6T is unreliable beyond %d cells/bitline "
                  "(destructive read; see Section 7.1)",
                  CellBvf6T::maxReliableCellsPerBitline);

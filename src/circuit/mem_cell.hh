@@ -50,6 +50,13 @@ std::string cellKindName(CellKind kind);
 bool cellKindHasBvf(CellKind kind);
 
 /**
+ * True if a @p kind column of @p cellsPerBitline cells reads reliably.
+ * Only BVF-6T has a limit: past it a read of 0 flips the cell
+ * (Section 7.1).
+ */
+bool cellReliableAt(CellKind kind, int cellsPerBitline);
+
+/**
  * Value-dependent per-bit access energy and hold leakage for one cell in
  * a column of @c cellsPerBitline cells.
  *

@@ -116,6 +116,9 @@ class EnergyAccountant : public sram::AccessSink
     /** The ISA mask in use. */
     Word64 isaMask() const { return isaCoder_.mask(); }
 
+    /** True if SECDED check bits are accounted with the data bits. */
+    bool eccAccounting() const { return options_.eccAccounting; }
+
   private:
     /** Words per NoC flit (32B flits, Table 3). */
     static constexpr std::size_t flitWords = 8;

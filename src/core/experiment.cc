@@ -221,6 +221,13 @@ ExperimentDriver::runSuiteChecked(const RunOptions &options) const
 AppEnergy
 ExperimentDriver::evaluate(const AppRun &run, const Pricing &pricing) const
 {
+    // Check bits change the stored 0/1 mix, so SECDED arrays priced
+    // over a stream that never accounted them would be silently wrong.
+    fatal_if(pricing.ecc != run.accountant->eccAccounting(),
+             "%s: Pricing::ecc (%d) must match the run's SECDED check-bit "
+             "accounting, RunOptions::fault.ecc (%d)",
+             run.abbr.c_str(), pricing.ecc ? 1 : 0,
+             run.accountant->eccAccounting() ? 1 : 0);
     power::ChipModelOptions array_opts;
     array_opts.ecc = pricing.ecc;
     array_opts.cellsPerBitline = pricing.cellsPerBitline;

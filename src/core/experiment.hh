@@ -85,7 +85,10 @@ struct Pricing
     gpu::PState pstate = {700.0e6, 1.2, "700MHz@1.2V"};
     circuit::CellKind cellKind = circuit::CellKind::SramBvf8T;
 
-    /** Price SECDED(72,64) storage (pair with RunOptions ECC). */
+    /**
+     * Price SECDED(72,64) storage. Must match the run's accounting
+     * (RunOptions::fault.ecc); ExperimentDriver::evaluate checks it.
+     */
     bool ecc = false;
 
     /** Bitline length of every BVF array (Table 3 machine: 128). */
@@ -229,7 +232,10 @@ class ExperimentDriver
     /** Fail-soft run of the full 58-app suite. */
     SuiteResult runSuiteChecked(const RunOptions &options = {}) const;
 
-    /** Price one run under @p pricing. */
+    /**
+     * Price one run under @p pricing; fatal() when pricing.ecc
+     * disagrees with whether the run accounted SECDED check bits.
+     */
     AppEnergy evaluate(const AppRun &run, const Pricing &pricing) const;
 
     /** Price a set of runs. */

@@ -12,8 +12,6 @@
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
 #include "core/experiment.hh"
-#include "fault/fault_model.hh"
-#include "gpu/gpu_config.hh"
 #include "runtime/ordered.hh"
 #include "runtime/thread_pool.hh"
 
@@ -27,54 +25,6 @@ using server::MsgType;
 
 namespace
 {
-
-const gpu::PState &
-pstateFromIndex(std::uint8_t idx)
-{
-    return idx == 0 ? gpu::pstateNominal()
-           : idx == 1 ? gpu::pstateMid()
-                      : gpu::pstateLow();
-}
-
-gpu::SchedulerPolicy
-schedFromIndex(std::uint8_t idx)
-{
-    static constexpr gpu::SchedulerPolicy policies[] = {
-        gpu::SchedulerPolicy::Gto, gpu::SchedulerPolicy::Lrr,
-        gpu::SchedulerPolicy::TwoLevel};
-    return policies[idx];
-}
-
-/**
- * The exact CampaignOptions a serial `bvf_sim campaign` run of this
- * configuration would build -- the digest depends on every field, so
- * this mapping must track bvf_sim's runCampaign() bit for bit.
- */
-campaign::CampaignOptions
-serialEquivalentOptions(const FleetCampaignOptions &o)
-{
-    campaign::CampaignOptions copts;
-    copts.run.dynamicIsa = o.dynamicIsa;
-    copts.run.vsRegisterPivot = static_cast<int>(o.vsPivot);
-    copts.run.fault.seed = 1;
-    copts.run.fault.readDisturbRate = fault::readDisturbFlipProbability(
-        o.cell, o.node == 0 ? circuit::TechNode::N28
-                            : circuit::TechNode::N40,
-        pstateFromIndex(o.pstate).vdd,
-        static_cast<int>(o.cellsBitline));
-    copts.run.fault.ecc = o.ecc ? fault::EccScheme::Secded72_64
-                                : fault::EccScheme::None;
-    copts.run.fault.enabled = copts.run.fault.readDisturbRate > 0.0;
-    copts.pricing.node = o.node == 0 ? circuit::TechNode::N28
-                                     : circuit::TechNode::N40;
-    copts.pricing.pstate = pstateFromIndex(o.pstate);
-    copts.pricing.cellKind = o.cell;
-    copts.pricing.ecc = o.ecc;
-    copts.pricing.cellsPerBitline = static_cast<int>(o.cellsBitline);
-    copts.pricing.allowUnreliableCells =
-        copts.run.fault.readDisturbRate > 0.0;
-    return copts;
-}
 
 /** "127.0.0.1:7001" -> "127.0.0.1_7001" (filesystem-safe). */
 std::string
@@ -108,13 +58,11 @@ std::uint32_t
 FleetCampaign::configDigest(
     std::span<const workload::AppSpec> apps) const
 {
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.arch = isa::allGpuArchs()[options_.arch];
-    config.scheduler = schedFromIndex(options_.sched);
-    const core::ExperimentDriver driver(config);
-    campaign::CampaignRunner runner(driver,
-                                    serialEquivalentOptions(options_));
-    return runner.configDigest(apps);
+    const core::ExperimentDriver driver(options_.config.machine());
+    campaign::CampaignOptions serial;
+    serial.run = options_.config.runOptions();
+    serial.pricing = options_.config.pricing();
+    return campaign::CampaignRunner(driver, serial).configDigest(apps);
 }
 
 Result<FleetCampaignOutcome>
@@ -125,14 +73,9 @@ FleetCampaign::run(std::span<const workload::AppSpec> apps)
                      "fleet campaign requires --journal-dir: shard "
                      "journals are what the merge merges"};
     }
-    const auto serialOpts = serialEquivalentOptions(options_);
-    if (serialOpts.run.fault.readDisturbRate > 0.0) {
-        return Error{
-            ErrorCode::InvalidArgument,
-            strFormat("cell %s needs fault injection, which protocol "
-                      "v1 cannot express; run it with bvf_sim instead",
-                      circuit::cellKindName(options_.cell).c_str())};
-    }
+    if (auto servable = server::checkServable(options_.config);
+        !servable.ok())
+        return servable.error();
 
     const std::uint32_t digest = configDigest(apps);
     FleetCampaignOutcome out;
@@ -196,16 +139,8 @@ FleetCampaign::run(std::span<const workload::AppSpec> apps)
             return 0; // campaign already failed; stop burning workers
 
         server::ChipEnergyRequest req;
+        server::setEvalConfig(req, options_.config);
         req.query.abbr = spec.abbr;
-        req.query.arch = options_.arch;
-        req.query.sched = options_.sched;
-        req.query.vsPivot = options_.vsPivot;
-        req.query.dynamicIsa = options_.dynamicIsa ? 1 : 0;
-        req.node = options_.node;
-        req.pstate = options_.pstate;
-        req.cell = static_cast<std::uint8_t>(options_.cell);
-        req.ecc = options_.ecc ? 1 : 0;
-        req.cellsBitline = options_.cellsBitline;
         Frame frame{MsgType::ChipEnergyRequest, req.encode()};
 
         ExecuteInfo info;

@@ -27,63 +27,6 @@ namespace bvf::server
 namespace
 {
 
-isa::GpuArch
-archFromIndex(std::uint8_t idx)
-{
-    return isa::allGpuArchs()[idx];
-}
-
-gpu::SchedulerPolicy
-schedFromIndex(std::uint8_t idx)
-{
-    static constexpr gpu::SchedulerPolicy policies[] = {
-        gpu::SchedulerPolicy::Gto, gpu::SchedulerPolicy::Lrr,
-        gpu::SchedulerPolicy::TwoLevel};
-    return policies[idx];
-}
-
-/**
- * Resolve an AppQuery into a configured machine. fatal() from an
- * unknown abbreviation is trapped by the caller.
- */
-gpu::GpuConfig
-configFor(const AppQuery &q)
-{
-    gpu::GpuConfig config = gpu::baselineConfig();
-    config.arch = archFromIndex(q.arch);
-    config.scheduler = schedFromIndex(q.sched);
-    return config;
-}
-
-core::RunOptions
-runOptionsFor(const AppQuery &q)
-{
-    core::RunOptions run;
-    run.dynamicIsa = q.dynamicIsa != 0;
-    run.vsRegisterPivot = static_cast<int>(q.vsPivot);
-    return run;
-}
-
-/**
- * The Pricing selected by the five wire indices ChipEnergyRequest and
- * EvalSubmittedRequest share (already range-checked by their decoders).
- */
-template <typename Request>
-core::Pricing
-pricingFor(const Request &req)
-{
-    core::Pricing pricing;
-    pricing.node =
-        req.node == 0 ? circuit::TechNode::N28 : circuit::TechNode::N40;
-    pricing.pstate = req.pstate == 0   ? gpu::pstateNominal()
-                     : req.pstate == 1 ? gpu::pstateMid()
-                                       : gpu::pstateLow();
-    pricing.cellKind = static_cast<circuit::CellKind>(req.cell);
-    pricing.ecc = req.ecc != 0;
-    pricing.cellsPerBitline = static_cast<int>(req.cellsBitline);
-    return pricing;
-}
-
 /**
  * Run @p body with fatal() trapped; any failure becomes an
  * ErrorResponse frame instead of an exception or process exit.
@@ -146,7 +89,7 @@ RequestHandler::handleEvalCoder(const Frame &request) const
         if (req.coder == CoderKind::Isa) {
             const Word64 mask =
                 req.isaMask ? req.isaMask
-                            : isa::paperIsaMask(archFromIndex(req.arch));
+                            : isa::paperIsaMask(evalConfigOf(req).arch);
             const coder::IsaCoder isaCoder(mask);
             isaCoder.encodeSpan(resp.encoded);
         } else if (req.coder != CoderKind::Identity) {
@@ -191,8 +134,9 @@ RequestHandler::handleBitDensity(const Frame &request) const
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(q.abbr);
-        const core::ExperimentDriver driver(configFor(q));
-        const auto run = driver.runAppChecked(spec, runOptionsFor(q));
+        const core::EvalConfig config = evalConfigOf(q);
+        const core::ExperimentDriver driver(config.machine());
+        const auto run = driver.runAppChecked(spec, config.runOptions());
         if (!run.ok())
             return errorFrame(run.error());
 
@@ -243,17 +187,19 @@ RequestHandler::handleChipEnergy(const Frame &request) const
     if (!decoded.ok())
         return errorFrame(decoded.error());
     const ChipEnergyRequest &req = decoded.value();
+    const core::EvalConfig config = evalConfigOf(req);
+    if (auto servable = checkServable(config); !servable.ok())
+        return errorFrame(servable.error());
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(req.query.abbr);
-        const core::ExperimentDriver driver(configFor(req.query));
-        const auto run =
-            driver.runAppChecked(spec, runOptionsFor(req.query));
+        const core::ExperimentDriver driver(config.machine());
+        const auto run = driver.runAppChecked(spec, config.runOptions());
         if (!run.ok())
             return errorFrame(run.error());
 
         const core::AppEnergy energy =
-            driver.evaluate(run.value(), pricingFor(req));
+            driver.evaluate(run.value(), config.pricing());
 
         ChipEnergyResponse resp;
         resp.cycles = run.value().gpuStats.cycles;
@@ -278,17 +224,18 @@ RequestHandler::handleStaticQuery(const Frame &request) const
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(q.abbr);
-        const gpu::GpuConfig config = configFor(q);
+        const core::EvalConfig eval = evalConfigOf(q);
+        const gpu::GpuConfig config = eval.machine();
         const isa::Program program = workload::buildProgram(spec);
 
         Word64 isaMask = 0;
-        if (q.dynamicIsa) {
+        if (eval.dynamicIsa) {
             const isa::InstructionEncoder encoder(config.arch);
             isaMask =
                 isa::extractPreferenceMask(encoder.encode(program.body));
         }
-        const core::StaticReport report = core::analyzeStatic(
-            program, config, isaMask, static_cast<int>(q.vsPivot));
+        const core::StaticReport report =
+            core::analyzeStatic(program, config, isaMask, eval.pivot);
 
         StaticQueryResponse resp;
         resp.bestStatic = static_cast<std::uint8_t>(
@@ -331,7 +278,7 @@ RequestHandler::handleStaticAdvice(const Frame &request) const
 
     return guarded([&] {
         const workload::AppSpec &spec = workload::findApp(q.abbr);
-        const gpu::GpuConfig config = configFor(q);
+        const gpu::GpuConfig config = evalConfigOf(q).machine();
         const isa::Program program = workload::buildProgram(spec);
 
         analysis::AdvisorOptions opts;
@@ -432,6 +379,9 @@ RequestHandler::handleEvalSubmitted(const Frame &request) const
     if (!decoded.ok())
         return errorFrame(decoded.error());
     const EvalSubmittedRequest &req = decoded.value();
+    const core::EvalConfig config = evalConfigOf(req);
+    if (auto servable = checkServable(config); !servable.ok())
+        return errorFrame(servable.error());
 
     const auto stored = kernels_->find(req.digest);
     if (!stored) {
@@ -442,18 +392,13 @@ RequestHandler::handleEvalSubmitted(const Frame &request) const
     }
 
     return guarded([&] {
-        gpu::GpuConfig config = gpu::baselineConfig();
-        config.arch = archFromIndex(req.arch);
-        config.scheduler = schedFromIndex(req.sched);
-        const core::ExperimentDriver driver(config);
+        const core::ExperimentDriver driver(config.machine());
 
         // The certificate is enforced while the kernel runs: the probe
         // fatal()s -- trapped by guarded() -- on any trip-count or
         // footprint escape, which would be a verifier soundness bug.
         core::ContractProbe probe(stored->certificate);
-        core::RunOptions options;
-        options.dynamicIsa = req.dynamicIsa != 0;
-        options.vsRegisterPivot = static_cast<int>(req.vsPivot);
+        core::RunOptions options = config.runOptions();
         options.probe = &probe;
         // A certificate proving uniform control flow unlocks the SM's
         // specialized dispatch loop (results are byte-identical).
@@ -466,7 +411,7 @@ RequestHandler::handleEvalSubmitted(const Frame &request) const
             return errorFrame(run.error());
 
         const core::AppEnergy energy =
-            driver.evaluate(run.value(), pricingFor(req));
+            driver.evaluate(run.value(), config.pricing());
 
         EvalSubmittedResponse resp;
         resp.cycles = run.value().gpuStats.cycles;

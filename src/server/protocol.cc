@@ -10,7 +10,8 @@
 
 #include "analysis/verifier.hh"
 #include "common/crc32.hh"
-#include "core/experiment.hh"
+#include "circuit/mem_cell.hh"
+#include "common/logging.hh"
 
 namespace bvf::server
 {
@@ -347,32 +348,37 @@ getAppQuery(WireReader &r, AppQuery &q)
 }
 
 /**
- * Range-check the machine fields AppQuery and EvalSubmittedRequest
- * share: architecture, scheduler, VS pivot and the dynamic-ISA flag.
+ * Range-check the machine fields of AppQuery, EvalSubmittedRequest and
+ * (arch and pivot only) EvalCoderRequest: architecture, scheduler, VS
+ * pivot and the dynamic-ISA flag.
  */
 template <typename Request>
 Result<void>
 validateMachine(const Request &q)
 {
-    if (q.arch > 3) {
+    if (q.arch >= core::kArchSpellings.size()) {
         return Error{ErrorCode::InvalidArgument,
                      strFormat("architecture index %u out of range",
                                q.arch)};
     }
-    if (q.sched > 2) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("scheduler index %u out of range",
-                               q.sched)};
+    if constexpr (requires { q.sched; }) {
+        if (q.sched >= core::kSchedSpellings.size()) {
+            return Error{ErrorCode::InvalidArgument,
+                         strFormat("scheduler index %u out of range",
+                                   q.sched)};
+        }
     }
-    if (q.vsPivot > 31) {
+    if (q.vsPivot > core::EvalConfig::maxPivot) {
         return Error{ErrorCode::InvalidArgument,
-                     strFormat("VS pivot %u out of range [0, 31]",
-                               q.vsPivot)};
+                     strFormat("VS pivot %u out of range [0, %d]",
+                               q.vsPivot, core::EvalConfig::maxPivot)};
     }
-    if (q.dynamicIsa > 1) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("dynamic-ISA flag %u is not 0 or 1",
-                               q.dynamicIsa)};
+    if constexpr (requires { q.dynamicIsa; }) {
+        if (q.dynamicIsa > 1) {
+            return Error{ErrorCode::InvalidArgument,
+                         strFormat("dynamic-ISA flag %u is not 0 or 1",
+                                   q.dynamicIsa)};
+        }
     }
     return {};
 }
@@ -396,17 +402,17 @@ template <typename Request>
 Result<void>
 validatePricing(const Request &req)
 {
-    if (req.node > 1) {
+    if (req.node >= core::kNodeSpellings.size()) {
         return Error{ErrorCode::InvalidArgument,
                      strFormat("technology node index %u out of range",
                                req.node)};
     }
-    if (req.pstate > 2) {
+    if (req.pstate >= core::kPStateSpellings.size()) {
         return Error{ErrorCode::InvalidArgument,
                      strFormat("P-state index %u out of range",
                                req.pstate)};
     }
-    if (req.cell > 4) {
+    if (req.cell >= core::kCellSpellings.size()) {
         return Error{ErrorCode::InvalidArgument,
                      strFormat("cell kind index %u out of range",
                                req.cell)};
@@ -478,16 +484,8 @@ EvalCoderRequest::decode(std::string_view payload)
         return Error{ErrorCode::InvalidArgument,
                      strFormat("unknown coder kind %u", rawCoder)};
     }
-    if (req.arch > 3) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("architecture index %u out of range",
-                               req.arch)};
-    }
-    if (req.vsPivot > 31) {
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("VS pivot %u out of range [0, 31]",
-                               req.vsPivot)};
-    }
+    if (auto valid = validateMachine(req); !valid.ok())
+        return valid.error();
     if (count > kMaxWords) {
         return Error{ErrorCode::InvalidArgument,
                      strFormat("%u words exceed the per-request cap of %u",
@@ -1056,6 +1054,32 @@ WireError::decode(std::string_view payload)
     if (!r.exhausted())
         return trailingGarbage();
     return e;
+}
+
+// --- The evaluation config on the wire -----------------------------------
+
+std::uint8_t
+pstateIndex(const gpu::PState &pstate)
+{
+    for (std::uint8_t i = 0; i < core::kPStateSpellings.size(); ++i) {
+        const gpu::PState &p = core::kPStateSpellings[i].value();
+        if (p.frequency == pstate.frequency && p.vdd == pstate.vdd)
+            return i;
+    }
+    panic("P-state %s has no wire index", pstate.name.c_str());
+}
+
+Result<void>
+checkServable(const core::EvalConfig &config)
+{
+    if (circuit::cellReliableAt(config.cell, config.cellsBitline))
+        return {};
+    return Error{ErrorCode::InvalidArgument,
+                 strFormat("cell %s at %d cells/bitline is a read-disturb "
+                           "fault study, whose result depends on a fault "
+                           "seed no request carries; run it with bvf_sim",
+                           circuit::cellKindName(config.cell).c_str(),
+                           config.cellsBitline)};
 }
 
 } // namespace bvf::server

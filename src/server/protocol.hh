@@ -38,6 +38,7 @@
 
 #include "coder/scenario.hh"
 #include "common/result.hh"
+#include "core/eval_config.hh"
 
 namespace bvf::server
 {
@@ -451,6 +452,80 @@ struct WireError
     std::string encode() const;
     static Result<WireError> decode(std::string_view payload);
 };
+
+// --- The evaluation config on the wire -----------------------------------
+
+/** Position of @p pstate in core::kPStateSpellings, its wire index. */
+std::uint8_t pstateIndex(const gpu::PState &pstate);
+
+/**
+ * The config a decoded request asks for. An enumerated knob travels as
+ * its enum's value, a P-state as pstateIndex(); every decoder
+ * range-checks against the spelling tables first. Knobs the message
+ * lacks keep EvalConfig's defaults.
+ */
+template <typename Wire>
+core::EvalConfig
+evalConfigOf(const Wire &w)
+{
+    core::EvalConfig c;
+    if constexpr (requires { w.query; })
+        c = evalConfigOf(w.query);
+    if constexpr (requires { w.arch; })
+        c.arch = static_cast<isa::GpuArch>(w.arch);
+    if constexpr (requires { w.sched; })
+        c.sched = static_cast<gpu::SchedulerPolicy>(w.sched);
+    if constexpr (requires { w.vsPivot; })
+        c.pivot = static_cast<int>(w.vsPivot);
+    if constexpr (requires { w.dynamicIsa; })
+        c.dynamicIsa = w.dynamicIsa != 0;
+    if constexpr (requires { w.node; }) {
+        c.node = static_cast<circuit::TechNode>(w.node);
+        c.pstate = core::kPStateSpellings[w.pstate].value();
+        c.cell = static_cast<circuit::CellKind>(w.cell);
+        c.ecc = w.ecc != 0;
+        c.cellsBitline = static_cast<int>(w.cellsBitline);
+    }
+    return c;
+}
+
+/**
+ * Write @p c's wire indices into a request: the inverse of
+ * evalConfigOf(). abbr, digest and words are left alone.
+ */
+template <typename Wire>
+void
+setEvalConfig(Wire &w, const core::EvalConfig &c)
+{
+    if constexpr (requires { w.query; })
+        setEvalConfig(w.query, c);
+    if constexpr (requires { w.arch; })
+        w.arch = static_cast<std::uint8_t>(c.arch);
+    if constexpr (requires { w.sched; })
+        w.sched = static_cast<std::uint8_t>(c.sched);
+    if constexpr (requires { w.vsPivot; })
+        w.vsPivot = static_cast<std::uint32_t>(c.pivot);
+    if constexpr (requires { w.dynamicIsa; })
+        w.dynamicIsa = c.dynamicIsa ? 1 : 0;
+    if constexpr (requires { w.node; }) {
+        w.node = static_cast<std::uint8_t>(c.node);
+        w.pstate = pstateIndex(c.pstate);
+        w.cell = static_cast<std::uint8_t>(c.cell);
+        w.ecc = c.ecc ? 1 : 0;
+        w.cellsBitline = static_cast<std::uint32_t>(c.cellsBitline);
+    }
+}
+
+/**
+ * Whether a request may be evaluated under @p config. A request runs
+ * the config's full mapping, derived read disturb included, armed with
+ * the default fault seed just as a bvf_sim run without --fault-seed.
+ * Past a cell's reliability limit that disturb flips nearly every read
+ * 0, which makes the run a fault study whose numbers hang on a seed no
+ * request carries: such a config is refused with InvalidArgument. The
+ * handler and the fleet campaign both apply this one rule.
+ */
+Result<void> checkServable(const core::EvalConfig &config);
 
 } // namespace bvf::server
 

@@ -188,6 +188,39 @@ TEST(ExitTwo, PortedFrontEndsValidateValues)
     EXPECT_NE(out.find("unexpected argument"), std::string::npos) << out;
 }
 
+TEST(ExitTwo, FrontEndsAgreeOnTheSharedKnobs)
+{
+    // One table of bad values: every front end that takes the shared
+    // evaluation knobs refuses each with the same choice list.
+    const struct
+    {
+        const char *args;
+        const char *diagnostic;
+    } cases[] = {
+        {"--cell 7t", "invalid value '7t' for --cell: expected one of "
+                      "bvf8t, bvf6t, 8t, 6t, edram"},
+        {"--pstate 600", "invalid value '600' for --pstate: expected one "
+                         "of 700, 500, 300"},
+        {"--arch volta", "invalid value 'volta' for --arch: expected one "
+                         "of fermi, kepler, maxwell, pascal"},
+        {"--node 90", "invalid value '90' for --node: expected one of "
+                      "28, 40"},
+        {"--sched fifo", "invalid value 'fifo' for --sched: expected one "
+                         "of gto, lrr, two"},
+        {"--pivot 32", "--pivot"},
+        {"--cells-bitline 0", "--cells-bitline"},
+    };
+    for (const char *tool : {"bvf_sim", "bvf_client", "bvf_fleet"}) {
+        for (const auto &c : cases) {
+            std::string out;
+            EXPECT_EQ(runTool(tool, c.args, out), kExitUsage)
+                << tool << " " << c.args;
+            EXPECT_NE(out.find(c.diagnostic), std::string::npos)
+                << tool << " " << c.args << ": " << out;
+        }
+    }
+}
+
 TEST(ExitTwo, ClientValidatesRetryFlags)
 {
     std::string out;

@@ -221,5 +221,25 @@ TEST_F(ExperimentTest, EccPricingCostsEnergy)
               1.3 * e_plain.at(Scenario::Baseline).chipTotal());
 }
 
+TEST_F(ExperimentTest, EvaluateRefusesAnEccPairThatDisagrees)
+{
+    // Pricing SECDED arrays over a stream that never accounted the
+    // check bits (or the reverse) is silently wrong, so it is fatal.
+    ExperimentDriver driver(gpu::baselineConfig());
+    RunOptions ecc_run;
+    ecc_run.fault.ecc = fault::EccScheme::Secded72_64;
+    const auto protected_run =
+        driver.runApp(workload::findApp("ATA"), ecc_run);
+    ASSERT_FALSE(run().accountant->eccAccounting());
+    ASSERT_TRUE(protected_run.accountant->eccAccounting());
+
+    Pricing plain, ecc;
+    ecc.ecc = true;
+    ScopedFatalTrap trap;
+    EXPECT_THROW(driver.evaluate(run(), ecc), FatalError);
+    EXPECT_THROW(driver.evaluate(protected_run, plain), FatalError);
+    EXPECT_NO_THROW(driver.evaluate(protected_run, ecc));
+}
+
 } // namespace
 } // namespace bvf::core

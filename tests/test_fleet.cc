@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -804,42 +805,79 @@ fastApps()
     return {workload::findApp("GAU"), workload::findApp("HWL")};
 }
 
+/** The `app ABBR ...` line of @p report, or "" when it has none. */
+std::string
+appLine(const std::string &report, const std::string &abbr)
+{
+    std::istringstream in(report);
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("app " + abbr + " ", 0) == 0)
+            return line;
+    }
+    return "";
+}
+
 TEST(FleetCampaign, ReportIsByteIdenticalToSerial)
 {
-    TempDir dir;
     const auto apps = fastApps();
+    core::EvalConfig ecc;
+    ecc.ecc = true;
+    for (const core::EvalConfig &config : {core::EvalConfig{}, ecc}) {
+        SCOPED_TRACE(config.ecc ? "--ecc" : "defaults");
+        TempDir dir;
 
-    // Serial reference, exactly as bvf_sim's campaign mode runs it.
-    core::ExperimentDriver driver(gpu::baselineConfig());
-    campaign::CampaignOptions serialOpts;
-    campaign::CampaignRunner serial(driver, serialOpts);
-    const auto ref = serial.run(apps);
-    ASSERT_TRUE(ref.ok());
+        // Serial reference, exactly as bvf_sim's campaign mode runs it.
+        core::ExperimentDriver driver(config.machine());
+        campaign::CampaignOptions serialOpts;
+        serialOpts.run = config.runOptions();
+        serialOpts.pricing = config.pricing();
+        campaign::CampaignRunner serial(driver, serialOpts);
+        const auto ref = serial.run(apps);
+        ASSERT_TRUE(ref.ok());
 
-    LiveWorker w0, w1;
-    Coordinator coord(fleetOver({w0.address(), w1.address()}));
-    FleetCampaignOptions opts;
-    opts.journalDir = dir.path("shards");
-    ASSERT_EQ(::mkdir(opts.journalDir.c_str(), 0755), 0);
-    opts.reportPath = dir.path("report.txt");
-    opts.jobs = 2;
-    FleetCampaign fleet(coord, opts);
-    auto outcome = fleet.run(apps);
-    ASSERT_TRUE(outcome.ok()) << outcome.error().describe();
+        LiveWorker w0, w1;
+        FleetOptions fopts = fleetOver({w0.address(), w1.address()});
+        fopts.requestDeadline = 60000ms; // ECC apps are slow in sanitizer builds
+        Coordinator coord(fopts);
+        FleetCampaignOptions opts;
+        opts.journalDir = dir.path("shards");
+        ASSERT_EQ(::mkdir(opts.journalDir.c_str(), 0755), 0);
+        opts.reportPath = dir.path("report.txt");
+        opts.jobs = 2;
+        opts.config = config;
+        FleetCampaign fleet(coord, opts);
+        auto outcome = fleet.run(apps);
+        ASSERT_TRUE(outcome.ok()) << outcome.error().describe();
 
-    EXPECT_EQ(outcome.value().report.render(), ref.value().render());
-    EXPECT_EQ(fleet.configDigest(apps), ref.value().configCrc);
+        const std::string rendered = outcome.value().report.render();
+        EXPECT_EQ(rendered, ref.value().render());
+        EXPECT_EQ(fleet.configDigest(apps), ref.value().configCrc);
 
-    auto written = readFileBytes(opts.reportPath);
-    ASSERT_TRUE(written.ok());
-    EXPECT_EQ(written.value(), ref.value().render());
+        auto written = readFileBytes(opts.reportPath);
+        ASSERT_TRUE(written.ok());
+        EXPECT_EQ(written.value(), ref.value().render());
 
-    // Cleanup shard files so TempDir can remove its directory.
-    for (const auto &p : outcome.value().shardPaths)
-        ::unlink(p.c_str());
-    ::rmdir(opts.journalDir.c_str());
-    w0.kill();
-    w1.kill();
+        // The checked-in ECC golden is an oracle independent of the
+        // config mapping both runs above share: the workers must have
+        // accounted the SECDED check bits, not only priced them.
+        if (config.ecc) {
+            const auto golden = readFileBytes(std::string(BVF_GOLDEN_DIR)
+                                              + "/campaign-ecc.txt");
+            ASSERT_TRUE(golden.ok());
+            for (const auto &spec : apps) {
+                const std::string want = appLine(golden.value(), spec.abbr);
+                ASSERT_FALSE(want.empty()) << spec.abbr;
+                EXPECT_EQ(appLine(rendered, spec.abbr), want);
+            }
+        }
+
+        // Cleanup shard files so TempDir can remove its directory.
+        for (const auto &p : outcome.value().shardPaths)
+            ::unlink(p.c_str());
+        ::rmdir(opts.journalDir.c_str());
+        w0.kill();
+        w1.kill();
+    }
 }
 
 TEST(FleetCampaign, SurvivesADeadWorkerAndStaysByteIdentical)
@@ -887,7 +925,7 @@ TEST(FleetCampaign, RejectsUnreliableCellsHonestly)
     Coordinator coord(fleetOver({w0.address()}));
     FleetCampaignOptions opts;
     opts.journalDir = dir.path("shards");
-    opts.cell = circuit::CellKind::SramBvf6T;
+    opts.config.cell = circuit::CellKind::SramBvf6T;
     FleetCampaign fleet(coord, opts);
     const auto apps = fastApps();
     auto outcome = fleet.run(apps);

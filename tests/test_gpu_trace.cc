@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -378,9 +379,13 @@ TEST(GpuTracePins, ReadyCheckPinsFollowTheSuite)
         EXPECT_EQ(suite[i].abbr, tests::kAppReadyChecks[i].abbr);
 }
 
+// gtest prints a parameter without PrintTo as its raw bytes, and ctest
+// names each case by that print. The explicit zero word fills what would
+// be padding after `policy`, so the name is the same on every build.
 struct SchedEntry
 {
     SchedulerPolicy policy;
+    std::uint32_t zero;
     std::string abbr;
 };
 
@@ -397,7 +402,7 @@ schedEntries()
     for (SchedulerPolicy policy :
          {SchedulerPolicy::Lrr, SchedulerPolicy::TwoLevel}) {
         for (const std::string &abbr : stallApps())
-            out.push_back({policy, abbr});
+            out.push_back({policy, 0, abbr});
     }
     return out;
 }

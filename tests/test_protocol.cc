@@ -590,6 +590,55 @@ TEST(Messages, PricingFieldsValidateAlikeOnBothPricedRequests)
     EXPECT_FALSE(bothDecode([](auto &r) { r.ecc = 2; }));
 }
 
+TEST(Messages, EveryConfigSpellingSurvivesBothPricedRequests)
+{
+    // Each spelling of each knob goes config -> wire -> decode ->
+    // config unchanged, on both requests that carry all nine knobs.
+    std::vector<core::EvalConfig> configs;
+    auto each = [&](const auto &table, auto set) {
+        for (const auto &spelling : table) {
+            core::EvalConfig c;
+            set(c, spelling.value);
+            configs.push_back(c);
+        }
+    };
+    each(core::kArchSpellings, [](auto &c, auto v) { c.arch = v; });
+    each(core::kSchedSpellings, [](auto &c, auto v) { c.sched = v; });
+    each(core::kNodeSpellings, [](auto &c, auto v) { c.node = v; });
+    each(core::kPStateSpellings, [](auto &c, auto v) { c.pstate = v(); });
+    each(core::kCellSpellings, [](auto &c, auto v) { c.cell = v; });
+    core::EvalConfig odd;
+    odd.pivot = core::EvalConfig::maxPivot;
+    odd.dynamicIsa = true;
+    odd.ecc = true;
+    odd.cellsBitline = core::Pricing::maxCellsPerBitline;
+    configs.push_back(odd);
+
+    const auto same = [](const core::EvalConfig &a,
+                         const core::EvalConfig &b) {
+        return a.arch == b.arch && a.sched == b.sched
+               && a.pivot == b.pivot && a.dynamicIsa == b.dynamicIsa
+               && a.node == b.node && a.pstate.name == b.pstate.name
+               && a.cell == b.cell && a.ecc == b.ecc
+               && a.cellsBitline == b.cellsBitline;
+    };
+    for (const core::EvalConfig &c : configs) {
+        ChipEnergyRequest energy;
+        energy.query.abbr = "KMN";
+        setEvalConfig(energy, c);
+        const auto e = ChipEnergyRequest::decode(energy.encode());
+        ASSERT_TRUE(e.ok()) << e.error().message;
+        EXPECT_TRUE(same(evalConfigOf(e.value()), c));
+
+        EvalSubmittedRequest eval;
+        eval.digest = "k0-0";
+        setEvalConfig(eval, c);
+        const auto s = EvalSubmittedRequest::decode(eval.encode());
+        ASSERT_TRUE(s.ok()) << s.error().message;
+        EXPECT_TRUE(same(evalConfigOf(s.value()), c));
+    }
+}
+
 TEST(Messages, DynamicIsaFlagIsZeroOrOneOnEveryRequest)
 {
     AppQuery query;

@@ -24,6 +24,10 @@
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "kernel_shards.hh"
+#include "core/experiment.hh"
+#include "fault/fault_model.hh"
+#include "gpu/gpu_config.hh"
+#include "server/handler.hh"
 #include "server/http.hh"
 #include "server/kernel_store.hh"
 #include "server/protocol.hh"
@@ -721,6 +725,129 @@ TEST(Server, KernelStoreCountersRideAlongInMetrics)
           "bvfd_responses_total{type=\"submit_kernel\"} 1"}) {
         EXPECT_NE(text.find(needle), std::string::npos) << needle;
     }
+}
+
+// --- The config a request is served under ------------------------------
+
+/** Handle @p payload in-process and decode the @p Response it must be. */
+template <typename Response>
+Response
+served(const RequestHandler &handler, MsgType type,
+       const std::string &payload)
+{
+    const Frame out = handler.handle(Frame{type, payload});
+    if (out.type == MsgType::ErrorResponse) {
+        const auto wire = WireError::decode(out.payload);
+        ADD_FAILURE() << "refused: "
+                      << (wire.ok() ? wire.value().message : "?");
+        return {};
+    }
+    const auto decoded = Response::decode(out.payload);
+    EXPECT_TRUE(decoded.ok());
+    return decoded.ok() ? decoded.value() : Response{};
+}
+
+/** The error code of the ErrorResponse @p payload must draw. */
+ErrorCode
+refusal(const RequestHandler &handler, MsgType type,
+        const std::string &payload)
+{
+    const Frame out = handler.handle(Frame{type, payload});
+    EXPECT_EQ(out.type, MsgType::ErrorResponse);
+    const auto wire = WireError::decode(out.payload);
+    return wire.ok() ? static_cast<ErrorCode>(wire.value().code)
+                     : ErrorCode::Failed;
+}
+
+/**
+ * The local reference for an ecc=1 request on the baseline machine,
+ * set up by hand rather than through the wire mapping: check bits
+ * accounted by the run and priced by the pricing.
+ */
+struct LocalEcc
+{
+    core::ExperimentDriver driver{gpu::baselineConfig()};
+    core::RunOptions options;
+    core::Pricing pricing;
+
+    LocalEcc()
+    {
+        options.fault.ecc = fault::EccScheme::Secded72_64;
+        pricing.cellKind = circuit::CellKind::Sram6T; // wire cell 0
+        pricing.ecc = true;
+    }
+};
+
+TEST(ServedConfig, ChipEnergyWithEccAccountsTheCheckBits)
+{
+    const RequestHandler handler;
+    ChipEnergyRequest req;
+    req.query.abbr = "GAU";
+    req.ecc = 1;
+    const auto resp = served<ChipEnergyResponse>(
+        handler, MsgType::ChipEnergyRequest, req.encode());
+
+    const LocalEcc local;
+    const core::AppEnergy want = local.driver.evaluate(
+        local.driver.runApp(workload::findApp("GAU"), local.options),
+        local.pricing);
+    EXPECT_EQ(resp.chipEnergy, want.chipTotals());
+    EXPECT_EQ(resp.bvfUnitsEnergy, want.bvfUnitsTotals());
+}
+
+TEST(ServedConfig, EvalSubmittedWithEccAccountsTheCheckBits)
+{
+    const RequestHandler handler;
+    const std::string bytecode = assembleBytecode(kTinyKernel);
+    SubmitKernelRequest submit;
+    submit.bytecode = bytecode;
+    const auto admitted = served<SubmitKernelResponse>(
+        handler, MsgType::SubmitKernelRequest, submit.encode());
+    ASSERT_EQ(admitted.admitted, 1);
+
+    EvalSubmittedRequest req;
+    req.digest = admitted.digest;
+    const auto plain = served<EvalSubmittedResponse>(
+        handler, MsgType::EvalSubmittedRequest, req.encode());
+    req.ecc = 1;
+    const auto resp = served<EvalSubmittedResponse>(
+        handler, MsgType::EvalSubmittedRequest, req.encode());
+
+    const LocalEcc local;
+    auto program = isa::decodeProgram(bytecode);
+    ASSERT_TRUE(program.ok());
+    const core::AppEnergy want = local.driver.evaluate(
+        local.driver.runProgram(std::move(program.value()), local.options),
+        local.pricing);
+    EXPECT_EQ(resp.chipEnergy, want.chipTotals());
+    EXPECT_EQ(resp.bvfUnitsEnergy, want.bvfUnitsTotals());
+    EXPECT_NE(resp.chipEnergy, plain.chipEnergy);
+}
+
+TEST(ServedConfig, Bvf6tIsServedOnlyWithinItsReliabilityLimit)
+{
+    const RequestHandler handler;
+    ChipEnergyRequest req;
+    req.query.abbr = "GAU";
+    req.cell = static_cast<std::uint8_t>(circuit::CellKind::SramBvf6T);
+
+    // Past 16 cells/bitline every read 0 flips: a fault study, and the
+    // wire carries no fault seed.
+    req.cellsBitline = 128;
+    EXPECT_EQ(refusal(handler, MsgType::ChipEnergyRequest, req.encode()),
+              ErrorCode::InvalidArgument);
+    EvalSubmittedRequest eval;
+    eval.digest = "any";
+    eval.cell = req.cell;
+    eval.cellsBitline = 128;
+    EXPECT_EQ(
+        refusal(handler, MsgType::EvalSubmittedRequest, eval.encode()),
+        ErrorCode::InvalidArgument);
+
+    req.cellsBitline = 8;
+    const auto resp = served<ChipEnergyResponse>(
+        handler, MsgType::ChipEnergyRequest, req.encode());
+    EXPECT_GT(resp.cycles, 0u);
 }
 
 } // namespace
