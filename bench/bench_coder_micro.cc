@@ -7,9 +7,10 @@
  * hardware; in software they should run at memory bandwidth, which
  * these numbers verify for the simulator's accounting hot path, along
  * with the per-call cost of that path itself: the SECDED check byte and
- * one EnergyAccountant::onAccess of a full warp-sized block. The last
- * benchmark times admission's abstract-interpreter fixpoint
- * (analyzeProgram) on three suite kernels.
+ * one call of each EnergyAccountant sink callback (onAccess of a full
+ * warp-sized block and of a half-masked odd-sized one, onFetch,
+ * onNocPacket). The last benchmark times admission's
+ * abstract-interpreter fixpoint (analyzeProgram) on three suite kernels.
  */
 
 #include <benchmark/benchmark.h>
@@ -36,9 +37,9 @@ namespace
 {
 
 std::vector<Word>
-randomBlock(std::size_t n)
+randomBlock(std::size_t n, std::uint64_t seed = 123)
 {
-    Rng rng(123);
+    Rng rng(seed);
     std::vector<Word> block(n);
     for (Word &w : block)
         w = rng.nextU32();
@@ -144,19 +145,25 @@ BM_SecdedEncode(benchmark::State &state)
 }
 BENCHMARK(BM_SecdedEncode);
 
-/** One 32-word, full-mask access per iteration; args: ecc, unit. */
-void
-BM_AccountantOnAccess(benchmark::State &state)
+std::map<coder::UnitId, std::uint64_t>
+accountantCapacities()
 {
     std::map<coder::UnitId, std::uint64_t> caps;
     for (const coder::UnitId unit : coder::allUnits()) {
         if (unit != coder::UnitId::Noc)
             caps[unit] = 1 << 20;
     }
+    return caps;
+}
+
+/** One 32-word, full-mask access per iteration; args: ecc, unit. */
+void
+BM_AccountantOnAccess(benchmark::State &state)
+{
     core::AccountantOptions opts;
     opts.eccAccounting = state.range(0) != 0;
     const auto unit = static_cast<coder::UnitId>(state.range(1));
-    core::EnergyAccountant acc(caps, opts);
+    core::EnergyAccountant acc(accountantCapacities(), opts);
     const auto block = randomBlock(32);
     std::uint64_t cycle = 0;
     for (auto _ : state) {
@@ -171,6 +178,80 @@ BENCHMARK(BM_AccountantOnAccess)
                    {static_cast<int>(coder::UnitId::Reg),
                     static_cast<int>(coder::UnitId::Sme),
                     static_cast<int>(coder::UnitId::L2)}});
+
+/**
+ * One 21-word access with every other lane active per iteration: each
+ * SECDED pair is half live and the last word has no partner (the pivot
+ * lane 21 is past the end, so VS pivots on word 0). Args: ecc, unit.
+ */
+void
+BM_AccountantOnAccessPartial(benchmark::State &state)
+{
+    core::AccountantOptions opts;
+    opts.eccAccounting = state.range(0) != 0;
+    const auto unit = static_cast<coder::UnitId>(state.range(1));
+    core::EnergyAccountant acc(accountantCapacities(), opts);
+    const auto block = randomBlock(21);
+    std::uint64_t cycle = 0;
+    for (auto _ : state) {
+        acc.onAccess(unit, sram::AccessType::Write, block, 0x55555555u,
+                     ++cycle);
+    }
+    state.SetLabel(coder::unitName(unit) + (opts.eccAccounting ? "+ecc" : ""));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AccountantOnAccessPartial)
+    ->ArgsProduct({{0, 1},
+                   {static_cast<int>(coder::UnitId::Reg),
+                    static_cast<int>(coder::UnitId::L2)}});
+
+/**
+ * One fetch of random instructions per iteration; args: ecc, count (1
+ * is the IFB read behind every instruction an SM runs, 16 an L2
+ * instruction line).
+ */
+void
+BM_AccountantOnFetch(benchmark::State &state)
+{
+    core::AccountantOptions opts;
+    opts.eccAccounting = state.range(0) != 0;
+    core::EnergyAccountant acc(accountantCapacities(), opts);
+    Rng rng(11);
+    std::vector<Word64> instrs(static_cast<std::size_t>(state.range(1)));
+    for (Word64 &w : instrs)
+        w = rng.nextU64();
+    std::uint64_t cycle = 0;
+    for (auto _ : state) {
+        acc.onFetch(coder::UnitId::L1I, sram::AccessType::Read, instrs,
+                    ++cycle);
+    }
+    state.SetLabel(opts.eccAccounting ? "ecc" : "");
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AccountantOnFetch)->ArgsProduct({{0, 1}, {1, 16}});
+
+/**
+ * One packet per iteration on one channel, alternating two payloads so
+ * the wires toggle; args: payload words (8 is one flit, 32 a line),
+ * instruction stream.
+ */
+void
+BM_AccountantOnNocPacket(benchmark::State &state)
+{
+    core::EnergyAccountant acc(accountantCapacities());
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const bool instr_stream = state.range(1) != 0;
+    const std::array<std::vector<Word>, 2> payloads = {randomBlock(n),
+                                                       randomBlock(n, 124)};
+    std::uint64_t cycle = 0;
+    for (auto _ : state) {
+        ++cycle;
+        acc.onNocPacket(0, payloads[cycle & 1], instr_stream, cycle);
+    }
+    state.SetLabel(instr_stream ? "instr" : "data");
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AccountantOnNocPacket)->ArgsProduct({{8, 32}, {0, 1}});
 
 /**
  * One analyzeProgram per iteration; arg indexes NN (42 instructions),

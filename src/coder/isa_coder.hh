@@ -40,7 +40,7 @@ class IsaCoder
     Word64
     encode(Word64 instr) const
     {
-        return ~(instr ^ mask_);
+        return instr ^ ~mask_;
     }
 
     /** Self-inverse decode. */

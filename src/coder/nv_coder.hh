@@ -28,13 +28,21 @@ namespace bvf::coder
 class NvCoder : public WordCoder
 {
   public:
+    /**
+     * The bits encode flips in @p w: XNOR with the sign is XOR with its
+     * complement, so every bit below the sign of a non-negative word and
+     * none of a negative one.
+     */
+    static constexpr Word
+    mask(Word w)
+    {
+        return ~broadcastSign(w) & 0x7fffffffu;
+    }
+
     Word
     encode(Word w) const override
     {
-        // XNOR all bits below the sign with the sign bit; keep the sign.
-        const Word sign = broadcastSign(w);
-        const Word body = ~(w ^ sign) & 0x7fffffffu;
-        return (w & 0x80000000u) | body;
+        return w ^ mask(w);
     }
 
     Word

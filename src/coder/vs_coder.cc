@@ -15,22 +15,16 @@ VsCoder::VsCoder(int pivot) : pivot_(pivot)
     fatal_if(pivot < 0, "pivot index must be non-negative");
 }
 
-int
-VsCoder::effectivePivot(std::size_t blockSize) const
-{
-    return static_cast<std::size_t>(pivot_) < blockSize ? pivot_ : 0;
-}
-
 void
 VsCoder::encode(std::span<Word> block) const
 {
     if (block.empty())
         return;
-    const int p = effectivePivot(block.size());
-    const Word pivot_value = block[static_cast<std::size_t>(p)];
+    const std::size_t p = effectivePivot(block.size());
+    const Word m = mask(block[p]);
     for (std::size_t i = 0; i < block.size(); ++i) {
-        if (static_cast<int>(i) != p)
-            block[i] = xnorWord(block[i], pivot_value);
+        if (i != p)
+            block[i] ^= m;
     }
 }
 

@@ -49,9 +49,35 @@ class VsCoder : public BlockCoder
 
     int pivot() const { return pivot_; }
 
-  private:
-    int effectivePivot(std::size_t blockSize) const;
+    /**
+     * Index of the word that stores the pivot in a block of
+     * @p blockSize words: @p pivot, or 0 when the block ends first.
+     */
+    static constexpr std::size_t
+    effectivePivot(int pivot, std::size_t blockSize)
+    {
+        const auto p = static_cast<std::size_t>(pivot);
+        return p < blockSize ? p : 0;
+    }
 
+    std::size_t
+    effectivePivot(std::size_t blockSize) const
+    {
+        return effectivePivot(pivot_, blockSize);
+    }
+
+    /**
+     * The bits encode flips in every non-pivot word of a block whose
+     * pivot is @p pivotValue: XNOR with the pivot is XOR with its
+     * complement. The pivot word itself is stored unchanged.
+     */
+    static constexpr Word
+    mask(Word pivotValue)
+    {
+        return ~pivotValue;
+    }
+
+  private:
     int pivot_;
 };
 

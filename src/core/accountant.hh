@@ -3,7 +3,7 @@
  * Multi-scenario energy accountant: the AccessSink implementation that
  * evaluates all coding scenarios side by side during one simulation.
  *
- * For every unit access it applies, per scenario, the coder chain that
+ * For every unit access it applies, per scenario, the coders that
  * Table 1 assigns to the unit (NV everywhere on the data path, VS with
  * lane pivot 21 at registers / element pivot 0 at cache-line units, the
  * ISA mask on the instruction stream) and accumulates encoded bit
@@ -13,9 +13,12 @@
  * Scenarios often store identical bits: ISA-only leaves every data
  * block raw, and a unit covered by one data coder stores under BVF what
  * it stores under that coder alone. The constructor groups, per unit,
- * the scenarios whose coder chains have the same stages into one slot,
- * so each access encodes, popcounts and SECDED-checks every distinct
- * image once and records the counts for all five scenarios.
+ * the scenarios that store the same image into one slot. Every coder is
+ * an XOR with a mask the coder defines, so a slot's image is the raw
+ * block XOR its masks: each access walks the raw block once, word pair
+ * by word pair, and counts every slot from it. The SECDED check byte is
+ * linear, so it is computed once per pair and XORed with the check
+ * byte of each slot's mask.
  */
 
 #ifndef BVF_CORE_ACCOUNTANT_HH
@@ -23,12 +26,10 @@
 
 #include <array>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "coder/bvf_space.hh"
-#include "coder/coder.hh"
 #include "coder/isa_coder.hh"
 #include "coder/scenario.hh"
 #include "coder/vs_coder.hh"
@@ -70,6 +71,11 @@ struct AccountantOptions
      */
     bool eccAccounting = false;
 };
+
+namespace detail
+{
+struct KernelSelect;
+} // namespace detail
 
 /**
  * The accountant. Construct one per simulated run with the unit
@@ -119,31 +125,39 @@ class EnergyAccountant : public sram::AccessSink
     /** True if SECDED check bits are accounted with the data bits. */
     bool eccAccounting() const { return options_.eccAccounting; }
 
-  private:
     /** Words per NoC flit (32B flits, Table 3). */
     static constexpr std::size_t flitWords = 8;
 
     /**
-     * The distinct stored images of one unit's data path: slot k holds
-     * the block encoded by chains[k] (slot 0 has no stages: the raw
-     * block), and slotOf maps each scenario to the slot it stores.
+     * One stored image of a unit's data path: the raw block, NV-coded
+     * if @c nv, then VS-coded around pivot @c vsPivot unless it is
+     * negative.
+     */
+    struct Slot
+    {
+        bool nv = false;
+        int vsPivot = -1;
+
+        bool operator==(const Slot &other) const = default;
+    };
+
+    /**
+     * The distinct stored images of one unit's data path, and the slot
+     * each scenario stores (slot 0 is the raw block).
      */
     struct UnitPlan
     {
         std::size_t slots = 1;
-        std::array<coder::CoderChain, coder::numScenarios> chains;
+        std::array<Slot, coder::numScenarios> slot{};
         std::array<std::size_t, coder::numScenarios> slotOf{};
     };
 
-    using Images =
-        std::array<std::span<const Word>, coder::numScenarios>;
+    /** Per-channel, per-scenario previous flit; wires start discharged. */
+    using ChannelState =
+        std::array<std::array<Word, flitWords>, coder::numScenarios>;
 
-    /** Group the per-scenario chains of one unit into slots. */
-    static UnitPlan makePlan(
-        const std::array<coder::CoderChain, coder::numScenarios> &chains);
-
-    /** Encode @p block into every slot of @p plan. */
-    Images encodeSlots(const UnitPlan &plan, std::span<const Word> block);
+  private:
+    friend struct detail::KernelSelect;
 
     sram::UnitAccount &accountFor(coder::UnitId unit, const char *what);
 
@@ -153,17 +167,20 @@ class EnergyAccountant : public sram::AccessSink
     AccountantOptions options_;
     coder::IsaCoder isaCoder_;
 
-    // Per-channel, per-scenario previous flit for toggle counting;
-    // wires start discharged.
-    struct ChannelState
-    {
-        std::array<std::array<Word, flitWords>, coder::numScenarios> prev{};
-    };
+    /** Check byte of the ISA coder's XOR mask, ~isaMask(). */
+    std::uint8_t isaCheck_;
+
+    /**
+     * Check byte of NV's XOR mask over a word pair, indexed by which
+     * halves NV flips (bit 0 low, bit 1 high).
+     */
+    std::array<std::uint8_t, 4> nvPairCheck_;
+
+    /** Count with the popcnt instruction (else portable code). */
+    bool popcnt_;
+
     std::vector<ChannelState> channels_;
     std::array<NocAccount, coder::numScenarios> noc_;
-
-    // Encoded image of each slot but the raw one.
-    std::array<std::vector<Word>, coder::numScenarios> images_;
 };
 
 } // namespace bvf::core

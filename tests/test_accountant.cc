@@ -8,6 +8,7 @@
 #include "coder/nv_coder.hh"
 #include "common/rng.hh"
 #include "core/accountant.hh"
+#include "core/accountant_kernel.hh"
 #include "fault/secded.hh"
 
 namespace bvf::core
@@ -420,6 +421,19 @@ TEST(Accountant, VsPivotIsPerPacketNotPerFlit)
                       hammingWeight(0xa5a5a5a5u)));
 }
 
+TEST(Accountant, EmptyNocPacketSendsNothing)
+{
+    EnergyAccountant acc(tinyCapacities());
+    std::vector<Word> ones(8, 0xffffffffu);
+    acc.onNocPacket(0, ones, false, 1);
+    acc.onNocPacket(0, {}, false, 2);
+    acc.onNocPacket(0, {}, true, 3);
+    EXPECT_EQ(acc.noc(Scenario::Baseline).flits, 1u);
+    // The wires still hold the first packet: resending it toggles none.
+    acc.onNocPacket(0, ones, false, 4);
+    EXPECT_EQ(acc.noc(Scenario::Baseline).toggles, 8u * 32u);
+}
+
 TEST(Accountant, FinalizeIntegratesLeakage)
 {
     EnergyAccountant acc(tinyCapacities());
@@ -543,13 +557,14 @@ expectIdentical(const EnergyAccountant &acc, const ReferenceAccountant &ref)
  * and NoC packets over every unit, then compare every statistic.
  */
 void
-runOracle(std::uint64_t seed, const AccountantOptions &opts)
+runOracle(std::uint64_t seed, const AccountantOptions &opts, bool popcnt)
 {
     // Small capacities so the stored-state estimates move.
     std::map<UnitId, std::uint64_t> caps;
     for (const UnitId unit : coder::allUnits())
         caps[unit] = 1 << 14;
     EnergyAccountant acc(caps, opts);
+    detail::KernelSelect::usePopcnt(acc, popcnt);
     ReferenceAccountant ref(caps, opts);
 
     const auto &units = coder::allUnits();
@@ -589,6 +604,21 @@ runOracle(std::uint64_t seed, const AccountantOptions &opts)
     acc.finalize(cycle + 100);
     ref.finalize(cycle + 100);
     expectIdentical(acc, ref);
+}
+
+/**
+ * runOracle once per popcount kernel the host can execute, so the
+ * portable one is checked on hosts that would never pick it.
+ */
+void
+runOracle(std::uint64_t seed, const AccountantOptions &opts)
+{
+    for (const bool popcnt : {false, true}) {
+        if (popcnt && !detail::hostHasPopcnt())
+            continue;
+        SCOPED_TRACE(popcnt ? "popcnt kernel" : "portable kernel");
+        runOracle(seed, opts, popcnt);
+    }
 }
 
 TEST(AccountantOracle, DefaultOptions)

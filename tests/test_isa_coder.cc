@@ -44,6 +44,19 @@ TEST(IsaCoder, EncodingMaskedInstructionYieldsAllOnes)
     EXPECT_EQ(c.encode(mask), ~0ull);
 }
 
+TEST(IsaCoder, EncodeIsXorWithMaskComplement)
+{
+    // The accountant counts ISA images as the raw instruction XOR
+    // ~mask().
+    const IsaCoder c(isa::paperIsaMask(isa::GpuArch::Pascal));
+    Rng rng(9);
+    for (int i = 0; i < 10000; ++i) {
+        const Word64 w = rng.nextU64();
+        ASSERT_EQ(c.encode(w), w ^ ~c.mask()) << std::hex << w;
+    }
+    EXPECT_EQ(c.encode(0), ~c.mask());
+}
+
 TEST(IsaCoder, SpanEncoding)
 {
     const IsaCoder c(isa::paperIsaMask(isa::GpuArch::Kepler));

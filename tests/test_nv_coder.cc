@@ -104,5 +104,21 @@ TEST(NvCoder, MatchesPaperFormula)
     }
 }
 
+TEST(NvCoder, EncodeIsXorWithMask)
+{
+    // The accountant counts NV images as the raw word XOR this mask.
+    const NvCoder nv;
+    for (const Word w : {0u, 1u, 0x7fffffffu, 0x80000000u, 0xffffffffu,
+                         0x55555555u, 0xaaaaaaaau}) {
+        EXPECT_EQ(nv.encode(w), w ^ NvCoder::mask(w)) << std::hex << w;
+        EXPECT_EQ(NvCoder::mask(w), w >> 31 ? 0u : 0x7fffffffu);
+    }
+    Rng rng(6);
+    for (int i = 0; i < 10000; ++i) {
+        const Word w = rng.nextU32();
+        ASSERT_EQ(nv.encode(w), w ^ NvCoder::mask(w)) << std::hex << w;
+    }
+}
+
 } // namespace
 } // namespace bvf::coder

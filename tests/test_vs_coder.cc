@@ -126,6 +126,32 @@ TEST(VsCoder, CacheLineVariantPivotsOnElementZero)
     EXPECT_EQ(block[31], 0xffffffffu);
 }
 
+TEST(VsCoder, EncodeIsXorWithPivotMask)
+{
+    // The accountant counts VS images as every non-pivot word XOR
+    // mask(pivot); a pivot past the block end falls back to word 0.
+    Rng rng(8);
+    for (const int pivot : {0, 5, 21, 31, 40}) {
+        const VsCoder vs(pivot);
+        for (const std::size_t n : {1, 2, 7, 21, 22, 32}) {
+            const auto original = randomBlock(rng, n);
+            auto block = original;
+            vs.encode(block);
+            const std::size_t p = vs.effectivePivot(n);
+            EXPECT_EQ(p, static_cast<std::size_t>(pivot) < n
+                             ? static_cast<std::size_t>(pivot)
+                             : 0u);
+            EXPECT_EQ(VsCoder::mask(original[p]), ~original[p]);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(block[i],
+                          i == p ? original[i]
+                                 : original[i] ^ VsCoder::mask(original[p]))
+                    << "pivot " << pivot << " n " << n << " i " << i;
+            }
+        }
+    }
+}
+
 TEST(VsCoder, DefaultPivotIsLane21)
 {
     EXPECT_EQ(VsCoder().pivot(), 21);
