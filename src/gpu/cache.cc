@@ -36,15 +36,17 @@ TagCache::setIndex(std::uint32_t line) const
 }
 
 CacheOutcome
-TagCache::access(std::uint32_t addr)
+TagCache::access(std::uint32_t addr, RetryPlan *plan)
 {
     const std::uint32_t line = lineAddr(addr);
-    const int set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set * assoc_)];
+    const int first = setIndex(line) * assoc_;
+    Way *base = &ways_[static_cast<std::size_t>(first)];
     for (int w = 0; w < assoc_; ++w) {
         if (base[w].valid && base[w].tag == line) {
             base[w].lruStamp = ++stamp_;
             ++hits_;
+            if (plan)
+                plan->hitWays_.push_back(first + w);
             return CacheOutcome::Hit;
         }
     }
@@ -52,25 +54,52 @@ TagCache::access(std::uint32_t addr)
     auto it = mshrs_.find(line);
     if (it != mshrs_.end()) {
         ++it->second;
+        if (plan)
+            plan->waiters_.push_back(&it->second);
         return CacheOutcome::MissMerged;
     }
-    if (numMshrs_ > 0 && static_cast<int>(mshrs_.size()) >= numMshrs_)
+    if (mshrsFull()) {
+        if (plan)
+            plan->epoch_ = epoch_;
         return CacheOutcome::MshrFull;
-    mshrs_.emplace(line, 1);
+    }
+    ++epoch_;
+    int &waiters = mshrs_.emplace(line, 1).first->second;
+    if (plan)
+        plan->waiters_.push_back(&waiters);
     return CacheOutcome::Miss;
+}
+
+void
+TagCache::replay(const RetryPlan &plan)
+{
+    panic_if(plan.epoch_ != epoch_, "%s: replaying a stale retry plan",
+             name_.c_str());
+    for (int w : plan.hitWays_)
+        ways_[static_cast<std::size_t>(w)].lruStamp = ++stamp_;
+    for (int *waiters : plan.waiters_)
+        ++*waiters;
+    hits_ += plan.hitWays_.size();
+    misses_ += plan.waiters_.size() + 1;
 }
 
 bool
 TagCache::probe(std::uint32_t addr) const
 {
+    return wayOf(addr) >= 0;
+}
+
+int
+TagCache::wayOf(std::uint32_t addr) const
+{
     const std::uint32_t line = lineAddr(addr);
-    const int set = setIndex(line);
-    const Way *base = &ways_[static_cast<std::size_t>(set * assoc_)];
+    const int first = setIndex(line) * assoc_;
+    const Way *base = &ways_[static_cast<std::size_t>(first)];
     for (int w = 0; w < assoc_; ++w) {
         if (base[w].valid && base[w].tag == line)
-            return true;
+            return first + w;
     }
-    return false;
+    return -1;
 }
 
 int
@@ -107,6 +136,7 @@ TagCache::fill(std::uint32_t addr)
     victim->tag = line;
     victim->lruStamp = ++stamp_;
     ++fills_;
+    ++epoch_;
 
     auto it = mshrs_.find(line);
     if (it == mshrs_.end())
@@ -125,6 +155,7 @@ TagCache::invalidate(std::uint32_t addr)
     for (int w = 0; w < assoc_; ++w) {
         if (base[w].valid && base[w].tag == line) {
             base[w].valid = false;
+            ++epoch_;
             return;
         }
     }

@@ -13,6 +13,7 @@
 #define BVF_GPU_CACHE_HH
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +29,44 @@ enum class CacheOutcome
     Miss,        //!< allocated an MSHR; fill must be reported later
     MissMerged,  //!< merged into an existing MSHR for the same line
     MshrFull,    //!< structural stall; retry later
+};
+
+/**
+ * What a sequence of lookups that ended in MshrFull did, recorded by
+ * TagCache::access(addr, &plan): the way of every hit, in order, and the
+ * MSHR every missed line merged into or allocated. While the cache's
+ * epoch() is the one recorded, the same lookups would have the same
+ * outcomes, and TagCache::replay repeats their effects without a search.
+ */
+class RetryPlan
+{
+  public:
+    /** Forget the recording; the next access(addr, this) starts anew. */
+    void
+    clear()
+    {
+        epoch_ = unsealed;
+        hitWays_.clear();
+        waiters_.clear();
+    }
+
+    /** The cache epoch the plan was sealed at (MshrFull), or ~0. */
+    std::uint64_t epoch() const { return epoch_; }
+
+    /** Ways hit before the stall, in lookup order (TagCache::wayOf). */
+    std::span<const int> hitWays() const { return hitWays_; }
+
+    /** Lines that missed into an MSHR before the stall. */
+    std::size_t merged() const { return waiters_.size(); }
+
+  private:
+    friend class TagCache;
+
+    static constexpr std::uint64_t unsealed = ~std::uint64_t(0);
+
+    std::uint64_t epoch_ = unsealed;
+    std::vector<int> hitWays_;
+    std::vector<int *> waiters_; //!< stable until fill() erases them
 };
 
 /**
@@ -57,12 +96,38 @@ class TagCache
     /**
      * Look up @p addr for a read; on miss, reserve an MSHR keyed by the
      * line (the caller sends the fill request on Miss only, not on
-     * MissMerged).
+     * MissMerged). A non-null @p plan gets the outcome appended, and an
+     * MshrFull outcome seals it at the current epoch.
      */
-    CacheOutcome access(std::uint32_t addr);
+    CacheOutcome access(std::uint32_t addr, RetryPlan *plan = nullptr);
+
+    /**
+     * Repeat the lookups of @p plan, sealed at the current epoch: re-stamp
+     * its hit ways in order, add a waiter to each of its MSHRs, and count
+     * the hits and misses, including the stalling lookup's miss.
+     */
+    void replay(const RetryPlan &plan);
+
+    /**
+     * Bumped by every call that can change a lookup's outcome: an MSHR
+     * allocation (Miss), fill() and an invalidate() that drops a line.
+     * Hit, MissMerged and MshrFull lookups change neither the tags nor
+     * the MSHR key set.
+     */
+    std::uint64_t epoch() const { return epoch_; }
 
     /** Probe without any state change. */
     bool probe(std::uint32_t addr) const;
+
+    /** Index of the way holding @p addr's line, or -1; no state change. */
+    int wayOf(std::uint32_t addr) const;
+
+    /** Would a lookup of a line with no MSHR stall? */
+    bool
+    mshrsFull() const
+    {
+        return numMshrs_ > 0 && static_cast<int>(mshrs_.size()) >= numMshrs_;
+    }
 
     /**
      * Install the line containing @p addr (fill completion). Releases
@@ -102,6 +167,7 @@ class TagCache
     std::vector<Way> ways_; //!< sets_ * assoc_ entries
     std::unordered_map<std::uint32_t, int> mshrs_; //!< line -> waiters
     std::uint64_t stamp_ = 0;
+    std::uint64_t epoch_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t fills_ = 0;

@@ -345,6 +345,7 @@ Gpu::run()
         stats_.sm.regBankConflictCycles += s.regBankConflictCycles;
         stats_.sm.readyChecks += s.readyChecks;
         stats_.sm.issueStalls += s.issueStalls;
+        stats_.sm.stallReplays += s.stallReplays;
     }
     stats_.noc = noc_->stats();
     stats_.dramRowHits = mc_->rowHits();

@@ -8,6 +8,7 @@
 #include "coder/vs_coder.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "isa/semantics.hh"
@@ -71,6 +72,27 @@ operandsReadyAt(const Warp &warp, const Instruction &instr)
     if (isa::writesRegister(instr.op) || isa::readsDst(instr.op))
         at = std::max(at, warp.regReadyCycle(instr.dst));
     return at;
+}
+
+/**
+ * The byte address of each lane in @p guard of a global access, into
+ * @p addr, and the distinct lines of @p cache they touch, in lane order.
+ */
+LaneList<std::uint32_t>
+laneLines(const TagCache &cache, const Warp &warp, const Instruction &instr,
+          std::uint32_t guard, std::array<std::uint32_t, warpSize> &addr)
+{
+    LaneList<std::uint32_t> lines;
+    for (int lane = 0; lane < warpSize; ++lane) {
+        if (!((guard >> lane) & 1u))
+            continue;
+        const std::uint32_t a =
+            warp.reg(lane, instr.srcA)
+            + static_cast<std::uint32_t>(instr.imm);
+        addr[static_cast<std::size_t>(lane)] = a;
+        lines.pushUnique(cache.lineAddr(a));
+    }
+    return lines;
 }
 
 } // namespace
@@ -312,6 +334,48 @@ Sm::checkSkippedWarps(std::uint64_t cycle) const
     }
 }
 
+void
+Sm::checkStallReplay(int slot, const Instruction &instr,
+                     std::uint32_t guard) const
+{
+    // Classify the load's lines as its tag phase would, without touching
+    // the cache, and match them against the plan in lookup order.
+    const Warp &warp = warps_[static_cast<std::size_t>(slot)];
+    const int pc = warp.pc();
+    const std::span<const int> hit_ways = stalled_.plan.hitWays();
+    std::size_t hits = 0;
+    std::size_t merged = 0;
+    std::array<std::uint32_t, warpSize> addr{};
+    for (std::uint32_t line : laneLines(l1d_, warp, instr, guard, addr)) {
+        if (l1d_.probe(line)) {
+            panic_if(hits == hit_ways.size()
+                         || l1d_.wayOf(line) != hit_ways[hits],
+                     "SM %d slot %d pc %d: line %#x is not in its recorded "
+                     "way",
+                     smId_, slot, pc, line);
+            ++hits;
+        } else if (l1d_.missPending(line)) {
+            panic_if(merged == stalled_.plan.merged(),
+                     "SM %d slot %d pc %d: line %#x has an MSHR the plan "
+                     "did not record",
+                     smId_, slot, pc, line);
+            ++merged;
+        } else {
+            panic_if(hits != hit_ways.size()
+                         || merged != stalled_.plan.merged(),
+                     "SM %d slot %d pc %d: a recorded line before %#x lost "
+                     "its way or its MSHR",
+                     smId_, slot, pc, line);
+            panic_if(!l1d_.mshrsFull(),
+                     "SM %d slot %d pc %d: line %#x would get a free MSHR",
+                     smId_, slot, pc, line);
+            return;
+        }
+    }
+    panic("SM %d slot %d pc %d: no line of the replayed load stalls", smId_,
+          slot, pc);
+}
+
 // ---------------------------------------------------------------------
 // Issue / execute
 // ---------------------------------------------------------------------
@@ -322,6 +386,13 @@ Sm::step(std::uint64_t cycle)
     checkLocalFills(cycle);
 #ifndef NDEBUG
     checkSkippedWarps(cycle);
+    // The stalled warp cannot leave its load's pc without committing
+    // the load, which clears the record.
+    panic_if(stalled_.slot >= 0
+                 && warps_[static_cast<std::size_t>(stalled_.slot)].pc()
+                        != stalled_.pc,
+             "SM %d slot %d: retry plan of pc %d outlived its load", smId_,
+             stalled_.slot, stalled_.pc);
 #endif
 
     // Evaluate, in slot order, only the warps outside the ready set
@@ -543,19 +614,25 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
 {
     Warp &warp = warps_[static_cast<std::size_t>(slot)];
 
+    // A retry of the stalled load while no lookup's outcome can have
+    // changed: repeat its recorded tag phase (DESIGN.md §3).
+    if (stalled_.slot == slot && stalled_.pc == warp.pc()
+        && stalled_.guard == guard
+        && stalled_.plan.epoch() == l1d_.epoch()) {
+#ifndef NDEBUG
+        checkStallReplay(slot, instr, guard);
+#endif
+        l1d_.replay(stalled_.plan);
+        ++stats_.issueStalls;
+        ++stats_.stallReplays;
+        return false;
+    }
+
     // Resolve per-lane addresses (memory divergence: lanes may touch
     // several lines).
     std::array<std::uint32_t, warpSize> addr{};
-    LaneList<std::uint32_t> lines;
-    for (int lane = 0; lane < warpSize; ++lane) {
-        if (!((guard >> lane) & 1u))
-            continue;
-        const std::uint32_t a =
-            warp.reg(lane, instr.srcA)
-            + static_cast<std::uint32_t>(instr.imm);
-        addr[static_cast<std::size_t>(lane)] = a;
-        lines.pushUnique(l1d_.lineAddr(a));
-    }
+    const LaneList<std::uint32_t> lines =
+        laneLines(l1d_, warp, instr, guard, addr);
 
     // Tag phase: resolve every line's outcome before committing any
     // architectural effect, so a structural stall can abort cleanly.
@@ -563,8 +640,9 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
     LaneList<std::uint32_t> missed;
     LaneList<std::uint32_t> new_requests;
     bool stalled = false;
+    tagPhase_.clear();
     for (std::uint32_t line : lines) {
-        const auto outcome = l1d_.access(line);
+        const auto outcome = l1d_.access(line, &tagPhase_);
         switch (outcome) {
           case CacheOutcome::Hit:
             hit_lines.push(line);
@@ -589,8 +667,14 @@ Sm::executeGlobalLoad(int slot, const Instruction &instr,
         for (std::uint32_t line : new_requests)
             chip_.sendReadRequest(smId_, line, false, cycle);
         ++stats_.issueStalls;
+        std::swap(stalled_.plan, tagPhase_);
+        stalled_.slot = slot;
+        stalled_.pc = warp.pc();
+        stalled_.guard = guard;
         return false;
     }
+    if (stalled_.slot == slot)
+        stalled_.slot = -1;
 
     // Commit phase. Operand-collector read of the address register.
     ++stats_.loads;
@@ -685,17 +769,9 @@ Sm::executeGlobalStore(int slot, const Instruction &instr,
 
     // Coalesce active lanes per line; write-evict: invalidate the local
     // copy and push the data to L2.
-    LaneList<std::uint32_t> lines;
     std::array<std::uint32_t, warpSize> addr{};
-    for (int lane = 0; lane < warpSize; ++lane) {
-        if (!((guard >> lane) & 1u))
-            continue;
-        const std::uint32_t a =
-            warp.reg(lane, instr.srcA)
-            + static_cast<std::uint32_t>(instr.imm);
-        addr[static_cast<std::size_t>(lane)] = a;
-        lines.pushUnique(l1d_.lineAddr(a));
-    }
+    const LaneList<std::uint32_t> lines =
+        laneLines(l1d_, warp, instr, guard, addr);
 
     for (std::uint32_t line : lines) {
         l1d_.invalidate(line);

@@ -121,10 +121,13 @@ struct SmStats
      * warp readiness evaluations: only warps whose state changed are
      * evaluated, where scanning every slot would count maxWarpsPerSm
      * per SM step. issueStalls counts global-load issue attempts that
-     * found the MSHR file full and retry the next cycle.
+     * found the MSHR file full and retry the next cycle; stallReplays
+     * counts those of them repeated from the load's recorded RetryPlan
+     * instead of re-resolved.
      */
     std::uint64_t readyChecks = 0;
     std::uint64_t issueStalls = 0;
+    std::uint64_t stallReplays = 0;
 };
 
 /**
@@ -198,6 +201,18 @@ class Sm
         int outstandingLines = 0;
     };
 
+    /**
+     * The global load that last stalled on a full L1D MSHR file, with
+     * its recorded tag phase; cleared when that slot's load commits.
+     */
+    struct StalledLoad
+    {
+        int slot = -1; //!< -1: none
+        int pc = 0;
+        std::uint32_t guard = 0;
+        RetryPlan plan;
+    };
+
     struct LocalFill
     {
         std::uint64_t readyCycle = 0;
@@ -230,6 +245,13 @@ class Sm
      * been ready, would have fetched, or left the ready set.
      */
     void checkSkippedWarps(std::uint64_t cycle) const;
+
+    /**
+     * Debug builds: panic unless the stalled load in @p slot, re-resolved
+     * read-only, would have the outcomes its plan recorded.
+     */
+    void checkStallReplay(int slot, const isa::Instruction &instr,
+                          std::uint32_t guard) const;
 
     /** Execute a non-memory instruction functionally. */
     void executeAlu(int slot, const isa::Instruction &instr,
@@ -297,6 +319,12 @@ class Sm
     std::unordered_map<std::uint32_t, std::vector<int>> waitingData_;
     std::unordered_map<std::uint32_t, std::vector<int>> waitingInstr_;
     std::vector<LocalFill> localFills_;
+
+    // MSHR-full retry replay (DESIGN.md §3): the stalled load, and the
+    // plan the next full tag phase records into, swapped into stalled_
+    // only if that phase stalls.
+    StalledLoad stalled_;
+    RetryPlan tagPhase_;
 
     // Wake-driven issue (DESIGN.md §3). Bit s of readyMask_ is set while
     // the warp in slot s is ready and has not issued; any other slot is

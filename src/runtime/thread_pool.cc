@@ -151,13 +151,19 @@ ThreadPool::workerLoop(int self)
             std::lock_guard<std::mutex> lock(wakeMutex_);
             --pending_;
         }
+        // Counted before the task runs: whatever the task publishes on
+        // its way out (a TaskGroup's completion) happens after the count,
+        // so a waiter that sees it also sees the task counted.
+        {
+            std::lock_guard<std::mutex> lock(me.mutex);
+            ++me.executed;
+        }
         const auto begin = std::chrono::steady_clock::now();
         task();
         const auto end = std::chrono::steady_clock::now();
         task = nullptr;
         {
             std::lock_guard<std::mutex> lock(me.mutex);
-            ++me.executed;
             me.busyNanos += static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     end - begin)

@@ -37,7 +37,7 @@ namespace bvf::runtime
 /** Aggregate and per-worker execution counters. */
 struct PoolStats
 {
-    std::uint64_t executed = 0; //!< tasks completed
+    std::uint64_t executed = 0; //!< tasks run, counted as each starts
     std::uint64_t steals = 0;   //!< tasks taken from another worker
     std::uint64_t busyNanos = 0; //!< summed task execution time
     std::uint64_t wallNanos = 0; //!< pool lifetime so far

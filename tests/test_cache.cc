@@ -121,6 +121,120 @@ TEST(Cache, RedundantFillRefreshesLru)
     EXPECT_TRUE(cache.probe(0x1000));
 }
 
+/**
+ * Fill four lines into set 0 (stride 1KB), leave a miss outstanding on
+ * 0x1080, and run a lookup sequence that hits 0x400, allocates the last
+ * MSHR for 0x2000, hits 0x000 and stalls on 0x3000, recorded in @p plan.
+ */
+void
+stallOnFullMshrs(TagCache &cache, RetryPlan &plan)
+{
+    for (std::uint32_t line : {0x000u, 0x400u, 0x800u, 0xc00u}) {
+        cache.access(line);
+        cache.fill(line);
+    }
+    ASSERT_EQ(cache.access(0x1080), CacheOutcome::Miss);
+    plan.clear();
+    ASSERT_EQ(cache.access(0x400, &plan), CacheOutcome::Hit);
+    ASSERT_EQ(cache.access(0x2000, &plan), CacheOutcome::Miss);
+    ASSERT_EQ(cache.access(0x000, &plan), CacheOutcome::Hit);
+    ASSERT_EQ(cache.access(0x3000, &plan), CacheOutcome::MshrFull);
+    ASSERT_EQ(plan.epoch(), cache.epoch());
+    EXPECT_EQ(plan.hitWays().size(), 2u);
+    EXPECT_EQ(plan.merged(), 1u);
+}
+
+TEST(Cache, ReplayedRetryMatchesRepeatedLookups)
+{
+    auto looked_up = makeCache(2);
+    auto replayed = makeCache(2);
+    RetryPlan unused;
+    RetryPlan plan;
+    stallOnFullMshrs(looked_up, unused);
+    stallOnFullMshrs(replayed, plan);
+
+    for (int retry = 0; retry < 5; ++retry) {
+        // Another requester's hit between retries keeps the plan valid;
+        // only the retries' re-stamps then make 0xc00 older than the
+        // lines they hit.
+        EXPECT_EQ(looked_up.access(0xc00), CacheOutcome::Hit);
+        EXPECT_EQ(replayed.access(0xc00), CacheOutcome::Hit);
+        EXPECT_EQ(looked_up.access(0x400), CacheOutcome::Hit);
+        EXPECT_EQ(looked_up.access(0x2000), CacheOutcome::MissMerged);
+        EXPECT_EQ(looked_up.access(0x000), CacheOutcome::Hit);
+        EXPECT_EQ(looked_up.access(0x3000), CacheOutcome::MshrFull);
+        ASSERT_EQ(plan.epoch(), replayed.epoch());
+        replayed.replay(plan);
+    }
+    EXPECT_EQ(replayed.hits(), looked_up.hits());
+    EXPECT_EQ(replayed.misses(), looked_up.misses());
+    EXPECT_EQ(replayed.fill(0x2000), looked_up.fill(0x2000));
+    EXPECT_EQ(replayed.fill(0x1080), looked_up.fill(0x1080));
+
+    // Set 0 is full: each conflicting fill evicts by the LRU stamps the
+    // retries left, so both caches must evict the same lines.
+    for (std::uint32_t line : {0x1000u, 0x1400u, 0x1800u, 0x1c00u}) {
+        replayed.fill(line);
+        looked_up.fill(line);
+        for (std::uint32_t held : {0x000u, 0x400u, 0x800u, 0xc00u, 0x2000u,
+                                   0x1000u, 0x1400u, 0x1800u}) {
+            EXPECT_EQ(replayed.wayOf(held), looked_up.wayOf(held))
+                << std::hex << "line 0x" << held << " after filling 0x"
+                << line;
+        }
+    }
+}
+
+TEST(Cache, EpochMovesOnlyWhenAnOutcomeCan)
+{
+    auto cache = makeCache(2);
+    std::uint64_t epoch = cache.epoch();
+    auto moved = [&] {
+        const bool changed = cache.epoch() != epoch;
+        epoch = cache.epoch();
+        return changed;
+    };
+    EXPECT_EQ(cache.access(0x0000), CacheOutcome::Miss);
+    EXPECT_TRUE(moved());
+    EXPECT_EQ(cache.access(0x0004), CacheOutcome::MissMerged);
+    EXPECT_FALSE(moved());
+    EXPECT_EQ(cache.access(0x1000), CacheOutcome::Miss);
+    EXPECT_TRUE(moved());
+    EXPECT_EQ(cache.access(0x2000), CacheOutcome::MshrFull);
+    EXPECT_FALSE(moved());
+    cache.fill(0x0000);
+    EXPECT_TRUE(moved());
+    EXPECT_EQ(cache.access(0x0000), CacheOutcome::Hit);
+    EXPECT_FALSE(moved());
+    cache.invalidate(0x3000); // not present: nothing changes
+    EXPECT_FALSE(moved());
+    cache.invalidate(0x0000);
+    EXPECT_TRUE(moved());
+    EXPECT_FALSE(cache.probe(0x0000));
+}
+
+TEST(Cache, WayOfNamesTheHoldingWay)
+{
+    auto cache = makeCache();
+    EXPECT_EQ(cache.wayOf(0x400), -1);
+    cache.fill(0x000);
+    cache.fill(0x400);
+    // Set 0 holds ways 0..3; the second line of the set takes way 1.
+    EXPECT_EQ(cache.wayOf(0x000), 0);
+    EXPECT_EQ(cache.wayOf(0x47c), 1);
+    cache.fill(0x080); // set 1
+    EXPECT_EQ(cache.wayOf(0x080), 4);
+}
+
+TEST(Cache, StaleRetryPlanIsRefused)
+{
+    auto cache = makeCache(2);
+    RetryPlan plan;
+    stallOnFullMshrs(cache, plan);
+    cache.fill(0x1080);
+    EXPECT_DEATH(cache.replay(plan), "stale retry plan");
+}
+
 TEST(Cache, GeometryValidation)
 {
     EXPECT_EXIT(

@@ -11,13 +11,15 @@
  *   - the 58 suite apps at the default configuration (GTO);
  *   - LRR and two-level on the 12 apps of the `stall` benchmark;
  *   - the extreme machines of test_stress (one MSHR, tiny caches, one
- *     DRAM channel, 4 and 8 warp slots, tail-warp blocks);
+ *     DRAM channel, 4 and 8 warp slots, tail-warp blocks), and two aimed
+ *     at the MSHR-full retry replay (a small L1D; a store to a stalled
+ *     load's hit line);
  *   - 600 seeded tests/random_kernel.hh kernels, in 6 shards.
  *
  * A simulator change that keeps every simulated bit keeps every
  * digest; a mismatch names the units whose sub-digests moved. The
  * pins also hold GpuStats::sm.issueStalls per entry, and per suite app
- * the readyChecks work count (see gpu_pins.hh).
+ * the readyChecks and stallReplays work counts (see gpu_pins.hh).
  *
  * Re-deriving the pins is for intended model changes only:
  *   build/tests/test_gpu_trace --gtest_also_run_disabled_tests \
@@ -31,6 +33,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -182,6 +185,7 @@ foldRun(TraceRun &into, const TraceRun &run)
         fold(into.digest.parts[p], run.digest.parts[p]);
     into.stats.sm.issueStalls += run.stats.sm.issueStalls;
     into.stats.sm.readyChecks += run.stats.sm.readyChecks;
+    into.stats.sm.stallReplays += run.stats.sm.stallReplays;
 }
 
 // --- the entries -----------------------------------------------------------
@@ -218,6 +222,52 @@ struct Machine
     const char *name;
     std::function<TraceRun()> run;
 };
+
+/**
+ * Two warps on one SM with one MSHR. Warp 1's load hits line 0x10000
+ * (lanes 0-15) and stalls on line 0x10100 (lanes 16-31), because warp
+ * 0's load of 0x10200 holds the MSHR. Warp 0 then stores to 0x10000
+ * while warp 1 retries. The shared-memory loads only time the steps:
+ * warp 1's address arrives before warp 0's store data does.
+ */
+constexpr const char *storeUnderStallAsm = R"(
+.kernel store_under_stall
+.launch 1 64
+.shared 256
+.global 256
+    S2R R1, SR_TIDX
+    MOV R9, #65536
+    AND R8, R1, #31
+    SHL R8, R8, #2
+    IADD R10, R9, R8          // 0x10000 + lane * 4
+    AND R11, R1, #16
+    SHL R11, R11, #4
+    IADD R11, R11, R10        // lanes 16-31 one line further on
+    SETP.GE P1, R1, #32       // warp 1
+    SETP.LT P2, R1, #32       // warp 0
+    STS [R8 + 0], R11
+    LDG R2, [R10 + 0]         // both warps bring 0x10000 in
+    NOP                       // pad to the next fetch group: it is
+    NOP                       // fetched while the line is in flight
+    NOP
+    NOP
+    NOP
+    NOP
+    NOP
+    NOP
+    NOP
+    NOP
+    NOP
+    NOP
+    IADD R3, R2, #0           // wait for the fill
+    @P1 LDS R12, [R8 + 0]
+    @P2 LDG R6, [R10 + 512]   // warp 0 takes the MSHR
+    @P2 LDS R7, [R8 + 0]
+    @P1 LDG R4, [R12 + 0]     // warp 1: hit, then MSHR-full
+    @P2 STG [R10 + 0], R7     // warp 0 evicts warp 1's hit line
+    IADD R5, R4, #0
+    EXIT
+)";
 
 /** test_stress's extreme machines and launch shapes. */
 const std::vector<Machine> &
@@ -269,6 +319,25 @@ machines()
              isa::Program program = workload::buildProgram(smallApp("NN"));
              program.launch.blockThreads = 80;
              return traceRun(baselineConfig(), std::move(program));
+         }},
+        {"small-l1d",
+         [] {
+             // Other warps' L1D hits interleave with MSHR-full retries,
+             // so a retry's LRU re-stamps decide later evictions.
+             GpuConfig config = baselineConfig();
+             config.numSms = 1;
+             config.l1dBytes = 2048;
+             config.mshrsPerSm = 2;
+             return traceRun(config, workload::buildProgram(smallApp("HIS")));
+         }},
+        {"store-under-stall",
+         [] {
+             GpuConfig config = baselineConfig();
+             config.numSms = 1;
+             config.mshrsPerSm = 1;
+             auto parsed = isa::parseAsm(storeUnderStallAsm);
+             panic_if(!parsed.ok(), "store_under_stall does not parse");
+             return traceRun(config, parsed.value());
          }},
     };
     return list;
@@ -348,6 +417,8 @@ expectMatchesPin(const std::string &name, const TraceRun &run)
         << name << ": call order across units moved";
     EXPECT_EQ(run.stats.sm.issueStalls, pin->issueStalls)
         << name << ": MSHR-full load retries moved";
+    EXPECT_LE(run.stats.sm.stallReplays, run.stats.sm.issueStalls)
+        << name << ": more retries replayed than stalled";
 }
 
 class GpuTraceApp : public ::testing::TestWithParam<std::size_t>
@@ -362,6 +433,9 @@ TEST_P(GpuTraceApp, MatchesItsParentDigest)
     EXPECT_EQ(run.stats.sm.readyChecks,
               tests::kAppReadyChecks[GetParam()].count)
         << spec.abbr << ": warp readiness evaluations moved";
+    EXPECT_EQ(run.stats.sm.stallReplays,
+              tests::kAppStallReplays[GetParam()].count)
+        << spec.abbr << ": retries replayed from a plan moved";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -375,8 +449,11 @@ TEST(GpuTracePins, ReadyCheckPinsFollowTheSuite)
 {
     const auto &suite = workload::evaluationSuite();
     ASSERT_EQ(suite.size(), tests::kAppReadyChecks.size());
-    for (std::size_t i = 0; i < suite.size(); ++i)
+    ASSERT_EQ(suite.size(), tests::kAppStallReplays.size());
+    for (std::size_t i = 0; i < suite.size(); ++i) {
         EXPECT_EQ(suite[i].abbr, tests::kAppReadyChecks[i].abbr);
+        EXPECT_EQ(suite[i].abbr, tests::kAppStallReplays[i].abbr);
+    }
 }
 
 // gtest prints a parameter without PrintTo as its raw bytes, and ctest
@@ -444,6 +521,28 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+const Machine &
+findMachine(std::string_view name)
+{
+    for (const Machine &m : machines()) {
+        if (m.name == name)
+            return m;
+    }
+    panic("no machine %.*s", static_cast<int>(name.size()), name.data());
+}
+
+TEST(GpuTraceReplay, InvalidatingStoreEndsTheReplay)
+{
+    // Three full tag phases: the first stall; the retry after warp 0's
+    // store evicts the recorded hit line; the retry after warp 0's fill
+    // frees the MSHR, where 0x10000 misses and takes it. Every other
+    // retry is a replay. Replaying past the store would make it two.
+    const TraceRun run = findMachine("store-under-stall").run();
+    EXPECT_EQ(run.stats.sm.issueStalls - run.stats.sm.stallReplays, 3u)
+        << run.stats.sm.issueStalls << " stalls, "
+        << run.stats.sm.stallReplays << " replayed";
+}
+
 class GpuTraceRandom : public ::testing::TestWithParam<tests::KernelShard>
 {
 };
@@ -476,13 +575,32 @@ printPin(const std::string &name, const TraceRun &run)
                 static_cast<unsigned long long>(run.stats.sm.issueStalls));
 }
 
+/** Print one per-app work-count table of gpu_pins.hh, and its total. */
+void
+printCounts(const char *table, const char *total,
+            const std::vector<std::pair<std::string, std::uint64_t>> &counts)
+{
+    std::printf("%s:\n", table);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        std::printf("{\"%s\", %llu},%s", counts[i].first.c_str(),
+                    static_cast<unsigned long long>(counts[i].second),
+                    i % 3 == 2 ? "\n" : " ");
+        sum += counts[i].second;
+    }
+    std::printf("\n%s = %llu\n", total,
+                static_cast<unsigned long long>(sum));
+}
+
 TEST(GpuTracePins, DISABLED_PrintPins)
 {
     std::vector<std::pair<std::string, std::uint64_t>> ready;
+    std::vector<std::pair<std::string, std::uint64_t>> replays;
     std::printf("kTracePins:\n");
     for (const workload::AppSpec &spec : workload::evaluationSuite()) {
         const TraceRun run = appRun(spec.abbr, SchedulerPolicy::Gto);
         ready.emplace_back(spec.abbr, run.stats.sm.readyChecks);
+        replays.emplace_back(spec.abbr, run.stats.sm.stallReplays);
         printPin("app/" + spec.abbr, run);
     }
     for (const SchedEntry &e : schedEntries())
@@ -493,16 +611,8 @@ TEST(GpuTracePins, DISABLED_PrintPins)
          tests::kernelShards(randomKernels, randomShards)) {
         printPin(randomName(shard), randomRun(shard));
     }
-    std::printf("kAppReadyChecks:\n");
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-        std::printf("{\"%s\", %llu},%s", ready[i].first.c_str(),
-                    static_cast<unsigned long long>(ready[i].second),
-                    i % 3 == 2 ? "\n" : " ");
-        total += ready[i].second;
-    }
-    std::printf("\nkSuiteReadyChecks = %llu\n",
-                static_cast<unsigned long long>(total));
+    printCounts("kAppReadyChecks", "kSuiteReadyChecks", ready);
+    printCounts("kAppStallReplays", "kSuiteStallReplays", replays);
 }
 
 } // namespace
