@@ -4,10 +4,11 @@
 # Starts bvfd on an ephemeral port, scrapes the bound port from its
 # stdout announcement, drives every request type through bvf_client
 # (pipelined pings, coder evaluation, static predictor, static coder
-# advice, chip energy, bit density), checks the /metrics exposition
-# counted all of it, then
-# sends SIGTERM and asserts a clean drain: exit status 0, the drained
-# log line, and the exiting banner.
+# advice, chip energy, bit density, kernel submission with evaluation,
+# and an evaluation the daemon refuses), checks that /metrics exports
+# every message-table label for requests, responses and request errors
+# and counted all of it, then sends SIGTERM and asserts a clean drain:
+# exit status 0, the drained log line, and the exiting banner.
 #
 # Usage: scripts/ci_daemon_smoke.sh [path/to/bvfd] [path/to/bvf_client]
 # The work directory is printed on entry; CI uploads it on failure.
@@ -70,6 +71,25 @@ grep -q "VS register pivot" "$WORK/advise.out" \
     || fail "advise gave no pivot ranking"
 client density BFS > "$WORK/density.out"
 client energy KMN > "$WORK/energy.out"
+# A one-warp kernel in assembly (bvf_client assembles it), admitted and
+# then evaluated by its digest.
+cat > "$WORK/smoke.s" <<'KERNEL'
+.kernel smoke
+.launch 1 32
+.global 64
+    S2R R1, SR_TIDX
+    MOV R2, #1
+    IADD R3, R1, R2
+    EXIT
+KERNEL
+client submit "$WORK/smoke.s" --eval > "$WORK/submit.out"
+grep -q "^admitted " "$WORK/submit.out" || fail "submit was not admitted"
+# A digest nothing was stored under: the daemon answers ErrorResponse
+# and the client exits nonzero.
+if "$CLIENT" --port "$PORT" eval k00000000-0 > "$WORK/refused.out" 2>&1
+then
+    fail "evaluating an unknown digest succeeded"
+fi
 
 echo "== scrape /metrics =="
 client metrics > "$WORK/metrics.out"
@@ -77,12 +97,27 @@ check_metric() {
     grep -q "^$1\$" "$WORK/metrics.out" \
         || fail "metrics missing '$1' (see $WORK/metrics.out)"
 }
+# Every row of the message table, for every per-type family: a dropped
+# or renamed row fails here.
+for family in requests responses request_errors; do
+    for label in ping eval_coder bit_density chip_energy static_query \
+        static_advice submit_kernel eval_submitted error; do
+        grep -q "^bvfd_${family}_total{type=\"$label\"} [0-9][0-9]*\$" \
+            "$WORK/metrics.out" \
+            || fail "metrics missing bvfd_${family}_total for '$label'"
+    done
+done
 check_metric 'bvfd_requests_total{type="ping"} 8'
 check_metric 'bvfd_responses_total{type="eval_coder"} 1'
 check_metric 'bvfd_responses_total{type="static_query"} 1'
 check_metric 'bvfd_responses_total{type="static_advice"} 1'
 check_metric 'bvfd_responses_total{type="bit_density"} 1'
 check_metric 'bvfd_responses_total{type="chip_energy"} 1'
+check_metric 'bvfd_responses_total{type="submit_kernel"} 1'
+check_metric 'bvfd_requests_total{type="eval_submitted"} 2'
+check_metric 'bvfd_responses_total{type="eval_submitted"} 1'
+check_metric 'bvfd_request_errors_total{type="eval_submitted"} 1'
+check_metric 'bvfd_responses_total{type="error"} 1'
 check_metric 'bvfd_protocol_errors_total 0'
 
 echo "== SIGTERM must drain cleanly =="

@@ -53,6 +53,11 @@ readRaw(std::istream &in)
     return value;
 }
 
+/**
+ * A record's fixed header, written as its in-memory bytes. `reserved`
+ * fills what would otherwise be 4 bytes of tail padding, so every byte
+ * a writer emits is defined.
+ */
 struct RecordHeader
 {
     std::uint8_t kind;
@@ -62,7 +67,10 @@ struct RecordHeader
     std::uint32_t activeMask;
     std::uint64_t cycle;
     std::uint32_t count;
+    std::uint32_t reserved = 0; //!< written 0, ignored on replay
 };
+static_assert(sizeof(RecordHeader) == 24,
+              "the on-disk trace record header is 24 bytes");
 
 /** Bounds-checked cursor over an in-memory batch payload. */
 class ByteReader

@@ -15,8 +15,9 @@
  *   batches: "BTCH" u32 payloadBytes, u32 recordCount,
  *            u32 crc32(payload), payloadBytes bytes of records
  *   footer:  "BVFE" u64 totalRecords, u32 crc32(totalRecords)
- *   record:  u8 kind, u8 unit/channelLo, u8 type/channelHi, u8 flags,
- *            u32 activeMask, u64 cycle, u32 count, count x payload
+ *   record:  24-byte header: u8 kind, u8 unit/channelLo,
+ *            u8 type/channelHi, u8 flags, u32 activeMask, u64 cycle,
+ *            u32 count, u32 reserved (0); then count x payload
  *            (u32 words for kind=Access/Noc, u64 for kind=Fetch)
  *
  * Batches are CRC-checked *before* any contained record reaches the

@@ -34,7 +34,9 @@ class RequestHandler
     /**
      * Execute @p request and build the response frame. Request frames
      * with a response type are themselves answered with ErrorResponse
-     * (a client must never speak response types).
+     * (a client must never speak response types), and so is a payload
+     * that does not decode, as InvalidArgument: its frame arrived
+     * intact, so the request itself is malformed.
      */
     Frame handle(const Frame &request) const;
 
@@ -42,15 +44,6 @@ class RequestHandler
     const KernelStore &kernelStore() const { return *kernels_; }
 
   private:
-    Frame handlePing(const Frame &request) const;
-    Frame handleEvalCoder(const Frame &request) const;
-    Frame handleBitDensity(const Frame &request) const;
-    Frame handleChipEnergy(const Frame &request) const;
-    Frame handleStaticQuery(const Frame &request) const;
-    Frame handleStaticAdvice(const Frame &request) const;
-    Frame handleSubmitKernel(const Frame &request) const;
-    Frame handleEvalSubmitted(const Frame &request) const;
-
     /**
      * Shared (not a value) so RequestHandler stays copyable -- copies
      * used by transports and the fleet proxy all see one store.

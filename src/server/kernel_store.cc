@@ -39,7 +39,11 @@ KernelStore::submit(std::string_view bytecode, bool optimize)
     if (!decoded.ok()) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++decodeFailures_;
-        return decoded.error();
+        // The bytecode arrived inside an intact frame: whatever the
+        // decoder calls the damage, the kernel is malformed, and a
+        // Corrupt or Truncated answer would read as wire damage to the
+        // fleet coordinator.
+        return Error{ErrorCode::InvalidArgument, decoded.error().message};
     }
 
     // One fixpoint per submission: the optimizer reuses admission's.

@@ -82,7 +82,8 @@ class KernelStore
 
     /**
      * Decode, verify and (if admitted) store @p bytecode. A decode
-     * failure or a full store is an Error; a verifier rejection is a
+     * failure (InvalidArgument) or a full store (Overloaded) is an
+     * Error; a verifier rejection is a
      * successful SubmitOutcome with admitted=false. Resubmitting
      * identical bytecode is idempotent: same digest, no second slot.
      *

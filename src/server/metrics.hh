@@ -106,13 +106,14 @@ class Metrics
     double uptimeSeconds() const;
 
   private:
-    /** Dense index for the per-type counters. */
-    static int typeSlot(MsgType type);
-    static constexpr int kTypeSlots = 9;
+    /** Dense index for the per-type counters: the type's table row. */
+    static std::size_t typeSlot(MsgType type);
+    static constexpr std::size_t kTypeSlots = kMessageKinds.size();
+    using Counters = std::array<std::atomic<std::uint64_t>, kTypeSlots>;
 
-    std::array<std::atomic<std::uint64_t>, kTypeSlots> requests_{};
-    std::array<std::atomic<std::uint64_t>, kTypeSlots> responses_{};
-    std::array<std::atomic<std::uint64_t>, kTypeSlots> errors_{};
+    Counters requests_{};
+    Counters responses_{};
+    Counters errors_{};
     std::atomic<std::uint64_t> protocolErrors_{0};
     std::atomic<std::uint64_t> connections_{0};
     std::atomic<std::uint64_t> bytesIn_{0};

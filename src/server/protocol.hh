@@ -25,6 +25,12 @@
  * whole batch of requests back to back and read the same number of
  * responses. The server evaluates the batch concurrently but responds
  * in request order (see server.hh).
+ *
+ * Each payload struct writes its layout once, as a field list that
+ * both encode() and decode() walk (WireMessage). kMessageTable lists
+ * every message type; names, the known-type check, metrics slots and
+ * request dispatch all derive from it. Adding a message is one table
+ * row plus its structs' field lists.
  */
 
 #ifndef BVF_SERVER_PROTOCOL_HH
@@ -34,9 +40,13 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "analysis/verifier.hh"
 #include "coder/scenario.hh"
+#include "common/logging.hh"
 #include "common/result.hh"
 #include "core/eval_config.hh"
 
@@ -50,6 +60,12 @@ constexpr std::size_t kHeaderBytes = 16;
 
 /** Hard cap on one frame's payload (1 MiB). */
 constexpr std::uint32_t kMaxPayload = 1u << 20;
+
+/** Cap on one request's word vector (fits kMaxPayload with headroom). */
+constexpr std::uint32_t kMaxWords = kMaxPayload / 8 - 16;
+
+/** Cap on strings travelling in requests (app abbreviations, errors). */
+constexpr std::uint32_t kMaxString = 4096;
 
 /** Frame types. Requests have the high bit clear, responses set. */
 enum class MsgType : std::uint8_t
@@ -99,8 +115,16 @@ std::string encodeFrame(MsgType type, std::string_view payload);
 Result<Frame> parseFrame(std::string_view bytes, std::size_t &consumed);
 
 // --- Payload serialization helpers -----------------------------------
+//
+// A message's field list is `static void fields(auto &self, auto &io)`:
+// io(x) for a number, enum, array or nested struct with its own field
+// list; io.string / io.blob for strings; io.size then io.items for a
+// vector; io.check for a range check, at the point the decoder makes
+// it; io.end where trailing bytes are refused before later checks; and
+// io.tail for an optional trailing group. A WireWriter walks it to
+// encode (checks are skipped), a WireReader to decode.
 
-/** Append-only little-endian payload builder. */
+/** Append-only little-endian payload builder; the encoding visitor. */
 class WireWriter
 {
   public:
@@ -118,11 +142,63 @@ class WireWriter
     const std::string &str() const { return buf_; }
     std::string take() { return std::move(buf_); }
 
+    template <typename T>
+    void
+    operator()(const T &v)
+    {
+        if constexpr (std::is_enum_v<T>)
+            putU8(static_cast<std::uint8_t>(v));
+        else if constexpr (std::is_same_v<T, std::uint8_t>)
+            putU8(v);
+        else if constexpr (std::is_same_v<T, std::uint32_t>)
+            putU32(v);
+        else if constexpr (std::is_same_v<T, std::uint64_t>)
+            putU64(v);
+        else if constexpr (std::is_same_v<T, double>)
+            putF64(v);
+        else if constexpr (requires { v.size(); })
+            for (const auto &e : v)
+                (*this)(e);
+        else
+            T::fields(v, *this);
+    }
+
+    void string(std::string_view s, std::uint32_t) { putString(s); }
+    void blob(std::string_view s) { putBlob(s); }
+
+    template <typename T>
+    std::uint32_t
+    size(const std::vector<T> &v)
+    {
+        const auto count = static_cast<std::uint32_t>(v.size());
+        putU32(count);
+        return count;
+    }
+
+    template <typename T>
+    void
+    items(const std::vector<T> &v, std::uint32_t, std::size_t = 0)
+    {
+        for (const T &e : v)
+            (*this)(e);
+    }
+
+    bool tail(bool present) { return present; }
+    void end() {}
+
+    template <typename... Args>
+    void check(bool, ErrorCode, const char *, const Args &...)
+    {}
+
   private:
     std::string buf_;
 };
 
-/** Cursor over a payload; every get fails softly at the end. */
+/**
+ * Cursor over a payload; every get fails softly at the end. As the
+ * decoding visitor its first failure sticks: later reads and checks
+ * are no-ops, so a decode reports exactly the first problem.
+ */
 class WireReader
 {
   public:
@@ -145,10 +221,194 @@ class WireReader
      */
     std::size_t remaining() const { return bytes_.size() - pos_; }
 
+    /** Success, or the first decode failure. */
+    const Result<void> &status() const { return status_; }
+
+    template <typename T>
+    void
+    operator()(T &v)
+    {
+        if (!status_.ok())
+            return;
+        bool read = true;
+        if constexpr (std::is_enum_v<T>) {
+            std::uint8_t raw = 0;
+            read = getU8(raw);
+            v = static_cast<T>(raw);
+        } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+            read = getU8(v);
+        } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+            read = getU32(v);
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            read = getU64(v);
+        } else if constexpr (std::is_same_v<T, double>) {
+            read = getF64(v);
+        } else if constexpr (requires { v.size(); }) {
+            for (auto &e : v)
+                (*this)(e);
+        } else {
+            T::fields(v, *this);
+        }
+        if (!read)
+            truncated();
+    }
+
+    void
+    string(std::string &s, std::uint32_t maxLen)
+    {
+        if (status_.ok() && !getString(s, maxLen))
+            truncated();
+    }
+
+    void blob(std::string &s) { string(s, kMaxPayload); }
+
+    template <typename T>
+    std::uint32_t
+    size(const std::vector<T> &)
+    {
+        std::uint32_t count = 0;
+        (*this)(count);
+        return count;
+    }
+
+    /**
+     * Read @p count items into @p v. A count that needs more than the
+     * remaining bytes at @p minBytes per item is Truncated before the
+     * vector is sized: no allocation off a hostile count.
+     */
+    template <typename T>
+    void
+    items(std::vector<T> &v, std::uint32_t count, std::size_t minBytes = 0)
+    {
+        if (!status_.ok())
+            return;
+        if (std::uint64_t{count} * minBytes > remaining())
+            return truncated();
+        v.resize(count);
+        for (T &e : v)
+            (*this)(e);
+    }
+
+    /** Is an optional trailing group present? Sets @p present if so. */
+    bool
+    tail(std::uint8_t &present)
+    {
+        if (!tail(true))
+            return false;
+        present = 1;
+        return true;
+    }
+
+    bool tail(bool) { return status_.ok() && !exhausted(); }
+
+    void
+    end()
+    {
+        if (status_.ok() && !exhausted())
+            status_ = Error{ErrorCode::Corrupt, "payload has trailing bytes"};
+    }
+
+    /** Fail with @p code and the formatted message unless @p ok. */
+    template <typename... Args>
+    void
+    check(bool ok, ErrorCode code, const char *fmt, const Args &...args)
+    {
+        if (ok || !status_.ok())
+            return;
+        if constexpr (sizeof...(Args) == 0)
+            status_ = Error{code, fmt};
+        else
+            status_ = Error{code, strFormat(fmt, args...)};
+    }
+
   private:
+    void
+    truncated()
+    {
+        status_ = Error{ErrorCode::Truncated, "payload ends mid-field"};
+    }
+
     std::string_view bytes_;
     std::size_t pos_ = 0;
+    Result<void> status_;
 };
+
+/**
+ * Base of every payload struct: encode() and decode() both walk the
+ * struct's one field list. decode() also refuses trailing bytes.
+ */
+template <typename Self>
+struct WireMessage
+{
+    std::string
+    encode() const
+    {
+        WireWriter w;
+        Self::fields(static_cast<const Self &>(*this), w);
+        return w.take();
+    }
+
+    static Result<Self>
+    decode(std::string_view payload)
+    {
+        WireReader r(payload);
+        Self message;
+        Self::fields(message, r);
+        r.end();
+        if (!r.status().ok())
+            return r.status().error();
+        return message;
+    }
+};
+
+// --- Range checks shared by the request field lists ---------------------
+
+/**
+ * The machine fields of AppQuery, EvalSubmittedRequest and (arch and
+ * pivot only) EvalCoderRequest: architecture, scheduler, VS pivot and
+ * the dynamic-ISA flag.
+ */
+template <typename IO, typename Request>
+void
+checkMachine(IO &io, const Request &q)
+{
+    constexpr auto bad = ErrorCode::InvalidArgument;
+    io.check(q.arch < core::kArchSpellings.size(), bad,
+             "architecture index %u out of range", q.arch);
+    if constexpr (requires { q.sched; }) {
+        io.check(q.sched < core::kSchedSpellings.size(), bad,
+                 "scheduler index %u out of range", q.sched);
+    }
+    io.check(q.vsPivot <= core::EvalConfig::maxPivot, bad,
+             "VS pivot %u out of range [0, %d]", q.vsPivot,
+             core::EvalConfig::maxPivot);
+    if constexpr (requires { q.dynamicIsa; }) {
+        io.check(q.dynamicIsa <= 1, bad,
+                 "dynamic-ISA flag %u is not 0 or 1", q.dynamicIsa);
+    }
+}
+
+/**
+ * The pricing fields ChipEnergyRequest and EvalSubmittedRequest share;
+ * the bitline bound is the one every front end enforces.
+ */
+template <typename IO, typename Request>
+void
+checkPricing(IO &io, const Request &r)
+{
+    constexpr auto bad = ErrorCode::InvalidArgument;
+    io.check(r.node < core::kNodeSpellings.size(), bad,
+             "technology node index %u out of range", r.node);
+    io.check(r.pstate < core::kPStateSpellings.size(), bad,
+             "P-state index %u out of range", r.pstate);
+    io.check(r.cell < core::kCellSpellings.size(), bad,
+             "cell kind index %u out of range", r.cell);
+    io.check(r.ecc <= 1, bad, "ECC flag %u is not 0 or 1", r.ecc);
+    io.check(r.cellsBitline >= 1
+                 && r.cellsBitline <= core::Pricing::maxCellsPerBitline,
+             bad, "cells per bitline %u out of range [1, %d]",
+             r.cellsBitline, core::Pricing::maxCellsPerBitline);
+}
 
 // --- Messages ---------------------------------------------------------
 
@@ -157,12 +417,15 @@ constexpr std::size_t kScenarioSlots =
     static_cast<std::size_t>(coder::numScenarios);
 
 /** Ping: echo test and liveness probe. */
-struct Ping
+struct Ping : WireMessage<Ping>
 {
     std::uint64_t nonce = 0;
 
-    std::string encode() const;
-    static Result<Ping> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.nonce);
+    }
 };
 
 /** Which coder an EvalCoder request exercises. */
@@ -179,7 +442,7 @@ enum class CoderKind : std::uint8_t
  * coders (identity/nv/vs) treat each as two little-endian 32-bit words,
  * the ISA coder consumes them whole.
  */
-struct EvalCoderRequest
+struct EvalCoderRequest : WireMessage<EvalCoderRequest>
 {
     CoderKind coder = CoderKind::Identity;
     std::uint8_t arch = 3;    //!< isa::GpuArch index (isa coder)
@@ -187,20 +450,44 @@ struct EvalCoderRequest
     std::uint64_t isaMask = 0; //!< 0 = Table 2 mask of arch
     std::vector<std::uint64_t> words;
 
-    std::string encode() const;
-    static Result<EvalCoderRequest> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.coder);
+        io(self.arch);
+        io(self.vsPivot);
+        io(self.isaMask);
+        const std::uint32_t count = io.size(self.words);
+        io.check(self.coder <= CoderKind::Isa, ErrorCode::InvalidArgument,
+                 "unknown coder kind %u",
+                 static_cast<unsigned>(self.coder));
+        checkMachine(io, self);
+        io.check(count <= kMaxWords, ErrorCode::InvalidArgument,
+                 "%u words exceed the per-request cap of %u", count,
+                 kMaxWords);
+        io.items(self.words, count, 8);
+    }
 };
 
 /** Bit statistics before/after encoding, plus the encoded words. */
-struct EvalCoderResponse
+struct EvalCoderResponse : WireMessage<EvalCoderResponse>
 {
     std::uint64_t totalBits = 0;
     std::uint64_t onesBefore = 0;
     std::uint64_t onesAfter = 0;
     std::vector<std::uint64_t> encoded;
 
-    std::string encode() const;
-    static Result<EvalCoderResponse> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.totalBits);
+        io(self.onesBefore);
+        io(self.onesAfter);
+        const std::uint32_t count = io.size(self.encoded);
+        io.check(count <= kMaxWords, ErrorCode::Corrupt,
+                 "encoded word count exceeds cap");
+        io.items(self.encoded, count, 8);
+    }
 };
 
 /** App-keyed request core shared by density/energy/static queries. */
@@ -211,23 +498,60 @@ struct AppQuery
     std::uint8_t sched = 0;    //!< gpu::SchedulerPolicy index
     std::uint32_t vsPivot = 21;
     std::uint8_t dynamicIsa = 0;
+
+    static void
+    fields(auto &self, auto &io)
+    {
+        io.string(self.abbr, 64);
+        io(self.arch);
+        io(self.sched);
+        io(self.vsPivot);
+        io(self.dynamicIsa);
+    }
 };
 
-/** Simulate an app; report per-unit encoded bit-1 density. */
-struct BitDensityRequest
+/** AppQuery's range checks, made once the whole payload is read. */
+template <typename IO>
+void
+checkAppQuery(IO &io, const AppQuery &q)
+{
+    io.check(!q.abbr.empty(), ErrorCode::InvalidArgument,
+             "empty application abbreviation");
+    checkMachine(io, q);
+}
+
+/** A request that carries an AppQuery and nothing else. */
+template <typename Self>
+struct AppRequest : WireMessage<Self>
 {
     AppQuery query;
 
-    std::string encode() const;
-    static Result<BitDensityRequest> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.query);
+        io.end();
+        checkAppQuery(io, self.query);
+    }
 };
 
-struct BitDensityResponse
+/** Simulate an app; report per-unit encoded bit-1 density. */
+struct BitDensityRequest : AppRequest<BitDensityRequest>
+{};
+
+struct BitDensityResponse : WireMessage<BitDensityResponse>
 {
     struct Unit
     {
         std::uint8_t unit = 0; //!< coder::UnitId index
         std::array<double, kScenarioSlots> density{};
+
+        static void
+        fields(auto &self, auto &io)
+        {
+            io(self.unit);
+            io(self.density);
+        }
     };
 
     std::uint64_t cycles = 0;
@@ -235,12 +559,20 @@ struct BitDensityResponse
     std::vector<Unit> units;
     std::array<double, kScenarioSlots> nocDensity{};
 
-    std::string encode() const;
-    static Result<BitDensityResponse> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.cycles);
+        io(self.instructions);
+        const std::uint32_t count = io.size(self.units);
+        io.check(count <= 64, ErrorCode::Corrupt, "unit count exceeds cap");
+        io.items(self.units, count);
+        io(self.nocDensity);
+    }
 };
 
 /** Simulate an app and price it: per-scenario chip energy. */
-struct ChipEnergyRequest
+struct ChipEnergyRequest : WireMessage<ChipEnergyRequest>
 {
     AppQuery query;
     std::uint8_t node = 0;   //!< 0 = 28nm, 1 = 40nm
@@ -249,50 +581,84 @@ struct ChipEnergyRequest
     std::uint8_t ecc = 0;
     std::uint32_t cellsBitline = 128;
 
-    std::string encode() const;
-    static Result<ChipEnergyRequest> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.query);
+        io(self.node);
+        io(self.pstate);
+        io(self.cell);
+        io(self.ecc);
+        io(self.cellsBitline);
+        io.end();
+        checkAppQuery(io, self.query);
+        checkPricing(io, self);
+    }
 };
 
-struct ChipEnergyResponse
+struct ChipEnergyResponse : WireMessage<ChipEnergyResponse>
 {
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
     std::array<double, kScenarioSlots> chipEnergy{};
     std::array<double, kScenarioSlots> bvfUnitsEnergy{};
 
-    std::string encode() const;
-    static Result<ChipEnergyResponse> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.cycles);
+        io(self.instructions);
+        io(self.chipEnergy);
+        io(self.bvfUnitsEnergy);
+    }
 };
 
 /** Static predictor query: proven density bounds, no simulation. */
-struct StaticQueryRequest
-{
-    AppQuery query;
+struct StaticQueryRequest : AppRequest<StaticQueryRequest>
+{};
 
-    std::string encode() const;
-    static Result<StaticQueryRequest> decode(std::string_view payload);
-};
-
-struct StaticQueryResponse
+struct StaticQueryResponse : WireMessage<StaticQueryResponse>
 {
     struct Bound
     {
         double lo = 0.0;
         double hi = 1.0;
         std::uint8_t any = 0;
+
+        static void
+        fields(auto &self, auto &io)
+        {
+            io(self.lo);
+            io(self.hi);
+            io(self.any);
+        }
     };
     struct Unit
     {
         std::uint8_t unit = 0; //!< coder::UnitId index
         std::array<Bound, kScenarioSlots> bounds{};
+
+        static void
+        fields(auto &self, auto &io)
+        {
+            io(self.unit);
+            io(self.bounds);
+        }
     };
 
     std::uint8_t bestStatic = 0; //!< coder::Scenario index
     std::vector<Unit> units;
     std::array<Bound, kScenarioSlots> noc{};
 
-    std::string encode() const;
-    static Result<StaticQueryResponse> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.bestStatic);
+        const std::uint32_t count = io.size(self.units);
+        io.check(count <= 64, ErrorCode::Corrupt, "unit count exceeds cap");
+        io.items(self.units, count);
+        io(self.noc);
+    }
 };
 
 /**
@@ -301,15 +667,10 @@ struct StaticQueryResponse
  * lane-aware analysis, without simulating. Only abbr and arch of the
  * query matter; pivot/mask are outputs here, not inputs.
  */
-struct StaticAdviceRequest
-{
-    AppQuery query;
+struct StaticAdviceRequest : AppRequest<StaticAdviceRequest>
+{};
 
-    std::string encode() const;
-    static Result<StaticAdviceRequest> decode(std::string_view payload);
-};
-
-struct StaticAdviceResponse
+struct StaticAdviceResponse : WireMessage<StaticAdviceResponse>
 {
     using Bound = StaticQueryResponse::Bound;
 
@@ -320,6 +681,16 @@ struct StaticAdviceResponse
         std::uint8_t proven = 0; //!< winner's interval clears the loser's
         Bound nv;
         Bound vs;
+
+        static void
+        fields(auto &self, auto &io)
+        {
+            io(self.unit);
+            io(self.pick);
+            io(self.proven);
+            io(self.nv);
+            io(self.vs);
+        }
     };
 
     // VS register pivot ranking.
@@ -340,8 +711,27 @@ struct StaticAdviceResponse
     std::uint8_t bestScenario = 0; //!< coder::Scenario index
     std::vector<UnitPick> unitPicks;
 
-    std::string encode() const;
-    static Result<StaticAdviceResponse> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.bestPivot);
+        io(self.provenSlack);
+        io(self.affineSources);
+        io(self.totalSources);
+        io.check(self.bestPivot < 32, ErrorCode::Corrupt,
+                 "pivot lane out of range");
+        io(self.pivotBounds);
+        io(self.pivotScores);
+        io(self.defaultMask);
+        io(self.specializedMask);
+        io(self.defaultDensity);
+        io(self.specializedDensity);
+        io(self.bestScenario);
+        const std::uint32_t count = io.size(self.unitPicks);
+        io.check(count <= 64, ErrorCode::Corrupt,
+                 "unit pick count exceeds cap");
+        io.items(self.unitPicks, count);
+    }
 };
 
 /** Caps for the kernel-submission messages. */
@@ -357,7 +747,7 @@ constexpr std::uint32_t kMaxWireRejections = 256;
  * reasons; only undecodable bytecode or a full kernel store comes back
  * as an ErrorResponse.
  */
-struct SubmitKernelRequest
+struct SubmitKernelRequest : WireMessage<SubmitKernelRequest>
 {
     std::string bytecode;
 
@@ -370,17 +760,39 @@ struct SubmitKernelRequest
      */
     std::uint8_t optimize = 0;
 
-    std::string encode() const;
-    static Result<SubmitKernelRequest> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io.blob(self.bytecode);
+        if (io.tail(self.optimize != 0)) {
+            io(self.optimize);
+            io.check(self.optimize <= 1, ErrorCode::Corrupt,
+                     "optimize flag is not boolean");
+            io.end();
+        }
+        io.check(!self.bytecode.empty(), ErrorCode::InvalidArgument,
+                 "empty kernel bytecode");
+    }
 };
 
-struct SubmitKernelResponse
+struct SubmitKernelResponse : WireMessage<SubmitKernelResponse>
 {
     struct WireRejection
     {
         std::uint8_t reason = 0; //!< analysis::RejectReason index
         std::uint32_t pc = 0;
         std::string message;
+
+        static void
+        fields(auto &self, auto &io)
+        {
+            io(self.reason);
+            io(self.pc);
+            io.string(self.message, kMaxString);
+            io.check(self.reason < analysis::kNumRejectReasons,
+                     ErrorCode::InvalidArgument,
+                     "unknown rejection reason %u", self.reason);
+        }
     };
 
     std::uint8_t admitted = 0;
@@ -405,12 +817,41 @@ struct SubmitKernelResponse
     std::uint8_t optimized = 0;
     std::string optimizedDigest;
 
-    std::string encode() const;
-    static Result<SubmitKernelResponse> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        constexpr auto corrupt = ErrorCode::Corrupt;
+        io(self.admitted);
+        io.string(self.digest, kMaxDigestBytes);
+        io(self.tripBound);
+        io(self.globalLo);
+        io(self.globalHi);
+        const std::uint32_t count = io.size(self.rejections);
+        io.check(self.admitted <= 1, corrupt, "admitted flag is not boolean");
+        io.check(count <= kMaxWireRejections, corrupt,
+                 "rejection count exceeds cap");
+        // Each record needs at least its fixed 9-byte prefix.
+        io.items(self.rejections, count, 9);
+        if (io.tail(self.optimizeRequested)) {
+            io(self.optimized);
+            io.string(self.optimizedDigest, kMaxDigestBytes);
+            io.end();
+            io.check(self.optimized <= 1, corrupt,
+                     "optimized flag is not boolean");
+            io.check(!self.optimized || !self.optimizedDigest.empty(),
+                     corrupt, "optimized response without a digest");
+            io.check(self.optimized || self.optimizedDigest.empty(),
+                     corrupt, "fallback response carries a digest");
+            io.check(!self.optimized || self.admitted, corrupt,
+                     "optimized response without admission");
+        }
+        io.check(!self.admitted || self.rejections.empty(), corrupt,
+                 "admitted response carries rejections");
+    }
 };
 
 /** Simulate and price a previously admitted kernel by digest. */
-struct EvalSubmittedRequest
+struct EvalSubmittedRequest : WireMessage<EvalSubmittedRequest>
 {
     std::string digest;
     std::uint8_t arch = 3;     //!< isa::GpuArch index
@@ -423,11 +864,28 @@ struct EvalSubmittedRequest
     std::uint8_t ecc = 0;
     std::uint32_t cellsBitline = 128;
 
-    std::string encode() const;
-    static Result<EvalSubmittedRequest> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io.string(self.digest, kMaxDigestBytes);
+        io(self.arch);
+        io(self.sched);
+        io(self.vsPivot);
+        io(self.dynamicIsa);
+        io(self.node);
+        io(self.pstate);
+        io(self.cell);
+        io(self.ecc);
+        io(self.cellsBitline);
+        io.end();
+        io.check(!self.digest.empty(), ErrorCode::InvalidArgument,
+                 "empty kernel digest");
+        checkMachine(io, self);
+        checkPricing(io, self);
+    }
 };
 
-struct EvalSubmittedResponse
+struct EvalSubmittedResponse : WireMessage<EvalSubmittedResponse>
 {
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
@@ -439,19 +897,102 @@ struct EvalSubmittedResponse
     std::array<double, kScenarioSlots> chipEnergy{};
     std::array<double, kScenarioSlots> bvfUnitsEnergy{};
 
-    std::string encode() const;
-    static Result<EvalSubmittedResponse> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.cycles);
+        io(self.instructions);
+        io(self.maxWarpIssue);
+        io(self.checkedAccesses);
+        io(self.chipEnergy);
+        io(self.bvfUnitsEnergy);
+    }
 };
 
 /** Structured failure for one request. */
-struct WireError
+struct WireError : WireMessage<WireError>
 {
     std::uint8_t code = 0; //!< ErrorCode index
     std::string message;
 
-    std::string encode() const;
-    static Result<WireError> decode(std::string_view payload);
+    static void
+    fields(auto &self, auto &io)
+    {
+        io(self.code);
+        io.string(self.message, kMaxString);
+    }
 };
+
+// --- The message table ------------------------------------------------
+
+/** One message family: its types and its metrics label. */
+struct MessageKind
+{
+    const char *label; //!< "eval_coder"; names derive from it
+    MsgType request;   //!< ErrorResponse for the error family
+    MsgType response;
+};
+
+/** A table row: a MessageKind and the structs of its payloads. */
+template <typename Req, typename Resp>
+struct MessageRow : MessageKind
+{
+    using Request = Req; //!< void for the error family
+    using Response = Resp;
+};
+
+/**
+ * Every message type, one row per request/response family. A row's
+ * position is its metrics slot; a request's row names the response
+ * type that answers it.
+ */
+inline constexpr std::tuple kMessageTable{
+    MessageRow<Ping, Ping>{
+        {"ping", MsgType::PingRequest, MsgType::PingResponse}},
+    MessageRow<EvalCoderRequest, EvalCoderResponse>{
+        {"eval_coder", MsgType::EvalCoderRequest,
+         MsgType::EvalCoderResponse}},
+    MessageRow<BitDensityRequest, BitDensityResponse>{
+        {"bit_density", MsgType::BitDensityRequest,
+         MsgType::BitDensityResponse}},
+    MessageRow<ChipEnergyRequest, ChipEnergyResponse>{
+        {"chip_energy", MsgType::ChipEnergyRequest,
+         MsgType::ChipEnergyResponse}},
+    MessageRow<StaticQueryRequest, StaticQueryResponse>{
+        {"static_query", MsgType::StaticQueryRequest,
+         MsgType::StaticQueryResponse}},
+    MessageRow<StaticAdviceRequest, StaticAdviceResponse>{
+        {"static_advice", MsgType::StaticAdviceRequest,
+         MsgType::StaticAdviceResponse}},
+    MessageRow<SubmitKernelRequest, SubmitKernelResponse>{
+        {"submit_kernel", MsgType::SubmitKernelRequest,
+         MsgType::SubmitKernelResponse}},
+    MessageRow<EvalSubmittedRequest, EvalSubmittedResponse>{
+        {"eval_submitted", MsgType::EvalSubmittedRequest,
+         MsgType::EvalSubmittedResponse}},
+    MessageRow<void, WireError>{
+        {"error", MsgType::ErrorResponse, MsgType::ErrorResponse}},
+};
+
+/** The table's rows without their structs, for lookups at run time. */
+inline constexpr auto kMessageKinds = std::apply(
+    [](const auto &...row) {
+        return std::array<MessageKind, sizeof...(row)>{row...};
+    },
+    kMessageTable);
+
+/** Position of @p type's row in the table, or -1 if it has none. */
+constexpr int
+messageSlot(MsgType type)
+{
+    for (std::size_t i = 0; i < kMessageKinds.size(); ++i) {
+        if (kMessageKinds[i].request == type
+            || kMessageKinds[i].response == type)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
 
 // --- The evaluation config on the wire -----------------------------------
 

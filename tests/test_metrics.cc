@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "server/metrics.hh"
 
 namespace bvf::server
@@ -200,6 +201,36 @@ TEST(Metrics, KernelAdmissionTypesGetTheirOwnSlots)
     }
     EXPECT_EQ(metrics.errors(MsgType::SubmitKernelRequest), 0u);
     EXPECT_EQ(metrics.errors(MsgType::EvalSubmittedRequest), 1u);
+}
+
+TEST(Metrics, RenderedTextIsPinnedForFixedCounters)
+{
+    // Every message type counted a different number of times, so the
+    // slot each type lands in and each slot's label show in the text.
+    Metrics metrics;
+    int n = 0;
+    for (int raw = 0; raw < 256; ++raw) {
+        const auto type = static_cast<MsgType>(raw);
+        if (!msgTypeKnown(static_cast<std::uint8_t>(raw)))
+            continue;
+        ++n;
+        for (int i = 0; i < n; ++i)
+            metrics.onRequest(type);
+        metrics.onResponse(type, std::chrono::microseconds(n * 7));
+        if (n % 3 == 0)
+            metrics.onError(type);
+    }
+    EXPECT_EQ(n, 17);
+    metrics.onProtocolError();
+    metrics.onConnection();
+    metrics.addBytesIn(1234);
+    metrics.addBytesOut(5678);
+
+    std::string text = metrics.render(5, 3, 0.25);
+    const auto uptime = text.find("bvfd_uptime_seconds ");
+    ASSERT_NE(uptime, std::string::npos);
+    text.erase(uptime, text.find('\n', uptime) + 1 - uptime);
+    EXPECT_EQ(crc32(text.data(), text.size()), 0xdaa906d6u) << text;
 }
 
 } // namespace

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "analysis/verifier.hh"
+#include "common/crc32.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/experiment.hh"
 #include "server/protocol.hh"
@@ -299,23 +303,31 @@ TEST(Messages, WireErrorRoundTrip)
     EXPECT_EQ(decoded.value().message, err.message);
 }
 
+/** Every message type in the message table, each once. */
+std::vector<MsgType>
+tableTypes()
+{
+    std::vector<MsgType> types;
+    for (const MessageKind &kind : kMessageKinds) {
+        if (kind.request != kind.response)
+            types.push_back(kind.request);
+        types.push_back(kind.response);
+    }
+    return types;
+}
+
 TEST(Fuzz, RandomFramesRoundTripAndRandomBytesNeverCrash)
 {
     Rng rng(0xb5f00d);
-    constexpr MsgType types[] = {
-        MsgType::PingRequest,      MsgType::EvalCoderRequest,
-        MsgType::BitDensityRequest, MsgType::ChipEnergyRequest,
-        MsgType::StaticQueryRequest, MsgType::PingResponse,
-        MsgType::ErrorResponse,
-    };
-    for (int round = 0; round < 500; ++round) {
-        // Round-trip a random payload under a random type.
+    const std::vector<MsgType> types = tableTypes();
+    for (std::size_t round = 0; round < 34 * types.size(); ++round) {
+        // Round-trip a random payload under each type in turn.
         std::string payload;
         const auto len =
             static_cast<std::size_t>(rng.nextRange(0, 300));
         for (std::size_t i = 0; i < len; ++i)
             payload += static_cast<char>(rng.nextRange(0, 255));
-        const MsgType type = types[rng.nextBounded(std::size(types))];
+        const MsgType type = types[round % types.size()];
         const std::string bytes = encodeFrame(type, payload);
         std::size_t consumed = 0;
         auto parsed = parseFrame(bytes, consumed);
@@ -695,6 +707,425 @@ TEST(Messages, NewMessageTypesHaveStableNamesAndAreKnown)
         EXPECT_TRUE(msgTypeKnown(static_cast<std::uint8_t>(type)));
         EXPECT_EQ(msgTypeName(type).find("unknown"), std::string::npos);
     }
+}
+
+// --- Pinned wire behaviour ------------------------------------------------
+//
+// Seeded random messages of every type, each encoded and then decoded
+// whole, at every prefix, with every byte flipped and with one byte
+// appended. Each message type pins a CRC of the encoded bytes and a CRC
+// of every decode outcome (the re-encoded value, or the error code and
+// message), so any change to a layout, a range check, the order of the
+// checks or an error text moves a pin.
+
+/** Seeded field values: mostly in range, sometimes (1 in 8) not. */
+class Draw
+{
+  public:
+    explicit Draw(std::uint64_t seed) : rng_(seed) {}
+
+    /** An index below @p n, or now and then any byte. */
+    std::uint8_t
+    index(std::size_t n)
+    {
+        if (rng_.nextBounded(8) == 0)
+            return static_cast<std::uint8_t>(rng_.nextBounded(256));
+        return static_cast<std::uint8_t>(rng_.nextBounded(n));
+    }
+
+    std::uint8_t
+    byte()
+    {
+        return static_cast<std::uint8_t>(rng_.nextBounded(256));
+    }
+
+    std::uint32_t u32() { return rng_.nextU32(); }
+    std::uint64_t u64() { return rng_.nextU64(); }
+    double real() { return std::bit_cast<double>(rng_.nextU64()); }
+    std::size_t upTo(std::size_t n) { return rng_.nextBounded(n + 1); }
+
+    std::uint32_t
+    bitline()
+    {
+        if (rng_.nextBounded(8) == 0)
+            return rng_.nextU32();
+        return static_cast<std::uint32_t>(
+            1 + rng_.nextBounded(core::Pricing::maxCellsPerBitline));
+    }
+
+    std::string
+    text(std::size_t maxLen)
+    {
+        std::string s(upTo(maxLen), ' ');
+        for (char &c : s)
+            c = static_cast<char>('A' + rng_.nextBounded(26));
+        return s;
+    }
+
+    StaticQueryResponse::Bound
+    bound()
+    {
+        return {real(), real(), index(2)};
+    }
+
+    template <std::size_t N>
+    void
+    fill(std::array<double, N> &values)
+    {
+        for (double &v : values)
+            v = real();
+    }
+
+  private:
+    Rng rng_;
+};
+
+AppQuery
+drawQuery(Draw &d)
+{
+    AppQuery q;
+    q.abbr = d.text(4);
+    q.arch = d.index(core::kArchSpellings.size());
+    q.sched = d.index(core::kSchedSpellings.size());
+    q.vsPivot = d.index(core::EvalConfig::maxPivot + 1);
+    q.dynamicIsa = d.index(2);
+    return q;
+}
+
+template <typename Request>
+void
+drawPricing(Draw &d, Request &r)
+{
+    r.node = d.index(core::kNodeSpellings.size());
+    r.pstate = d.index(core::kPStateSpellings.size());
+    r.cell = d.index(core::kCellSpellings.size());
+    r.ecc = d.index(2);
+    r.cellsBitline = d.bitline();
+}
+
+Ping
+drawPing(Draw &d)
+{
+    Ping p;
+    p.nonce = d.u64();
+    return p;
+}
+
+EvalCoderRequest
+drawEvalCoderRequest(Draw &d)
+{
+    EvalCoderRequest r;
+    r.coder = static_cast<CoderKind>(d.index(4));
+    r.arch = d.index(core::kArchSpellings.size());
+    r.vsPivot = d.index(core::EvalConfig::maxPivot + 1);
+    r.isaMask = d.u64();
+    r.words.resize(d.upTo(4));
+    for (std::uint64_t &w : r.words)
+        w = d.u64();
+    return r;
+}
+
+EvalCoderResponse
+drawEvalCoderResponse(Draw &d)
+{
+    EvalCoderResponse r;
+    r.totalBits = d.u64();
+    r.onesBefore = d.u64();
+    r.onesAfter = d.u64();
+    r.encoded.resize(d.upTo(4));
+    for (std::uint64_t &w : r.encoded)
+        w = d.u64();
+    return r;
+}
+
+BitDensityRequest
+drawBitDensityRequest(Draw &d)
+{
+    BitDensityRequest r;
+    r.query = drawQuery(d);
+    return r;
+}
+
+BitDensityResponse
+drawBitDensityResponse(Draw &d)
+{
+    BitDensityResponse r;
+    r.cycles = d.u64();
+    r.instructions = d.u64();
+    r.units.resize(d.upTo(3));
+    for (BitDensityResponse::Unit &u : r.units) {
+        u.unit = d.byte();
+        d.fill(u.density);
+    }
+    d.fill(r.nocDensity);
+    return r;
+}
+
+ChipEnergyRequest
+drawChipEnergyRequest(Draw &d)
+{
+    ChipEnergyRequest r;
+    r.query = drawQuery(d);
+    drawPricing(d, r);
+    return r;
+}
+
+ChipEnergyResponse
+drawChipEnergyResponse(Draw &d)
+{
+    ChipEnergyResponse r;
+    r.cycles = d.u64();
+    r.instructions = d.u64();
+    d.fill(r.chipEnergy);
+    d.fill(r.bvfUnitsEnergy);
+    return r;
+}
+
+StaticQueryRequest
+drawStaticQueryRequest(Draw &d)
+{
+    StaticQueryRequest r;
+    r.query = drawQuery(d);
+    return r;
+}
+
+StaticQueryResponse
+drawStaticQueryResponse(Draw &d)
+{
+    StaticQueryResponse r;
+    r.bestStatic = d.byte();
+    r.units.resize(d.upTo(3));
+    for (StaticQueryResponse::Unit &u : r.units) {
+        u.unit = d.byte();
+        for (auto &b : u.bounds)
+            b = d.bound();
+    }
+    for (auto &b : r.noc)
+        b = d.bound();
+    return r;
+}
+
+StaticAdviceRequest
+drawStaticAdviceRequest(Draw &d)
+{
+    StaticAdviceRequest r;
+    r.query = drawQuery(d);
+    return r;
+}
+
+StaticAdviceResponse
+drawStaticAdviceResponse(Draw &d)
+{
+    StaticAdviceResponse r;
+    r.bestPivot = d.index(32);
+    r.provenSlack = d.real();
+    r.affineSources = d.u32();
+    r.totalSources = d.u32();
+    for (auto &b : r.pivotBounds)
+        b = d.bound();
+    d.fill(r.pivotScores);
+    r.defaultMask = d.u64();
+    r.specializedMask = d.u64();
+    r.defaultDensity = d.bound();
+    r.specializedDensity = d.bound();
+    r.bestScenario = d.byte();
+    r.unitPicks.resize(d.upTo(3));
+    for (StaticAdviceResponse::UnitPick &u : r.unitPicks) {
+        u.unit = d.byte();
+        u.pick = d.byte();
+        u.proven = d.index(2);
+        u.nv = d.bound();
+        u.vs = d.bound();
+    }
+    return r;
+}
+
+SubmitKernelRequest
+drawSubmitKernelRequest(Draw &d)
+{
+    SubmitKernelRequest r;
+    r.bytecode = d.text(12);
+    r.optimize = d.index(2);
+    return r;
+}
+
+SubmitKernelResponse
+drawSubmitKernelResponse(Draw &d)
+{
+    SubmitKernelResponse r;
+    r.admitted = d.index(2);
+    r.digest = d.text(10);
+    r.tripBound = d.u64();
+    r.globalLo = d.u32();
+    r.globalHi = d.u32();
+    r.rejections.resize(d.upTo(2));
+    for (SubmitKernelResponse::WireRejection &rej : r.rejections) {
+        rej.reason = d.index(analysis::kNumRejectReasons);
+        rej.pc = d.u32();
+        rej.message = d.text(12);
+    }
+    r.optimizeRequested = d.index(2);
+    r.optimized = d.index(2);
+    r.optimizedDigest = d.text(6);
+    return r;
+}
+
+EvalSubmittedRequest
+drawEvalSubmittedRequest(Draw &d)
+{
+    EvalSubmittedRequest r;
+    r.digest = d.text(10);
+    r.arch = d.index(core::kArchSpellings.size());
+    r.sched = d.index(core::kSchedSpellings.size());
+    r.vsPivot = d.index(core::EvalConfig::maxPivot + 1);
+    r.dynamicIsa = d.index(2);
+    drawPricing(d, r);
+    return r;
+}
+
+EvalSubmittedResponse
+drawEvalSubmittedResponse(Draw &d)
+{
+    EvalSubmittedResponse r;
+    r.cycles = d.u64();
+    r.instructions = d.u64();
+    r.maxWarpIssue = d.u64();
+    r.checkedAccesses = d.u64();
+    d.fill(r.chipEnergy);
+    d.fill(r.bvfUnitsEnergy);
+    return r;
+}
+
+WireError
+drawWireError(Draw &d)
+{
+    WireError e;
+    e.code = d.byte();
+    e.message = d.text(20);
+    return e;
+}
+
+/** CRC of the encoded bytes and CRC of every decode outcome. */
+struct WirePin
+{
+    std::uint32_t encoded = 0;
+    std::uint32_t outcomes = 0;
+};
+
+template <typename Msg>
+WirePin
+pinMessages(MsgType type, Msg (*draw)(Draw &))
+{
+    Draw d(0x5eed0000u + static_cast<std::uint8_t>(type));
+    Crc32 encoded, outcomes;
+    const auto record = [&](std::string_view payload) {
+        const auto decoded = Msg::decode(payload);
+        const std::string outcome =
+            decoded.ok() ? "ok " + decoded.value().encode()
+                         : strFormat("err %d %s",
+                                     static_cast<int>(decoded.error().code),
+                                     decoded.error().message.c_str());
+        outcomes.update(outcome.data(), outcome.size());
+        outcomes.update("\n", 1);
+    };
+    for (int i = 0; i < 16; ++i) {
+        const std::string bytes = draw(d).encode();
+        encoded.update(bytes.data(), bytes.size());
+        record(bytes);
+        for (std::size_t len = 0; len < bytes.size(); ++len)
+            record(std::string_view(bytes).substr(0, len));
+        for (std::size_t at = 0; at < bytes.size(); ++at) {
+            std::string flipped = bytes;
+            flipped[at] = static_cast<char>(flipped[at] ^ (1 + d.byte() % 255));
+            record(flipped);
+        }
+        record(bytes + static_cast<char>(d.byte()));
+    }
+    return {encoded.value(), outcomes.value()};
+}
+
+TEST(WirePins, EveryMessageTypeEncodesAndDecodesAsPinned)
+{
+    struct Row
+    {
+        MsgType type;
+        WirePin got;
+        WirePin pinned;
+    };
+    using T = MsgType;
+    const Row rows[] = {
+        {T::PingRequest, pinMessages(T::PingRequest, drawPing),
+         {0x6c7f5b35u, 0x6e6b2a78u}},
+        {T::EvalCoderRequest,
+         pinMessages(T::EvalCoderRequest, drawEvalCoderRequest),
+         {0xd1d62714u, 0x5bcb30a4u}},
+        {T::BitDensityRequest,
+         pinMessages(T::BitDensityRequest, drawBitDensityRequest),
+         {0x67fe1bafu, 0xe0d3f8a9u}},
+        {T::ChipEnergyRequest,
+         pinMessages(T::ChipEnergyRequest, drawChipEnergyRequest),
+         {0x3815ed23u, 0x1605ca02u}},
+        {T::StaticQueryRequest,
+         pinMessages(T::StaticQueryRequest, drawStaticQueryRequest),
+         {0x72f4f52eu, 0xc3620724u}},
+        {T::StaticAdviceRequest,
+         pinMessages(T::StaticAdviceRequest, drawStaticAdviceRequest),
+         {0xe1913ba4u, 0x5f531cddu}},
+        {T::SubmitKernelRequest,
+         pinMessages(T::SubmitKernelRequest, drawSubmitKernelRequest),
+         {0x6d36517fu, 0xbe61ba15u}},
+        {T::EvalSubmittedRequest,
+         pinMessages(T::EvalSubmittedRequest, drawEvalSubmittedRequest),
+         {0xa298ddcbu, 0x90d8c0a6u}},
+        {T::PingResponse, pinMessages(T::PingResponse, drawPing),
+         {0xcf349482u, 0x8e5829bfu}},
+        {T::EvalCoderResponse,
+         pinMessages(T::EvalCoderResponse, drawEvalCoderResponse),
+         {0x9a461902u, 0x34545e7du}},
+        {T::BitDensityResponse,
+         pinMessages(T::BitDensityResponse, drawBitDensityResponse),
+         {0x33fb0ea6u, 0xb92a8149u}},
+        {T::ChipEnergyResponse,
+         pinMessages(T::ChipEnergyResponse, drawChipEnergyResponse),
+         {0x9215ad90u, 0x1f54c0f6u}},
+        {T::StaticQueryResponse,
+         pinMessages(T::StaticQueryResponse, drawStaticQueryResponse),
+         {0xd371f2bbu, 0x63836f5fu}},
+        {T::StaticAdviceResponse,
+         pinMessages(T::StaticAdviceResponse, drawStaticAdviceResponse),
+         {0x50feac0fu, 0x2bb071a0u}},
+        {T::SubmitKernelResponse,
+         pinMessages(T::SubmitKernelResponse, drawSubmitKernelResponse),
+         {0xc47f9ee4u, 0x1f631122u}},
+        {T::EvalSubmittedResponse,
+         pinMessages(T::EvalSubmittedResponse, drawEvalSubmittedResponse),
+         {0xdd0de14cu, 0xf389f6e3u}},
+        {T::ErrorResponse, pinMessages(T::ErrorResponse, drawWireError),
+         {0xd3dca914u, 0xc3cf3af8u}},
+    };
+    // A message added to the table needs its pin here.
+    ASSERT_EQ(std::size(rows), tableTypes().size());
+    for (const Row &row : rows) {
+        EXPECT_EQ(row.got.encoded, row.pinned.encoded)
+            << msgTypeName(row.type);
+        EXPECT_EQ(row.got.outcomes, row.pinned.outcomes)
+            << msgTypeName(row.type);
+    }
+}
+
+TEST(WirePins, TypeNamesAndKnownTypesArePinned)
+{
+    Crc32 crc;
+    for (int raw = 0; raw < 256; ++raw) {
+        const auto b = static_cast<std::uint8_t>(raw);
+        const std::string line =
+            msgTypeKnown(b)
+                ? strFormat("%02x %s\n", raw,
+                            msgTypeName(static_cast<MsgType>(b)).c_str())
+                : strFormat("%02x -\n", raw);
+        crc.update(line.data(), line.size());
+    }
+    EXPECT_EQ(crc.value(), 0xfab4b495u);
 }
 
 } // namespace

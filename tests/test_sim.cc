@@ -226,6 +226,81 @@ TEST(SimNetRegression, CorruptedLengthFieldDoesNotConvictTheJob)
 }
 
 /**
+ * Regression: a request whose frame is intact but whose payload does
+ * not decode is the client's mistake, not wire damage. Workers running
+ * the real RequestHandler must answer it InvalidArgument, so the
+ * coordinator records verdicts against the job. Answered Corrupt, it
+ * struck both workers and dropped their connections, and the next
+ * well-formed request found no live worker.
+ */
+TEST(SimNetRegression, MalformedRequestPayloadIsAVerdictNotWireDamage)
+{
+    SimClock clock;
+    const server::RequestHandler handler;
+    SimNet net(clock, Rng(11), 2,
+               [&handler](std::size_t, const Frame &r) {
+                   return handler.handle(r);
+               });
+    fleet::FleetOptions fo = simFleet(2, clock, net);
+    fo.breakerThreshold = 3;
+    fleet::Coordinator coord(fo);
+
+    Frame bad = chipEnergyRequest("KMN");
+    bad.payload += '\0'; // one trailing byte; the frame CRC still holds
+    fleet::ExecuteInfo info;
+    auto reply = coord.execute(bad, "KMN", &info);
+    ASSERT_TRUE(reply.ok()) << reply.error().describe();
+    ASSERT_EQ(reply.value().type, MsgType::ErrorResponse);
+    const auto wire = server::WireError::decode(reply.value().payload);
+    ASSERT_TRUE(wire.ok());
+    EXPECT_EQ(wire.value().code,
+              static_cast<std::uint8_t>(ErrorCode::InvalidArgument));
+    EXPECT_EQ(wire.value().message, "payload has trailing bytes");
+    EXPECT_EQ(info.transportFailures, 0);
+    EXPECT_EQ(info.distinctAppErrorWorkers, 2);
+
+    server::Ping ping;
+    ping.nonce = 7;
+    auto pong =
+        coord.execute(Frame{MsgType::PingRequest, ping.encode()}, "ping");
+    ASSERT_TRUE(pong.ok()) << pong.error().describe();
+    EXPECT_EQ(pong.value().type, MsgType::PingResponse);
+}
+
+/**
+ * Regression, the same fault one layer in: kernel bytecode that does
+ * not decode arrived inside an intact frame, so it is a verdict on the
+ * kernel, whatever the bytecode decoder calls the damage.
+ */
+TEST(SimNetRegression, UndecodableKernelBytecodeIsAVerdictNotWireDamage)
+{
+    SimClock clock;
+    const server::RequestHandler handler;
+    SimNet net(clock, Rng(13), 2,
+               [&handler](std::size_t, const Frame &r) {
+                   return handler.handle(r);
+               });
+    fleet::FleetOptions fo = simFleet(2, clock, net);
+    fo.breakerThreshold = 3;
+    fleet::Coordinator coord(fo);
+
+    server::SubmitKernelRequest submit;
+    submit.bytecode = "BVFK, but only the magic";
+    fleet::ExecuteInfo info;
+    auto reply = coord.execute(
+        Frame{MsgType::SubmitKernelRequest, submit.encode()}, "kernel",
+        &info);
+    ASSERT_TRUE(reply.ok()) << reply.error().describe();
+    ASSERT_EQ(reply.value().type, MsgType::ErrorResponse);
+    const auto wire = server::WireError::decode(reply.value().payload);
+    ASSERT_TRUE(wire.ok());
+    EXPECT_EQ(wire.value().code,
+              static_cast<std::uint8_t>(ErrorCode::InvalidArgument));
+    EXPECT_EQ(info.transportFailures, 0);
+    EXPECT_EQ(info.distinctAppErrorWorkers, 2);
+}
+
+/**
  * Regression: an open breaker means live traffic was failing. A
  * heartbeat pong proves liveness, not capacity -- it must not close
  * the breaker and re-flood a saturated worker.

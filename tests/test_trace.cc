@@ -416,5 +416,48 @@ TEST(Trace, TeeDeliversToBothSinks)
         32u);
 }
 
+TEST(Trace, RecordHeaderReservedBytesAreZero)
+{
+    // Enough records of all three kinds to fill several batches.
+    std::stringstream buffer;
+    {
+        TraceWriter writer(buffer);
+        for (std::uint32_t i = 0; i < 3000; ++i) {
+            const std::vector<Word> block(1 + i % 5, ~i);
+            const std::vector<Word64> instrs(1 + i % 3, 0x0123456789abcdefull);
+            writer.onAccess(UnitId::L1D, AccessType::Read, block, ~0u, i);
+            writer.onFetch(UnitId::L1I, AccessType::Read, instrs, i);
+            writer.onNocPacket(0x1ff, block, true, i);
+        }
+        ASSERT_TRUE(writer.finish().ok());
+    }
+    const std::string bytes = buffer.str();
+    const auto u32At = [&](std::size_t at) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, bytes.data() + at, sizeof(v));
+        return v;
+    };
+
+    // "BVFT" u32 version, then batches until the "BVFE" footer.
+    std::size_t at = 8;
+    std::uint64_t records = 0;
+    int batches = 0;
+    while (bytes.compare(at, 4, "BTCH") == 0) {
+        const std::size_t end = at + 16 + u32At(at + 4);
+        ++batches;
+        for (at += 16; at < end; ++records) {
+            const auto kind = static_cast<std::uint8_t>(bytes[at]);
+            const std::size_t wordBytes = kind == 2 ? 8 : 4;
+            for (std::size_t i = 20; i < 24; ++i)
+                ASSERT_EQ(bytes[at + i], 0) << "record " << records;
+            at += 24 + u32At(at + 16) * wordBytes;
+        }
+        ASSERT_EQ(at, end);
+    }
+    EXPECT_EQ(bytes.compare(at, 4, "BVFE"), 0);
+    EXPECT_EQ(records, 9000u);
+    EXPECT_GT(batches, 1);
+}
+
 } // namespace
 } // namespace bvf::core
