@@ -9,14 +9,18 @@
  * with the per-call cost of that path itself: the SECDED check byte and
  * one call of each EnergyAccountant sink callback (onAccess of a full
  * warp-sized block and of a half-masked odd-sized one, onFetch,
- * onNocPacket). The last benchmark times admission's
- * abstract-interpreter fixpoint (analyzeProgram) on three suite kernels.
+ * onNocPacket). The onAccess and onFetch benchmarks run under each
+ * counting kernel, so one run prints them side by side; a kernel the
+ * host lacks reports an error naming the missing features. The last
+ * benchmark times admission's abstract-interpreter fixpoint
+ * (analyzeProgram) on three suite kernels.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "analysis/interpreter.hh"
@@ -26,6 +30,7 @@
 #include "coder/vs_coder.hh"
 #include "common/rng.hh"
 #include "core/accountant.hh"
+#include "core/accountant_kernel.hh"
 #include "fault/secded.hh"
 #include "isa/encoding.hh"
 #include "workload/app_spec.hh"
@@ -145,6 +150,34 @@ BM_SecdedEncode(benchmark::State &state)
 }
 BENCHMARK(BM_SecdedEncode);
 
+/**
+ * Switch @p acc to the kernel benchmark argument @p arg indexes, or
+ * mark @p state skipped if the host lacks it. Returns the kernel name,
+ * or nullptr when skipped.
+ */
+const char *
+selectKernel(benchmark::State &state, core::EnergyAccountant &acc,
+             std::int64_t arg)
+{
+    const auto kernel =
+        core::detail::allKernels.at(static_cast<std::size_t>(arg));
+    const std::string &missing = core::detail::missingFeatures(kernel);
+    if (!missing.empty()) {
+        state.SkipWithError(("host lacks " + missing).c_str());
+        return nullptr;
+    }
+    core::detail::KernelSelect::use(acc, kernel);
+    return core::detail::kernelName(kernel);
+}
+
+/** Argument values of every kernel: its index in allKernels. */
+const std::vector<std::int64_t> allKernelArgs = [] {
+    std::vector<std::int64_t> args(core::detail::allKernels.size());
+    for (std::size_t i = 0; i < args.size(); ++i)
+        args[i] = static_cast<std::int64_t>(i);
+    return args;
+}();
+
 std::map<coder::UnitId, std::uint64_t>
 accountantCapacities()
 {
@@ -156,7 +189,9 @@ accountantCapacities()
     return caps;
 }
 
-/** One 32-word, full-mask access per iteration; args: ecc, unit. */
+/**
+ * One 32-word, full-mask access per iteration; args: ecc, unit, kernel.
+ */
 void
 BM_AccountantOnAccess(benchmark::State &state)
 {
@@ -164,25 +199,31 @@ BM_AccountantOnAccess(benchmark::State &state)
     opts.eccAccounting = state.range(0) != 0;
     const auto unit = static_cast<coder::UnitId>(state.range(1));
     core::EnergyAccountant acc(accountantCapacities(), opts);
+    const char *kernel = selectKernel(state, acc, state.range(2));
+    if (!kernel)
+        return;
     const auto block = randomBlock(32);
     std::uint64_t cycle = 0;
     for (auto _ : state) {
         acc.onAccess(unit, sram::AccessType::Read, block, 0xffffffffu,
                      ++cycle);
     }
-    state.SetLabel(coder::unitName(unit) + (opts.eccAccounting ? "+ecc" : ""));
+    state.SetLabel(coder::unitName(unit) + (opts.eccAccounting ? "+ecc" : "")
+                   + " " + kernel);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_AccountantOnAccess)
     ->ArgsProduct({{0, 1},
                    {static_cast<int>(coder::UnitId::Reg),
                     static_cast<int>(coder::UnitId::Sme),
-                    static_cast<int>(coder::UnitId::L2)}});
+                    static_cast<int>(coder::UnitId::L2)},
+                   allKernelArgs});
 
 /**
  * One 21-word access with every other lane active per iteration: each
  * SECDED pair is half live and the last word has no partner (the pivot
- * lane 21 is past the end, so VS pivots on word 0). Args: ecc, unit.
+ * lane 21 is past the end, so VS pivots on word 0). Args: ecc, unit,
+ * kernel.
  */
 void
 BM_AccountantOnAccessPartial(benchmark::State &state)
@@ -191,24 +232,29 @@ BM_AccountantOnAccessPartial(benchmark::State &state)
     opts.eccAccounting = state.range(0) != 0;
     const auto unit = static_cast<coder::UnitId>(state.range(1));
     core::EnergyAccountant acc(accountantCapacities(), opts);
+    const char *kernel = selectKernel(state, acc, state.range(2));
+    if (!kernel)
+        return;
     const auto block = randomBlock(21);
     std::uint64_t cycle = 0;
     for (auto _ : state) {
         acc.onAccess(unit, sram::AccessType::Write, block, 0x55555555u,
                      ++cycle);
     }
-    state.SetLabel(coder::unitName(unit) + (opts.eccAccounting ? "+ecc" : ""));
+    state.SetLabel(coder::unitName(unit) + (opts.eccAccounting ? "+ecc" : "")
+                   + " " + kernel);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_AccountantOnAccessPartial)
     ->ArgsProduct({{0, 1},
                    {static_cast<int>(coder::UnitId::Reg),
-                    static_cast<int>(coder::UnitId::L2)}});
+                    static_cast<int>(coder::UnitId::L2)},
+                   allKernelArgs});
 
 /**
  * One fetch of random instructions per iteration; args: ecc, count (1
  * is the IFB read behind every instruction an SM runs, 16 an L2
- * instruction line).
+ * instruction line), kernel.
  */
 void
 BM_AccountantOnFetch(benchmark::State &state)
@@ -216,6 +262,9 @@ BM_AccountantOnFetch(benchmark::State &state)
     core::AccountantOptions opts;
     opts.eccAccounting = state.range(0) != 0;
     core::EnergyAccountant acc(accountantCapacities(), opts);
+    const char *kernel = selectKernel(state, acc, state.range(2));
+    if (!kernel)
+        return;
     Rng rng(11);
     std::vector<Word64> instrs(static_cast<std::size_t>(state.range(1)));
     for (Word64 &w : instrs)
@@ -225,10 +274,11 @@ BM_AccountantOnFetch(benchmark::State &state)
         acc.onFetch(coder::UnitId::L1I, sram::AccessType::Read, instrs,
                     ++cycle);
     }
-    state.SetLabel(opts.eccAccounting ? "ecc" : "");
+    state.SetLabel(std::string(opts.eccAccounting ? "ecc " : "") + kernel);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_AccountantOnFetch)->ArgsProduct({{0, 1}, {1, 16}});
+BENCHMARK(BM_AccountantOnFetch)
+    ->ArgsProduct({{0, 1}, {1, 16}, allKernelArgs});
 
 /**
  * One packet per iteration on one channel, alternating two payloads so

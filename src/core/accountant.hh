@@ -15,10 +15,9 @@
  * it stores under that coder alone. The constructor groups, per unit,
  * the scenarios that store the same image into one slot. Every coder is
  * an XOR with a mask the coder defines, so a slot's image is the raw
- * block XOR its masks: each access walks the raw block once, word pair
- * by word pair, and counts every slot from it. The SECDED check byte is
- * linear, so it is computed once per pair and XORed with the check
- * byte of each slot's mask.
+ * block XOR its masks: each access reads the raw block once and counts
+ * every slot from it, a word pair at a time or, on hosts with AVX-512,
+ * the whole block in two 512-bit vectors.
  */
 
 #ifndef BVF_CORE_ACCOUNTANT_HH
@@ -74,6 +73,14 @@ struct AccountantOptions
 
 namespace detail
 {
+/** The accountant's counting kernels (core/accountant_kernel.hh). */
+enum class Kernel
+{
+    Portable, //!< plain C++
+    Popcnt,   //!< the popcnt instruction
+    Avx512,   //!< 512-bit vectors: VPOPCNT and GF2P8AFFINEQB
+};
+
 struct KernelSelect;
 } // namespace detail
 
@@ -176,8 +183,8 @@ class EnergyAccountant : public sram::AccessSink
      */
     std::array<std::uint8_t, 4> nvPairCheck_;
 
-    /** Count with the popcnt instruction (else portable code). */
-    bool popcnt_;
+    /** The kernel that counts; the host's fastest unless a test says. */
+    detail::Kernel kernel_;
 
     std::vector<ChannelState> channels_;
     std::array<NocAccount, coder::numScenarios> noc_;

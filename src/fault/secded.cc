@@ -10,7 +10,9 @@
  * all set data bits, and a nonzero decode syndrome *is* the position
  * of a single flipped bit. Because that vector and the overall parity
  * are linear in the data, the whole check byte is read from per-byte
- * lookup tables built at compile time: 8 lookups XORed per word.
+ * lookup tables built at compile time: 8 lookups XORed per word. The
+ * same tables, read as 8x8 bit matrices, are exported for code that
+ * computes check bytes with GF2P8AFFINEQB.
  */
 
 #include "fault/secded.hh"
@@ -92,7 +94,31 @@ makeCheckTables()
 
 constexpr auto checkTable = makeCheckTables();
 
+/**
+ * Lane k's table as a matrix: row i (byte 7-i) has bit j set iff bit i
+ * of the check byte of data bit 8k+j alone is set.
+ */
+constexpr std::array<std::uint64_t, 8>
+makeLaneMatrices()
+{
+    std::array<std::uint64_t, 8> m{};
+    for (int k = 0; k < 8; ++k) {
+        for (int i = 0; i < 8; ++i) {
+            std::uint64_t row = 0;
+            for (int j = 0; j < 8; ++j) {
+                const unsigned bit = (checkTable[k][1 << j] >> i) & 1u;
+                row |= static_cast<std::uint64_t>(bit) << j;
+            }
+            m[k] |= row << (8 * (7 - i));
+        }
+    }
+    return m;
+}
+
 } // namespace
+
+constexpr std::array<std::uint64_t, 8> secdedLaneMatrices =
+    makeLaneMatrices();
 
 const char *
 eccSchemeName(EccScheme scheme)

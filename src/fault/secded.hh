@@ -16,6 +16,7 @@
 #ifndef BVF_FAULT_SECDED_HH
 #define BVF_FAULT_SECDED_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/bitops.hh"
@@ -66,6 +67,15 @@ struct SecdedDecoded
 
 /** Compute the 8 check bits protecting @p data. */
 std::uint8_t secdedEncode(Word64 data);
+
+/**
+ * The check byte as 8 GF(2) matrices, one per data byte lane, in the
+ * operand layout of the GF2P8AFFINEQB instruction: matrix A applied to
+ * byte x is the byte whose bit i is the parity of x AND byte 7-i of A.
+ * The check byte of a word is the XOR over lanes k of
+ * secdedLaneMatrices[k] applied to byte k of the word.
+ */
+extern const std::array<std::uint64_t, 8> secdedLaneMatrices;
 
 /**
  * Decode a possibly corrupted codeword.

@@ -161,5 +161,30 @@ TEST(Secded, CheckByteIsLinear)
     }
 }
 
+/** GF2P8AFFINEQB's product of matrix @p a and byte @p x, bit by bit. */
+std::uint8_t
+affineProduct(std::uint64_t a, unsigned x)
+{
+    unsigned out = 0;
+    for (int i = 0; i < 8; ++i) {
+        const unsigned row = (a >> (8 * (7 - i))) & 0xff;
+        out |= (std::popcount(row & x) & 1u) << i;
+    }
+    return static_cast<std::uint8_t>(out);
+}
+
+TEST(Secded, AffineMatricesMatchTables)
+{
+    // Each lane's matrix maps every byte value to the check byte of the
+    // word holding only that byte in that lane.
+    for (int k = 0; k < 8; ++k) {
+        for (unsigned b = 0; b < 256; ++b) {
+            ASSERT_EQ(affineProduct(secdedLaneMatrices[k], b),
+                      secdedEncode(Word64(b) << (8 * k)))
+                << "lane " << k << " byte " << b;
+        }
+    }
+}
+
 } // namespace
 } // namespace bvf::fault
