@@ -39,7 +39,7 @@
  *   --fuzz-iters N     run the fuzz drivers instead of scenarios
  *   --fuzz-target T    frame|http|trace|journal|merge|bytecode|asm
  *                      (default: all)
- *   --corpus DIR       replay DIR/<target>/* before fuzzing
+ *   --corpus DIR       replay every DIR/<target> input before fuzzing
  *   --write-corpus DIR write each target's seed inputs there and exit
  *   --verbose          per-seed / per-target progress lines
  *

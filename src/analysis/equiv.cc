@@ -44,13 +44,6 @@ using isa::Opcode;
 constexpr int kWarpSize = 32;
 constexpr std::uint32_t kFullMask = 0xffffffffu;
 
-/** Is the guard a real predicate-register read (not the PT sentinel)? */
-bool
-readsGuard(const Instruction &instr)
-{
-    return instr.pred != isa::predTrue || instr.predNegate;
-}
-
 /** Is the product value pinned to a single word? */
 bool
 constantOf(const AbsValue &v, Word &out)
@@ -173,7 +166,7 @@ class RefMachine
     guardMaskOf(const RefWarp &warp, const Instruction &instr) const
     {
         const std::uint32_t mask = warp.stack.back().mask;
-        if (instr.pred == isa::predTrue && !instr.predNegate)
+        if (!isa::readsGuard(instr))
             return mask;
         std::uint32_t pass = 0;
         for (int lane = 0; lane < kWarpSize; ++lane) {

@@ -34,62 +34,6 @@ constexpr int widenThreshold = 256;
 /** Outer load/store iterations before memory summaries widen to top. */
 constexpr int memoryIterations = 8;
 
-AbsState
-initialState()
-{
-    AbsState s;
-    s.regs.fill(AbsValue::constant(0));
-    s.preds.fill(PredValue{Bool3::False, Uniformity::Uniform});
-    s.regWritten = 0;
-    s.predWritten = 0;
-    s.reachable = true;
-    return s;
-}
-
-/**
- * Join @p next into @p into in place; returns whether @p into changed.
- * With @p doWiden, any component still growing is widened per the
- * domain's own rule (see product.hh) so loops terminate; finite-height
- * components pass through.
- *
- * Registers whose two sides are already equal are skipped: every value
- * a state holds comes out of a transfer or a join, which return
- * normalized values, and join and widen are idempotent on those, so
- * join(a, a) == a and widen(a, a) == a exactly.
- */
-bool
-joinInto(AbsState &into, const AbsState &next, bool doWiden)
-{
-    const std::uint64_t regWritten = into.regWritten & next.regWritten;
-    const auto predWritten =
-        static_cast<std::uint8_t>(into.predWritten & next.predWritten);
-    bool changed = regWritten != into.regWritten
-                   || predWritten != into.predWritten;
-    into.regWritten = regWritten;
-    into.predWritten = predWritten;
-    for (std::size_t i = 0; i < isa::numRegisters; ++i) {
-        AbsValue &old = into.regs[i];
-        const AbsValue &add = next.regs[i];
-        if (old == add)
-            continue;
-        AbsValue j = join(old, add);
-        if (doWiden)
-            j = widen(old, j);
-        if (!(j == old)) {
-            old = j;
-            changed = true;
-        }
-    }
-    for (std::size_t i = 0; i < isa::numPredicates; ++i) {
-        const PredValue j = join(into.preds[i], next.preds[i]);
-        if (j != into.preds[i]) {
-            into.preds[i] = j;
-            changed = true;
-        }
-    }
-    return changed;
-}
-
 /**
  * Join of every image word (constant 0 for an empty image), in one
  * pass. Equal to folding join over KnownBits::constant(w): the bits
@@ -335,63 +279,16 @@ Stepper::step(int pc, const AbsState &in)
         return succs;
     }
 
+    // SetP and register writes (ALU ops and loads).
     AbsState &out = out_;
     out = in;
     succs.add(pc + 1, out);
-    const bool certain = guard == Bool3::True;
-
-    // Whole-warp write: when this instruction executes at all, every
-    // lane of the warp executes it. Requires a lane-uniform guard and a
-    // pc no divergent branch region covers; only such writes may keep
-    // lane-affine facts or predicate uniformity.
-    const bool wholeWarp =
-        !divergentRegion_[static_cast<std::size_t>(pc)]
-        && guardUniformity(in, instr) == Uniformity::Uniform;
-
-    if (instr.op == Opcode::SetP) {
-        const isa::CmpOp cmp = static_cast<isa::CmpOp>(instr.flags);
-        Bool3 v = kbCompare(cmp, operandA(in, instr), operandB(in, instr));
-        if (v == Bool3::Unknown) {
-            const SignedInterval &sa = in.regs[regIndex(instr.srcA)].si();
-            const SignedInterval sb =
-                instr.immB
-                    ? SignedInterval::constant(static_cast<Word>(instr.imm))
-                    : in.regs[regIndex(instr.srcB)].si();
-            v = siCompare(cmp, sa, sb);
-        }
-        const bool lanesAgree =
-            in.regs[regIndex(instr.srcA)].affine().isUniform()
-            && (instr.immB
-                || in.regs[regIndex(instr.srcB)].affine().isUniform());
-        const Uniformity uni = wholeWarp && lanesAgree
-                                   ? Uniformity::Uniform
-                                   : Uniformity::MayDiverge;
-        const std::size_t idx = predIndex(instr.dst);
-        if (certain) {
-            out.preds[idx] = {v, uni};
-            out.predWritten |= static_cast<std::uint8_t>(1u << idx);
-        } else {
-            out.preds[idx].value = join(in.preds[idx].value, v);
-            out.preds[idx].uni = wholeWarp ? join(in.preds[idx].uni, uni)
-                                           : Uniformity::MayDiverge;
-        }
-        return succs;
-    }
-
-    // Register-writing instructions (ALU ops and loads).
-    AbsValue result = isa::isLoadOp(instr.op)
-                          ? loadValue(instr, in, memory_)
-                          : aluValue(instr, in, program_.launch);
-    if (!wholeWarp) {
-        // A partial-mask write leaves stale values in the sat-out
-        // lanes; the vector is a mixture with no affine structure.
-        result.affine() = LaneAffine::top();
-    }
-    const std::size_t idx = regIndex(instr.dst);
-    out.regs[idx] = certain ? result : join(in.regs[idx], result);
-    if (certain)
-        out.regWritten |= std::uint64_t(1) << idx;
-    noteWrite(static_cast<int>(idx), out.regs[idx].kb());
+    const int reg =
+        transferWrite(instr, guard,
+                      divergentRegion_[static_cast<std::size_t>(pc)],
+                      memory_, program_.launch, out);
+    if (reg >= 0)
+        noteWrite(reg, out.regs[static_cast<std::size_t>(reg)].kb());
     return succs;
 }
 
@@ -426,7 +323,7 @@ contaminate(std::vector<std::uint8_t> &region, const isa::Program &program,
         if (instr.op == Opcode::Bra) {
             stack.push_back(instr.imm);
             // An unconditional branch never falls through.
-            if (instr.pred != isa::predTrue || instr.predNegate)
+            if (isa::readsGuard(instr))
                 stack.push_back(pc + 1);
             continue;
         }
@@ -436,6 +333,55 @@ contaminate(std::vector<std::uint8_t> &region, const isa::Program &program,
 }
 
 } // namespace
+
+AbsState
+initialState()
+{
+    AbsState s;
+    s.regs.fill(AbsValue::constant(0));
+    s.preds.fill(PredValue{Bool3::False, Uniformity::Uniform});
+    s.reachable = true;
+    return s;
+}
+
+/*
+ * Registers whose two sides are already equal are skipped: every value
+ * a state holds comes out of a transfer or a join, which return
+ * normalized values, and join and widen are idempotent on those, so
+ * join(a, a) == a and widen(a, a) == a exactly.
+ */
+bool
+joinInto(AbsState &into, const AbsState &next, bool doWiden)
+{
+    const std::uint64_t regWritten = into.regWritten & next.regWritten;
+    const auto predWritten =
+        static_cast<std::uint8_t>(into.predWritten & next.predWritten);
+    bool changed = regWritten != into.regWritten
+                   || predWritten != into.predWritten;
+    into.regWritten = regWritten;
+    into.predWritten = predWritten;
+    for (std::size_t i = 0; i < isa::numRegisters; ++i) {
+        AbsValue &old = into.regs[i];
+        const AbsValue &add = next.regs[i];
+        if (old == add)
+            continue;
+        AbsValue j = join(old, add);
+        if (doWiden)
+            j = widen(old, j);
+        if (!(j == old)) {
+            old = j;
+            changed = true;
+        }
+    }
+    for (std::size_t i = 0; i < isa::numPredicates; ++i) {
+        const PredValue j = join(into.preds[i], next.preds[i]);
+        if (j != into.preds[i]) {
+            into.preds[i] = j;
+            changed = true;
+        }
+    }
+    return changed;
+}
 
 AbsValue
 reduceValue(AbsValue v)
@@ -483,7 +429,7 @@ reduceValue(AbsValue v)
 Bool3
 guardValue(const AbsState &s, const Instruction &instr)
 {
-    if (instr.pred == isa::predTrue && !instr.predNegate)
+    if (!isa::readsGuard(instr))
         return Bool3::True;
     const Bool3 v = s.preds[instr.pred % isa::numPredicates].value;
     return instr.predNegate ? not3(v) : v;
@@ -492,7 +438,7 @@ guardValue(const AbsState &s, const Instruction &instr)
 Uniformity
 guardUniformity(const AbsState &s, const Instruction &instr)
 {
-    if (instr.pred == isa::predTrue && !instr.predNegate)
+    if (!isa::readsGuard(instr))
         return Uniformity::Uniform;
     // Negation is lanewise; it cannot create divergence.
     return s.preds[instr.pred % isa::numPredicates].uni;
@@ -640,6 +586,70 @@ memoryAddress(const AbsState &s, const Instruction &instr)
 {
     return kbAdd(s.regs[instr.srcA % isa::numRegisters].kb(),
                  KnownBits::constant(static_cast<Word>(instr.imm)));
+}
+
+int
+transferWrite(const Instruction &instr, Bool3 guard, bool divergent,
+              const MemorySummaries &memory, const isa::LaunchDims &launch,
+              AbsState &state)
+{
+    const bool setp = instr.op == Opcode::SetP;
+    if (guard == Bool3::False || (!setp && !isa::writesRegister(instr.op)))
+        return -1;
+    const bool certain = guard == Bool3::True;
+
+    // Whole-warp write: when this instruction executes at all, every
+    // lane of the warp executes it. Requires a lane-uniform guard and a
+    // pc no divergent branch region covers; only such writes may keep
+    // lane-affine facts or predicate uniformity.
+    const bool wholeWarp =
+        !divergent && guardUniformity(state, instr) == Uniformity::Uniform;
+
+    if (setp) {
+        const isa::CmpOp cmp = static_cast<isa::CmpOp>(instr.flags);
+        Bool3 v =
+            kbCompare(cmp, operandA(state, instr), operandB(state, instr));
+        if (v == Bool3::Unknown) {
+            const SignedInterval &sa = state.regs[regIndex(instr.srcA)].si();
+            const SignedInterval sb =
+                instr.immB
+                    ? SignedInterval::constant(static_cast<Word>(instr.imm))
+                    : state.regs[regIndex(instr.srcB)].si();
+            v = siCompare(cmp, sa, sb);
+        }
+        const bool lanesAgree =
+            state.regs[regIndex(instr.srcA)].affine().isUniform()
+            && (instr.immB
+                || state.regs[regIndex(instr.srcB)].affine().isUniform());
+        const Uniformity uni = wholeWarp && lanesAgree
+                                   ? Uniformity::Uniform
+                                   : Uniformity::MayDiverge;
+        PredValue &pred = state.preds[predIndex(instr.dst)];
+        if (certain) {
+            pred = {v, uni};
+            state.predWritten |=
+                static_cast<std::uint8_t>(1u << predIndex(instr.dst));
+        } else {
+            pred.value = join(pred.value, v);
+            pred.uni = wholeWarp ? join(pred.uni, uni)
+                                 : Uniformity::MayDiverge;
+        }
+        return -1;
+    }
+
+    AbsValue result = isa::isLoadOp(instr.op)
+                          ? loadValue(instr, state, memory)
+                          : aluValue(instr, state, launch);
+    if (!wholeWarp) {
+        // A partial-mask write leaves stale values in the sat-out
+        // lanes; the vector is a mixture with no affine structure.
+        result.affine() = LaneAffine::top();
+    }
+    const std::size_t idx = regIndex(instr.dst);
+    state.regs[idx] = certain ? result : join(state.regs[idx], result);
+    if (certain)
+        state.regWritten |= std::uint64_t(1) << idx;
+    return static_cast<int>(idx);
 }
 
 AnalysisResult

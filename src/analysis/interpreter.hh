@@ -181,6 +181,32 @@ struct AnalysisResult
 /** Run the fixpoint. Handles empty bodies (returns no states). */
 AnalysisResult analyzeProgram(const isa::Program &program);
 
+/** The machine's entry state: zero registers, false uniform predicates. */
+AbsState initialState();
+
+/**
+ * Join @p next into @p into in place; returns whether @p into changed.
+ * With @p doWiden, any component still growing is widened per the
+ * domain's own rule (see product.hh) so loops terminate; finite-height
+ * components pass through.
+ */
+bool joinInto(AbsState &into, const AbsState &next, bool doWiden);
+
+/**
+ * The write discipline of a SetP or register-writing instruction (ALU
+ * op or load) under guard @p guard, applied to @p state in place. A
+ * True guard overwrites and marks the destination written; an Unknown
+ * one joins into the old value; a False one, and any other opcode,
+ * changes nothing. Only a whole-warp write -- outside every divergent
+ * region (@p divergent false) under a lane-uniform guard -- keeps
+ * lane-affine facts and predicate uniformity. Returns the register
+ * written, or -1. The fixpoint's Stepper and the verifier's explorer
+ * both step through this one function.
+ */
+int transferWrite(const isa::Instruction &instr, Bool3 guard, bool divergent,
+                  const MemorySummaries &memory,
+                  const isa::LaunchDims &launch, AbsState &state);
+
 // --- transfer helpers shared with the linter, predictor and advisor ----
 
 /** Abstract value of the instruction's guard at state @p s. */

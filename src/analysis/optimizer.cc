@@ -47,12 +47,6 @@ using isa::Instruction;
 using isa::Opcode;
 
 bool
-readsGuard(const Instruction &instr)
-{
-    return instr.pred != isa::predTrue || instr.predNegate;
-}
-
-bool
 constantOf(const AbsValue &v, Word &out)
 {
     if (v.kb().isConstant()) {

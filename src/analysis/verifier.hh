@@ -8,9 +8,11 @@
  * (analysis/interpreter.hh) and admits a program only when it can
  * *prove*, before any SM cycle runs:
  *
- *  - every instruction is canonical (lint NonCanonical rules) and
- *    every branch target / reconvergence point is structurally sound,
- *  - every register and predicate guard is written before it is read,
+ *  - every instruction is canonical and every branch target /
+ *    reconvergence point is structurally sound (the linter's
+ *    NonCanonical and BadReconv rules, lint.hh),
+ *  - every register and predicate guard is written before it is read
+ *    (the linter's UninitRegRead / UninitPredRead rules),
  *  - barriers cannot be issued by a partially-masked warp and
  *    divergence nests shallowly enough to model,
  *  - every memory access stays inside its declared segment (shared,
@@ -125,6 +127,18 @@ struct Certificate
     FootprintBounds shared;   //!< segment-relative byte offsets
     FootprintBounds constant; //!< image-relative byte offsets
     FootprintBounds texture;  //!< image-relative byte offsets
+
+    /** The footprint of memory space @p space (not MemSpace::None). */
+    FootprintBounds &
+    footprint(isa::MemSpace space)
+    {
+        switch (space) {
+          case isa::MemSpace::Shared: return shared;
+          case isa::MemSpace::Constant: return constant;
+          case isa::MemSpace::Texture: return texture;
+          default: return global;
+        }
+    }
 
     /**
      * Every reachable branch is proven non-divergent: its guard is

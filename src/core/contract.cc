@@ -51,15 +51,8 @@ ContractProbe::onIssue(int smId, int pc, const isa::Instruction &instr,
 
     // The scoreboard held this warp until the address register was
     // written back, so reg(lane, srcA) is the architectural value.
-    const analysis::FootprintBounds &fp = [&]() -> const auto & {
-        switch (instr.op) {
-          case isa::Opcode::Lds:
-          case isa::Opcode::Sts: return cert_.shared;
-          case isa::Opcode::Ldc: return cert_.constant;
-          case isa::Opcode::Ldt: return cert_.texture;
-          default: return cert_.global;
-        }
-    }();
+    const analysis::FootprintBounds &fp =
+        cert_.footprint(isa::memSpace(instr.op));
     for (int lane = 0; lane < gpu::warpSize; ++lane) {
         if (!((guard >> lane) & 1u))
             continue;

@@ -39,7 +39,7 @@ std::uint32_t
 Warp::guardMask(const isa::Instruction &instr) const
 {
     std::uint32_t mask = activeMask();
-    if (instr.pred == isa::predTrue && !instr.predNegate)
+    if (!isa::readsGuard(instr))
         return mask;
     std::uint32_t pass = 0;
     for (int lane = 0; lane < warpSize; ++lane) {

@@ -773,7 +773,7 @@ std::string
 renderInstruction(const Instruction &instr, int bodySize)
 {
     std::string out;
-    if (instr.pred != predTrue || instr.predNegate) {
+    if (readsGuard(instr)) {
         out += strFormat("@%sP%u ", instr.predNegate ? "!" : "",
                          unsigned(instr.pred));
     }

@@ -55,6 +55,13 @@ struct Instruction
     bool operator==(const Instruction &o) const = default;
 };
 
+/** Is the guard a real predicate-register read (not the PT sentinel)? */
+constexpr bool
+readsGuard(const Instruction &instr)
+{
+    return instr.pred != predTrue || instr.predNegate;
+}
+
 } // namespace bvf::isa
 
 #endif // BVF_ISA_INSTRUCTION_HH

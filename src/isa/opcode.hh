@@ -98,6 +98,16 @@ enum class OperandForm : std::uint8_t
     Bare,    //!< OP
 };
 
+/** The memory space a load or store addresses. */
+enum class MemSpace : std::uint8_t
+{
+    None,     //!< not a memory opcode
+    Global,
+    Shared,
+    Constant,
+    Texture,
+};
+
 /** Everything the model knows about one opcode besides its semantics. */
 struct OpcodeInfo
 {
@@ -106,42 +116,43 @@ struct OpcodeInfo
     int latency;       //!< core cycles; 0 = resolved by the memory system
     bool readsDst;     //!< d = a * b + d
     bool fp;           //!< issues to the floating-point pipeline
+    MemSpace space;    //!< the space a load or store addresses
 };
 
 /** The opcode table, indexed by Opcode. */
 inline constexpr std::array<OpcodeInfo,
                             static_cast<std::size_t>(Opcode::NumOpcodes)>
     opcodeTable = {{
-        {"FFMA", OperandForm::DstAB, 6, true, true},
-        {"FADD", OperandForm::DstAB, 5, false, true},
-        {"FMUL", OperandForm::DstAB, 5, false, true},
-        {"IADD", OperandForm::DstAB, 4, false, false},
-        {"MOV", OperandForm::DstB, 4, false, false},
-        {"LDG", OperandForm::Load, 0, false, false},
-        {"STG", OperandForm::Store, 4, false, false},
-        {"IMAD", OperandForm::DstAB, 6, true, false},
-        {"S2R", OperandForm::Special, 4, false, false},
-        {"SETP", OperandForm::Compare, 4, false, false},
-        {"LDS", OperandForm::Load, 24, false, false},
-        {"STS", OperandForm::Store, 24, false, false},
-        {"IMUL", OperandForm::DstAB, 5, false, false},
-        {"ISUB", OperandForm::DstAB, 4, false, false},
-        {"SHL", OperandForm::DstAB, 4, false, false},
-        {"SHR", OperandForm::DstAB, 4, false, false},
-        {"AND", OperandForm::DstAB, 4, false, false},
-        {"OR", OperandForm::DstAB, 4, false, false},
-        {"XOR", OperandForm::DstAB, 4, false, false},
-        {"LDC", OperandForm::Load, 0, false, false},
-        {"LDT", OperandForm::Load, 0, false, false},
-        {"I2F", OperandForm::DstA, 4, false, true},
-        {"F2I", OperandForm::DstA, 4, false, true},
-        {"CLZ", OperandForm::DstA, 4, false, false},
-        {"MIN", OperandForm::DstAB, 4, false, false},
-        {"MAX", OperandForm::DstAB, 4, false, false},
-        {"BRA", OperandForm::Branch, 4, false, false},
-        {"EXIT", OperandForm::Bare, 4, false, false},
-        {"BAR", OperandForm::Bare, 4, false, false},
-        {"NOP", OperandForm::Bare, 4, false, false},
+        {"FFMA", OperandForm::DstAB, 6, true, true, MemSpace::None},
+        {"FADD", OperandForm::DstAB, 5, false, true, MemSpace::None},
+        {"FMUL", OperandForm::DstAB, 5, false, true, MemSpace::None},
+        {"IADD", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"MOV", OperandForm::DstB, 4, false, false, MemSpace::None},
+        {"LDG", OperandForm::Load, 0, false, false, MemSpace::Global},
+        {"STG", OperandForm::Store, 4, false, false, MemSpace::Global},
+        {"IMAD", OperandForm::DstAB, 6, true, false, MemSpace::None},
+        {"S2R", OperandForm::Special, 4, false, false, MemSpace::None},
+        {"SETP", OperandForm::Compare, 4, false, false, MemSpace::None},
+        {"LDS", OperandForm::Load, 24, false, false, MemSpace::Shared},
+        {"STS", OperandForm::Store, 24, false, false, MemSpace::Shared},
+        {"IMUL", OperandForm::DstAB, 5, false, false, MemSpace::None},
+        {"ISUB", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"SHL", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"SHR", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"AND", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"OR", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"XOR", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"LDC", OperandForm::Load, 0, false, false, MemSpace::Constant},
+        {"LDT", OperandForm::Load, 0, false, false, MemSpace::Texture},
+        {"I2F", OperandForm::DstA, 4, false, true, MemSpace::None},
+        {"F2I", OperandForm::DstA, 4, false, true, MemSpace::None},
+        {"CLZ", OperandForm::DstA, 4, false, false, MemSpace::None},
+        {"MIN", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"MAX", OperandForm::DstAB, 4, false, false, MemSpace::None},
+        {"BRA", OperandForm::Branch, 4, false, false, MemSpace::None},
+        {"EXIT", OperandForm::Bare, 4, false, false, MemSpace::None},
+        {"BAR", OperandForm::Bare, 4, false, false, MemSpace::None},
+        {"NOP", OperandForm::Bare, 4, false, false, MemSpace::None},
     }};
 
 /** Table row of @p op, which must be below NumOpcodes. */
@@ -183,6 +194,13 @@ constexpr bool
 isMemoryOp(Opcode op)
 {
     return isLoadOp(op) || isStoreOp(op);
+}
+
+/** The space a memory opcode addresses (None for the others). */
+constexpr MemSpace
+memSpace(Opcode op)
+{
+    return opcodeInfo(op).space;
 }
 
 /** Control-flow / no-data opcodes (clear the encoding framing bits). */

@@ -38,7 +38,7 @@ mustParse(const std::string &bytes)
 
 TEST(Framing, RoundTripsAnEmptyAndANonEmptyPayload)
 {
-    for (const std::string payload : {std::string(), std::string("hello")}) {
+    for (const std::string &payload : {std::string(), std::string("hello")}) {
         const std::string bytes =
             encodeFrame(MsgType::PingRequest, payload);
         EXPECT_EQ(bytes.size(), kHeaderBytes + payload.size());
@@ -684,9 +684,9 @@ TEST(Messages, EvalSubmittedResponseRoundTrip)
     resp.instructions = 37280;
     resp.maxWarpIssue = 233;
     resp.checkedAccesses = 204800;
-    for (int i = 0; i < kScenarioSlots; ++i) {
-        resp.chipEnergy[static_cast<std::size_t>(i)] = 1.5 * i;
-        resp.bvfUnitsEnergy[static_cast<std::size_t>(i)] = 0.25 * i;
+    for (std::size_t i = 0; i < kScenarioSlots; ++i) {
+        resp.chipEnergy[i] = 1.5 * static_cast<double>(i);
+        resp.bvfUnitsEnergy[i] = 0.25 * static_cast<double>(i);
     }
     const auto decoded = EvalSubmittedResponse::decode(resp.encode());
     ASSERT_TRUE(decoded.ok()) << decoded.error().message;

@@ -55,8 +55,9 @@ TEST(TextTable, NoTrailingSpaces)
     const std::string out = t.str();
     std::size_t pos = 0;
     while ((pos = out.find('\n', pos)) != std::string::npos) {
-        if (pos > 0)
+        if (pos > 0) {
             EXPECT_NE(out[pos - 1], ' ');
+        }
         ++pos;
     }
 }
