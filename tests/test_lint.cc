@@ -317,6 +317,43 @@ TEST(LintTest, NonCanonicalWideImmediate)
     EXPECT_EQ(countCode(lintProgram(pos), LintCode::NonCanonical), 1);
 }
 
+TEST(LintTest, NonCanonicalPtSentinelGuard)
+{
+    // p0 is the PT sentinel: "@!P0" would read it as a predicate.
+    Instruction never = movImm(5, 1);
+    never.predNegate = true;
+    auto pos = makeProgram({never, exitInstr()});
+    const auto findings = lintProgram(pos);
+    ASSERT_EQ(countCode(findings, LintCode::NonCanonical), 1);
+    for (const LintFinding &f : findings) {
+        if (f.code == LintCode::NonCanonical) {
+            EXPECT_EQ(f.toString(), "pc 0: non-canonical: guard reads the "
+                                    "PT sentinel predicate (p0 with negate)");
+        }
+    }
+
+    Instruction guarded = movImm(5, 1);
+    guarded.pred = 1;
+    guarded.predNegate = true;
+    auto neg = makeProgram({movImm(4, 0), setpImm(1, CmpOp::Eq, 4, 0),
+                            guarded, exitInstr()});
+    EXPECT_EQ(countCode(lintProgram(neg), LintCode::NonCanonical), 0);
+}
+
+TEST(LintTest, UnknownOpcodeIsOneNonCanonicalFinding)
+{
+    // The field rules read the opcode table, so an unknown opcode ends
+    // the check after one finding.
+    Instruction unknown = movImm(70, 40000);
+    unknown.op = static_cast<Opcode>(200);
+    std::vector<LintFinding> findings;
+    lintCanonical(3, unknown, findings);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings.front().code, LintCode::NonCanonical);
+    EXPECT_EQ(findings.front().pc, 3);
+    EXPECT_EQ(findings.front().message, "opcode 200 unknown");
+}
+
 TEST(LintTest, BadReconv)
 {
     // Forward branch whose reconvergence precedes the target.

@@ -12,6 +12,7 @@
 
 #include <string>
 
+#include "analysis/lint.hh"
 #include "analysis/verifier.hh"
 #include "common/rng.hh"
 #include "common/logging.hh"
@@ -261,6 +262,72 @@ TEST(Verifier, MalformedBranchTargetIsRejected)
     ASSERT_FALSE(verdict.admitted);
     EXPECT_TRUE(rejectedFor(verdict, analysis::RejectReason::BadBranch))
         << describe(verdict);
+}
+
+TEST(Verifier, PtSentinelGuardIsMalformed)
+{
+    isa::Program program = mustParse(".kernel pt\n"
+                                     ".launch 1 32\n"
+                                     "    MOV R2, #1\n"
+                                     "    EXIT\n");
+    program.body[0].predNegate = true; // "@!P0": p0 is the PT sentinel
+    const auto verdict = analysis::verifyProgram(program);
+    ASSERT_FALSE(verdict.admitted);
+    ASSERT_EQ(verdict.rejections.size(), 1u) << describe(verdict);
+    EXPECT_EQ(verdict.rejections.front().toString(),
+              "pc 0: malformed-instruction: guard reads the PT sentinel "
+              "predicate (p0 with negate)");
+}
+
+TEST(Verifier, StructuralAndUninitRejectionsAreTheLintersFindings)
+{
+    // One malformed field or uninitialized read per kernel: each lint
+    // finding of a shared rule comes back as a rejection with the same
+    // pc and message, under the reason its code maps to.
+    const isa::Program base = mustParse(".kernel shared-rules\n"
+                                        ".launch 1 32\n"
+                                        "    S2R R1, SR_LANEID\n"
+                                        "    SETP.LT P1, R1, #16\n"
+                                        "    @P1 BRA L4, join=L4\n"
+                                        "    IADD R2, R1, R1\n"
+                                        "L4:\n"
+                                        "    EXIT\n");
+    std::vector<isa::Program> programs(5, base);
+    programs[0].body[1].flags = 7;      // non-canonical
+    programs[1].body[2].reconv = 1;     // bad reconvergence point
+    programs[2].body[3].srcB = 70;      // out-of-range register
+    programs[3].body[2].pred = 2;       // guard no SetP wrote
+    programs[4].body[3].srcB = 3;       // r3 read before any write
+
+    const auto reasonOf = [](analysis::LintCode code) {
+        switch (code) {
+          case analysis::LintCode::NonCanonical:
+            return analysis::RejectReason::MalformedInstruction;
+          case analysis::LintCode::BadReconv:
+            return analysis::RejectReason::BadBranch;
+          default:
+            return analysis::RejectReason::UninitRead;
+        }
+    };
+    for (std::size_t k = 0; k < programs.size(); ++k) {
+        std::vector<analysis::Rejection> expected;
+        for (const auto &f : analysis::lintProgram(programs[k])) {
+            if (f.code == analysis::LintCode::NonCanonical
+                || f.code == analysis::LintCode::BadReconv
+                || f.code == analysis::LintCode::UninitRegRead
+                || f.code == analysis::LintCode::UninitPredRead)
+                expected.push_back({reasonOf(f.code), f.pc, f.message});
+        }
+        ASSERT_FALSE(expected.empty()) << "kernel " << k;
+        const auto verdict = analysis::verifyProgram(programs[k]);
+        ASSERT_EQ(verdict.rejections.size(), expected.size())
+            << "kernel " << k << ":\n" << describe(verdict);
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(verdict.rejections[i].toString(),
+                      expected[i].toString())
+                << "kernel " << k;
+        }
+    }
 }
 
 TEST(Verifier, OverSizedLaunchGeometryIsRejected)
