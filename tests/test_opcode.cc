@@ -27,6 +27,21 @@ TEST(Opcode, LoadStoreClassification)
     EXPECT_FALSE(isMemoryOp(Opcode::IAdd));
 }
 
+TEST(Opcode, MemorySpaceColumnMatchesTheOperandForm)
+{
+    EXPECT_EQ(memSpace(Opcode::Ldg), MemSpace::Global);
+    EXPECT_EQ(memSpace(Opcode::Stg), MemSpace::Global);
+    EXPECT_EQ(memSpace(Opcode::Lds), MemSpace::Shared);
+    EXPECT_EQ(memSpace(Opcode::Sts), MemSpace::Shared);
+    EXPECT_EQ(memSpace(Opcode::Ldc), MemSpace::Constant);
+    EXPECT_EQ(memSpace(Opcode::Ldt), MemSpace::Texture);
+    for (std::size_t i = 0; i < opcodeTable.size(); ++i) {
+        const auto op = static_cast<Opcode>(i);
+        EXPECT_EQ(memSpace(op) != MemSpace::None, isMemoryOp(op))
+            << opcodeName(op);
+    }
+}
+
 TEST(Opcode, ControlClassification)
 {
     for (const auto op :
