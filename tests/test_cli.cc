@@ -3,11 +3,15 @@
  * Tests for the shared CLI parsing layer: strict whole-token numeric
  * conversion, range checks, the ArgStream cursor, and the canonical
  * diagnostics that bvf_sim and bvf_lint both relied on before the
- * parser was unified.
+ * parser was unified. The ClientPins cases pin bvf_client's exact
+ * stdout and exit status against an in-process bvfd.
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -15,10 +19,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
+#include "common/crc32.hh"
+#include "server/server.hh"
 
 namespace bvf::cli
 {
@@ -291,6 +298,194 @@ TEST(ExitTwo, AssemblerValidatesItsCommandLine)
     EXPECT_NE(out.find("unknown command"), std::string::npos) << out;
     EXPECT_EQ(runTool("bvf_asm", "asm", out), kExitUsage);
     EXPECT_EQ(runTool("bvf_asm", "dump", out), kExitUsage);
+}
+
+/**
+ * Run bvf_client with @p args; @return its exit status, with stdout
+ * alone in @p out (stderr is dropped). -1 if it did not exit normally.
+ */
+int
+runClient(const std::string &args, std::string &out)
+{
+    const std::string cmd = std::string(BVF_EXAMPLES_DIR)
+                            + "/bvf_client " + args + " 2>/dev/null";
+    out.clear();
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (!pipe)
+        return -1;
+    char chunk[512];
+    std::size_t n = 0;
+    while ((n = std::fread(chunk, 1, sizeof(chunk), pipe)) > 0)
+        out.append(chunk, n);
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::uint32_t
+crcOf(const std::string &text)
+{
+    return crc32(text.data(), text.size());
+}
+
+/** An in-process bvfd on an ephemeral TCP port and a Unix socket. */
+class ClientPins : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        server::ServerOptions options;
+        options.workers = 2;
+        options.unixPath = ::testing::TempDir() + "bvf-client-pins-"
+                           + std::to_string(::getpid()) + ".sock";
+        server_ = std::make_unique<server::Server>(options);
+        ASSERT_TRUE(server_->start().ok());
+        unixPath_ = options.unixPath;
+        port_ = "--port " + std::to_string(server_->port()) + " ";
+    }
+
+    void TearDown() override { server_.reset(); }
+
+    std::unique_ptr<server::Server> server_;
+    std::string unixPath_;
+    std::string port_; //!< "--port N " for this test's daemon
+};
+
+/** A bound, listening TCP socket that never accepts; @return its fd. */
+int
+silentListener(int &port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd < 0
+        || ::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr))
+               != 0
+        || ::listen(fd, 4) != 0
+        || ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len)
+               != 0) {
+        ADD_FAILURE() << "cannot set up a listener";
+        return -1;
+    }
+    port = ntohs(addr.sin_port);
+    return fd;
+}
+
+TEST_F(ClientPins, PingPipelinesAndEchoesInOrder)
+{
+    std::string out;
+    EXPECT_EQ(runClient(port_ + "ping 8", out), 0);
+    EXPECT_EQ(out, "8 ping(s) echoed in order\n");
+}
+
+TEST_F(ClientPins, EvalCoderPrintsTheEncodedWords)
+{
+    std::string out;
+    EXPECT_EQ(
+        runClient(port_ + "eval-coder nv deadbeefcafef00d 0011223344556677",
+                  out),
+        0);
+    EXPECT_EQ(out,
+              "coder nv: 128 bits, ones 66 -> 80 (density 0.5156 -> "
+              "0.6250)\n"
+              "  deadbeefcafef00d -> deadbeefcafef00d\n"
+              "  0011223344556677 -> 7feeddcc3baa9988\n");
+}
+
+TEST_F(ClientPins, StaticAndAdviseTablesAreUnchanged)
+{
+    std::string out;
+    EXPECT_EQ(runClient(port_ + "static KMN", out), 0);
+    EXPECT_EQ(crcOf(out), 0x2f75ca6au) << out;
+    EXPECT_EQ(runClient(port_ + "advise KMN", out), 0);
+    EXPECT_EQ(crcOf(out), 0x4977475fu) << out;
+}
+
+TEST_F(ClientPins, SubmitWithEvalAdmitsAndPricesTheSmokeKernel)
+{
+    // The kernel scripts/ci_daemon_smoke.sh submits.
+    const std::string path = ::testing::TempDir() + "bvf-client-pins-"
+                             + std::to_string(::getpid()) + ".s";
+    std::ofstream(path) << ".kernel smoke\n"
+                           ".launch 1 32\n"
+                           ".global 64\n"
+                           "    S2R R1, SR_TIDX\n"
+                           "    MOV R2, #1\n"
+                           "    IADD R3, R1, R2\n"
+                           "    EXIT\n";
+    std::string out;
+    EXPECT_EQ(runClient(port_ + "submit " + path + " --eval", out), 0);
+    EXPECT_EQ(crcOf(out), 0xbdb0e6ecu) << out;
+    std::remove(path.c_str());
+}
+
+TEST_F(ClientPins, EvalOfAnUnknownDigestIsRefused)
+{
+    std::string out;
+    EXPECT_EQ(runClient(port_ + "eval k00000000-0", out), 1);
+    EXPECT_EQ(out, "");
+    EXPECT_EQ(runTool("bvf_client", port_ + "eval k00000000-0", out), 1);
+    EXPECT_NE(out.find("daemon refused the request: [4] no admitted "
+                       "kernel under digest 'k00000000-0'"),
+              std::string::npos)
+        << out;
+}
+
+TEST_F(ClientPins, MetricsPrintsTheExpositionBody)
+{
+    std::string out;
+    EXPECT_EQ(runClient(port_ + "metrics", out), 0);
+    EXPECT_EQ(out.rfind("# bvfd metrics\nbvfd_", 0), 0u) << out;
+    EXPECT_NE(out.find("\nbvfd_connections_total "), std::string::npos)
+        << out;
+}
+
+TEST_F(ClientPins, PingOverTheUnixSocket)
+{
+    std::string out;
+    EXPECT_EQ(runClient("--unix " + unixPath_ + " ping", out), 0);
+    EXPECT_EQ(out, "1 ping(s) echoed in order\n");
+}
+
+TEST_F(ClientPins, HostAcceptsAName)
+{
+    std::string out;
+    EXPECT_EQ(runClient("--host localhost " + port_ + "ping", out), 0);
+    EXPECT_EQ(out, "1 ping(s) echoed in order\n");
+}
+
+TEST(ClientTransport, RetriesAClosedPortThenGivesUp)
+{
+    int port = 0;
+    const int fd = silentListener(port);
+    ASSERT_GE(fd, 0);
+    ::close(fd); // nothing listens there any more
+    std::string out;
+    EXPECT_EQ(runTool("bvf_client",
+                      "--port " + std::to_string(port)
+                          + " --retries 2 --backoff-ms 1 ping",
+                      out),
+              1);
+    EXPECT_NE(out.find("gave up after 3 attempt(s)"), std::string::npos)
+        << out;
+}
+
+TEST(ClientTransport, DeadlineBoundsTheWaitForAResponse)
+{
+    int port = 0;
+    const int fd = silentListener(port);
+    ASSERT_GE(fd, 0);
+    std::string out;
+    EXPECT_EQ(runTool("bvf_client",
+                      "--port " + std::to_string(port)
+                          + " --deadline-ms 200 ping",
+                      out),
+              1);
+    EXPECT_NE(out.find("no response within 200 ms"), std::string::npos)
+        << out;
+    ::close(fd);
 }
 
 TEST(GoldenCli, BvfSimChecksItsReportAgainstAGoldenReport)
