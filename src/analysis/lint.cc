@@ -258,6 +258,18 @@ LintFinding::toString() const
 std::vector<LintFinding>
 lintProgram(const isa::Program &program)
 {
+    // The fixpoint reads every instruction's opcode table row, so a
+    // program with an unknown opcode gets the NonCanonical findings
+    // alone -- the admission verifier's pass order.
+    const auto unknown = [](const Instruction &instr) {
+        return instr.op >= Opcode::NumOpcodes;
+    };
+    if (std::any_of(program.body.begin(), program.body.end(), unknown)) {
+        std::vector<LintFinding> findings;
+        for (std::size_t pc = 0; pc < program.body.size(); ++pc)
+            lintCanonical(static_cast<int>(pc), program.body[pc], findings);
+        return findings;
+    }
     return Linter(program).run();
 }
 

@@ -53,7 +53,11 @@ struct LintFinding
     std::string toString() const;
 };
 
-/** Run every check over @p program. Findings are sorted by pc. */
+/**
+ * Run every check over @p program. Findings are sorted by pc. A
+ * program with an unknown opcode gets only the NonCanonical findings:
+ * the fixpoint behind the other rules needs every opcode's table row.
+ */
 std::vector<LintFinding> lintProgram(const isa::Program &program);
 
 struct AbsState;

@@ -354,6 +354,24 @@ TEST(LintTest, UnknownOpcodeIsOneNonCanonicalFinding)
     EXPECT_EQ(findings.front().message, "opcode 200 unknown");
 }
 
+TEST(LintTest, UnknownOpcodeProgramSkipsTheFixpoint)
+{
+    // The fixpoint would index the opcode table with the unknown
+    // opcode; like the verifier, the linter stops at the structural
+    // rules. The uninitialized read of r9 is therefore not reported.
+    Instruction unknown = movImm(5, 1);
+    unknown.op = static_cast<Opcode>(200);
+    Instruction wide = movImm(4, 0);
+    wide.srcA = 3; // MOV ignores srcA
+    const auto findings = lintProgram(makeProgram(
+        {wide, unknown, aluImm(Opcode::IAdd, 6, 9, 1), exitInstr()}));
+    ASSERT_EQ(findings.size(), 2u);
+    EXPECT_EQ(findings[0].toString(),
+              "pc 0: non-canonical: MOV ignores srcA but srcA=3");
+    EXPECT_EQ(findings[1].toString(),
+              "pc 1: non-canonical: opcode 200 unknown");
+}
+
 TEST(LintTest, BadReconv)
 {
     // Forward branch whose reconvergence precedes the target.
