@@ -4,9 +4,14 @@
  *
  * Speaks the CRC32-framed binary protocol (src/server/protocol.hh)
  * over TCP or a Unix socket and prints human-readable results. The
- * ping command doubles as a pipelining demo: all N requests are
- * written back to back before the first response is read, exercising
- * the daemon's in-order batched execution.
+ * socket work is the server library's: SocketTransport dials and
+ * moves the bytes, readFrame() reads each response
+ * (src/server/transport.hh). A command names only its request struct;
+ * the request type and the response struct to decode come from that
+ * request's kMessageTable row. The ping command doubles as a
+ * pipelining demo: all N requests are written back to back before the
+ * first response is read, exercising the daemon's in-order batched
+ * execution.
  *
  * Usage:
  *   bvf_client (--port N [--host H] | --unix PATH) COMMAND ...
@@ -29,7 +34,7 @@
  *   metrics                    scrape the /metrics exposition
  *
  * Options:
- *   --host H      TCP host (default 127.0.0.1)
+ *   --host H      TCP host, dotted quad or IPv4 name (default 127.0.0.1)
  *   --port N      TCP port of the daemon
  *   --unix PATH   connect over a Unix socket instead
  *   --arch --sched --pivot --dynamic-isa --node --pstate --cell --ecc
@@ -45,23 +50,17 @@
  * daemon's answer and is never retried.
  */
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
-#include <vector>
-
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "analysis/verifier.hh"
 #include "coder/bvf_space.hh"
@@ -72,6 +71,7 @@
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "server/protocol.hh"
+#include "server/transport.hh"
 
 using namespace bvf;
 using namespace bvf::server;
@@ -179,145 +179,84 @@ parse(int argc, char **argv)
     return o;
 }
 
-/** Connect per the options; throws TransportError on failure. */
-int
-connectTo(const Options &o)
+/** One connection to the daemon; every failure is a TransportError. */
+class Connection
 {
-    if (!o.unixPath.empty()) {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        fatal_if(fd < 0, "socket(): %s", std::strerror(errno));
-        sockaddr_un addr = {};
-        addr.sun_family = AF_UNIX;
-        fatal_if(o.unixPath.size() >= sizeof(addr.sun_path),
-                 "unix path '%s' is too long", o.unixPath.c_str());
-        std::strncpy(addr.sun_path, o.unixPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr))
-            != 0) {
-            const int err = errno;
-            ::close(fd);
-            throw TransportError{strFormat("connect(%s): %s",
-                                           o.unixPath.c_str(),
-                                           std::strerror(err))};
+  public:
+    explicit Connection(const Options &o) : o_(o)
+    {
+        constexpr std::chrono::milliseconds kBlock{0};
+        auto dialed =
+            o.unixPath.empty()
+                ? SocketTransport::dialTcp(o.host, o.port, kBlock)
+                : SocketTransport::dialUnix(o.unixPath, kBlock);
+        if (dialed.ok()) {
+            transport_ = std::move(dialed.value());
+            return;
         }
-        return fd;
-    }
-
-    addrinfo hints = {};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo *res = nullptr;
-    const std::string portStr = strFormat("%d", o.port);
-    const int rc = ::getaddrinfo(o.host.c_str(), portStr.c_str(), &hints,
-                                 &res);
-    if (rc != 0) {
-        throw TransportError{strFormat("cannot resolve %s: %s",
-                                       o.host.c_str(),
-                                       ::gai_strerror(rc))};
-    }
-    int fd = -1;
-    for (addrinfo *ai = res; ai; ai = ai->ai_next) {
-        fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-        if (fd < 0)
-            continue;
-        if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0)
-            break;
-        ::close(fd);
-        fd = -1;
-    }
-    ::freeaddrinfo(res);
-    if (fd < 0) {
-        throw TransportError{strFormat("cannot connect to %s:%d",
-                                       o.host.c_str(), o.port)};
-    }
-    return fd;
-}
-
-bool
-writeAll(int fd, std::string_view bytes)
-{
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + sent, bytes.size() - sent);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-/** writeAll or throw TransportError. */
-void
-sendAll(int fd, std::string_view bytes)
-{
-    if (!writeAll(fd, bytes)) {
+        const Error &e = dialed.error();
+        if (!o.unixPath.empty() || e.code == ErrorCode::InvalidArgument)
+            throw TransportError{e.message};
         throw TransportError{
-            strFormat("write(): %s", std::strerror(errno))};
+            strFormat("cannot connect to %s:%d", o.host.c_str(), o.port)};
     }
-}
 
-/**
- * Read until one whole frame parses out of @p buf, waiting at most
- * deadlineMs (per response) when nonzero. Every failure mode here --
- * timeout, hangup, torn frame -- is a TransportError: the stream is
- * unusable and only a fresh connection can help.
- */
-Frame
-recvFrame(const Options &o, int fd, std::string &buf)
-{
-    const auto start = std::chrono::steady_clock::now();
-    for (;;) {
-        std::size_t consumed = 0;
-        auto parsed = parseFrame(buf, consumed);
-        if (parsed.ok()) {
-            buf.erase(0, consumed);
-            return std::move(parsed.value());
-        }
-        if (parsed.error().code != ErrorCode::Truncated) {
+    void
+    send(std::string_view bytes)
+    {
+        auto sent = transport_->send(bytes, std::chrono::milliseconds{0});
+        if (!sent.ok()) {
             throw TransportError{
-                strFormat("protocol error from daemon: %s",
-                          parsed.error().describe().c_str())};
+                strFormat("write(): %s", sent.error().message.c_str())};
         }
-        if (o.deadlineMs > 0) {
-            const auto spent =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            const long long left = o.deadlineMs - spent;
-            if (left <= 0)
-                throw TransportError{strFormat(
-                    "no response within %d ms", o.deadlineMs)};
-            pollfd p = {fd, POLLIN, 0};
-            const int rc =
-                ::poll(&p, 1, static_cast<int>(left));
-            if (rc < 0 && errno != EINTR) {
-                throw TransportError{
-                    strFormat("poll(): %s", std::strerror(errno))};
-            }
-            if (rc == 0)
-                throw TransportError{strFormat(
-                    "no response within %d ms", o.deadlineMs)};
-            if (rc < 0)
-                continue;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n == 0)
-            throw TransportError{"daemon hung up mid-frame"};
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throw TransportError{
-                strFormat("read(): %s", std::strerror(errno))};
-        }
-        buf.append(chunk, static_cast<std::size_t>(n));
     }
-}
+
+    /** The next response, waiting at most --deadline-ms when set. */
+    Frame
+    read()
+    {
+        auto got = readFrame(*transport_, buf_, Deadline(deadline()));
+        if (got.ok())
+            return std::move(got.value());
+        const Error &e = got.error();
+        if (e.code == ErrorCode::Timeout) {
+            throw TransportError{
+                strFormat("no response within %d ms", o_.deadlineMs)};
+        }
+        if (e.code == ErrorCode::Io)
+            throw TransportError{e.message};
+        throw TransportError{strFormat("protocol error from daemon: %s",
+                                       e.describe().c_str())};
+    }
+
+    /** Everything the daemon sends until it closes the stream. */
+    std::string
+    readToEof()
+    {
+        std::string bytes;
+        for (;;) {
+            auto got = transport_->recv(deadline());
+            if (!got.ok() && got.error().code == ErrorCode::Timeout) {
+                throw TransportError{strFormat(
+                    "no /metrics reply within %d ms", o_.deadlineMs)};
+            }
+            if (!got.ok() || got.value().empty())
+                return bytes;
+            bytes += got.value();
+        }
+    }
+
+  private:
+    std::chrono::milliseconds
+    deadline() const
+    {
+        return std::chrono::milliseconds{o_.deadlineMs};
+    }
+
+    const Options &o_;
+    TransportPtr transport_;
+    std::string buf_; //!< bytes read past the last response
+};
 
 /** Fail loudly when @p frame is an ErrorResponse. */
 void
@@ -332,8 +271,45 @@ rejectError(const Frame &frame)
     fatal("daemon refused the request (undecodable error payload)");
 }
 
+/**
+ * Decode @p frame as the response kMessageTable pairs with @p Request.
+ * An ErrorResponse, or a response of any other type, is fatal.
+ */
+template <typename Request>
+auto
+responseTo(const Frame &frame)
+{
+    constexpr const auto &row = requestRow<Request>();
+    using Response = typename std::decay_t<decltype(row)>::Response;
+    rejectError(frame);
+    fatal_if(frame.type != row.response, "expected %s, got %s",
+             msgTypeName(row.response).c_str(),
+             msgTypeName(frame.type).c_str());
+    auto resp = Response::decode(frame.payload);
+    fatal_if(!resp.ok(), "bad %s: %s", msgTypeName(row.response).c_str(),
+             resp.error().describe().c_str());
+    return std::move(resp.value());
+}
+
+/** Encode @p req as the request type its table row names. */
+template <typename Request>
+std::string
+requestBytes(const Request &req)
+{
+    return encodeFrame(requestRow<Request>().request, req.encode());
+}
+
+/** One round trip: send @p req, decode the response it is paired with. */
+template <typename Request>
+auto
+call(Connection &c, const Request &req)
+{
+    c.send(requestBytes(req));
+    return responseTo<Request>(c.read());
+}
+
 int
-cmdPing(const Options &o, int fd)
+cmdPing(const Options &o, Connection &c)
 {
     int count = 1;
     if (!o.args.empty())
@@ -344,30 +320,22 @@ cmdPing(const Options &o, int fd)
     for (int i = 0; i < count; ++i) {
         Ping ping;
         ping.nonce = 0x1000u + static_cast<std::uint64_t>(i);
-        batch += encodeFrame(MsgType::PingRequest, ping.encode());
+        batch += requestBytes(ping);
     }
-    sendAll(fd, batch);
+    c.send(batch);
 
-    std::string buf;
     for (int i = 0; i < count; ++i) {
-        const Frame frame = recvFrame(o, fd, buf);
-        rejectError(frame);
-        fatal_if(frame.type != MsgType::PingResponse,
-                 "expected ping-response, got %s",
-                 msgTypeName(frame.type).c_str());
-        const auto pong = Ping::decode(frame.payload);
-        fatal_if(!pong.ok(), "bad ping-response: %s",
-                 pong.error().describe().c_str());
-        fatal_if(pong.value().nonce != 0x1000u + static_cast<std::uint64_t>(i),
+        const Ping pong = responseTo<Ping>(c.read());
+        fatal_if(pong.nonce != 0x1000u + static_cast<std::uint64_t>(i),
                  "ping %d answered out of order (nonce %llu)", i,
-                 static_cast<unsigned long long>(pong.value().nonce));
+                 static_cast<unsigned long long>(pong.nonce));
     }
     std::printf("%d ping(s) echoed in order\n", count);
     return 0;
 }
 
 int
-cmdEvalCoder(const Options &o, int fd)
+cmdEvalCoder(const Options &o, Connection &c)
 {
     if (o.args.size() < 2) {
         cli::dieUsage(
@@ -390,14 +358,7 @@ cmdEvalCoder(const Options &o, int fd)
     for (std::size_t i = 1; i < o.args.size(); ++i)
         req.words.push_back(parseHex64("eval-coder word", o.args[i]));
 
-    sendAll(fd, encodeFrame(MsgType::EvalCoderRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
-    const auto resp = EvalCoderResponse::decode(frame.payload);
-    fatal_if(!resp.ok(), "bad eval-coder response: %s",
-             resp.error().describe().c_str());
-    const EvalCoderResponse &r = resp.value();
+    const EvalCoderResponse r = call(c, req);
     std::printf("coder %s: %llu bits, ones %llu -> %llu (density "
                 "%.4f -> %.4f)\n",
                 kind.c_str(),
@@ -428,18 +389,11 @@ queryFor(const Options &o)
 }
 
 int
-cmdDensity(const Options &o, int fd)
+cmdDensity(const Options &o, Connection &c)
 {
     BitDensityRequest req;
     req.query = queryFor(o);
-    sendAll(fd, encodeFrame(MsgType::BitDensityRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
-    const auto resp = BitDensityResponse::decode(frame.payload);
-    fatal_if(!resp.ok(), "bad density response: %s",
-             resp.error().describe().c_str());
-    const BitDensityResponse &r = resp.value();
+    const BitDensityResponse r = call(c, req);
     std::printf("%s: %llu cycles, %llu instructions\n",
                 req.query.abbr.c_str(),
                 static_cast<unsigned long long>(r.cycles),
@@ -481,19 +435,12 @@ printEnergyTable(const std::array<double, kScenarioSlots> &chip,
 }
 
 int
-cmdEnergy(const Options &o, int fd)
+cmdEnergy(const Options &o, Connection &c)
 {
     ChipEnergyRequest req;
     setEvalConfig(req, o.eval);
     req.query = queryFor(o);
-    sendAll(fd, encodeFrame(MsgType::ChipEnergyRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
-    const auto resp = ChipEnergyResponse::decode(frame.payload);
-    fatal_if(!resp.ok(), "bad energy response: %s",
-             resp.error().describe().c_str());
-    const ChipEnergyResponse &r = resp.value();
+    const ChipEnergyResponse r = call(c, req);
     std::printf("%s: %llu cycles, %llu instructions\n",
                 req.query.abbr.c_str(),
                 static_cast<unsigned long long>(r.cycles),
@@ -503,18 +450,11 @@ cmdEnergy(const Options &o, int fd)
 }
 
 int
-cmdStatic(const Options &o, int fd)
+cmdStatic(const Options &o, Connection &c)
 {
     StaticQueryRequest req;
     req.query = queryFor(o);
-    sendAll(fd, encodeFrame(MsgType::StaticQueryRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
-    const auto resp = StaticQueryResponse::decode(frame.payload);
-    fatal_if(!resp.ok(), "bad static response: %s",
-             resp.error().describe().c_str());
-    const StaticQueryResponse &r = resp.value();
+    const StaticQueryResponse r = call(c, req);
     auto printBounds = [](const std::string &name, const auto &bounds) {
         std::printf("%-10s", name.c_str());
         for (const auto &b : bounds) {
@@ -542,18 +482,11 @@ cmdStatic(const Options &o, int fd)
 }
 
 int
-cmdAdvise(const Options &o, int fd)
+cmdAdvise(const Options &o, Connection &c)
 {
     StaticAdviceRequest req;
     req.query = queryFor(o);
-    sendAll(fd, encodeFrame(MsgType::StaticAdviceRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
-    const auto resp = StaticAdviceResponse::decode(frame.payload);
-    fatal_if(!resp.ok(), "bad advice response: %s",
-             resp.error().describe().c_str());
-    const StaticAdviceResponse &r = resp.value();
+    const StaticAdviceResponse r = call(c, req);
     std::printf("%s: VS register pivot %u (proven slack %.4f, %u/%u "
                 "lane-affine sources)\n",
                 req.query.abbr.c_str(),
@@ -611,19 +544,12 @@ loadKernelBytecode(const std::string &path)
 
 /** Send one EvalSubmitted request and print the result. */
 int
-evalByDigest(const Options &o, int fd, const std::string &digest)
+evalByDigest(const Options &o, Connection &c, const std::string &digest)
 {
     EvalSubmittedRequest req;
     setEvalConfig(req, o.eval);
     req.digest = digest;
-    sendAll(fd, encodeFrame(MsgType::EvalSubmittedRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
-    const auto resp = EvalSubmittedResponse::decode(frame.payload);
-    fatal_if(!resp.ok(), "bad eval-submitted response: %s",
-             resp.error().describe().c_str());
-    const EvalSubmittedResponse &r = resp.value();
+    const EvalSubmittedResponse r = call(c, req);
     std::printf("%s: %llu cycles, %llu instructions\n", digest.c_str(),
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.instructions));
@@ -636,18 +562,11 @@ evalByDigest(const Options &o, int fd, const std::string &digest)
 }
 
 int
-cmdSubmit(const Options &o, int fd)
+cmdSubmit(const Options &o, Connection &c)
 {
     SubmitKernelRequest req;
     req.bytecode = loadKernelBytecode(o.args[0]);
-    sendAll(fd, encodeFrame(MsgType::SubmitKernelRequest, req.encode()));
-    std::string buf;
-    const Frame frame = recvFrame(o, fd, buf);
-    rejectError(frame);
-    const auto resp = SubmitKernelResponse::decode(frame.payload);
-    fatal_if(!resp.ok(), "bad submit response: %s",
-             resp.error().describe().c_str());
-    const SubmitKernelResponse &r = resp.value();
+    const SubmitKernelResponse r = call(c, req);
     if (!r.admitted) {
         std::printf("rejected: %zu finding(s)\n", r.rejections.size());
         for (const auto &rej : r.rejections) {
@@ -666,43 +585,21 @@ cmdSubmit(const Options &o, int fd)
                 static_cast<unsigned long long>(r.tripBound), r.globalLo,
                 r.globalHi);
     if (o.evalAfterSubmit)
-        return evalByDigest(o, fd, r.digest);
+        return evalByDigest(o, c, r.digest);
     return 0;
 }
 
 int
-cmdEval(const Options &o, int fd)
+cmdEval(const Options &o, Connection &c)
 {
-    return evalByDigest(o, fd, o.args[0]);
+    return evalByDigest(o, c, o.args[0]);
 }
 
 int
-cmdMetrics(const Options &o, int fd)
+cmdMetrics(const Options &o, Connection &c)
 {
-    const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
-    sendAll(fd, get);
-    std::string reply;
-    char chunk[4096];
-    for (;;) {
-        if (o.deadlineMs > 0) {
-            pollfd p = {fd, POLLIN, 0};
-            const int rc = ::poll(&p, 1, o.deadlineMs);
-            if (rc == 0) {
-                throw TransportError{strFormat(
-                    "no /metrics reply within %d ms", o.deadlineMs)};
-            }
-            if (rc < 0 && errno != EINTR) {
-                throw TransportError{
-                    strFormat("poll(): %s", std::strerror(errno))};
-            }
-        }
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        reply.append(chunk, static_cast<std::size_t>(n));
-    }
+    c.send("GET /metrics HTTP/1.0\r\n\r\n");
+    const std::string reply = c.readToEof();
     if (reply.empty()) {
         throw TransportError{strFormat("no /metrics reply from %s:%d",
                                        o.host.c_str(), o.port)};
@@ -714,6 +611,17 @@ cmdMetrics(const Options &o, int fd)
                stdout);
     return 0;
 }
+
+using Command = int (*)(const Options &, Connection &);
+
+/** Every command and the function that runs it on a connection. */
+constexpr std::pair<std::string_view, Command> kCommands[] = {
+    {"ping", cmdPing},     {"eval-coder", cmdEvalCoder},
+    {"density", cmdDensity}, {"energy", cmdEnergy},
+    {"static", cmdStatic}, {"advise", cmdAdvise},
+    {"submit", cmdSubmit}, {"eval", cmdEval},
+    {"metrics", cmdMetrics},
+};
 
 } // namespace
 
@@ -727,32 +635,12 @@ main(int argc, char **argv)
         return cli::reportUsage("bvf_client", e);
     }
 
-    auto dispatch = [&](int fd) -> int {
-        if (o.command == "ping")
-            return cmdPing(o, fd);
-        if (o.command == "eval-coder")
-            return cmdEvalCoder(o, fd);
-        if (o.command == "density")
-            return cmdDensity(o, fd);
-        if (o.command == "energy")
-            return cmdEnergy(o, fd);
-        if (o.command == "static")
-            return cmdStatic(o, fd);
-        if (o.command == "advise")
-            return cmdAdvise(o, fd);
-        if (o.command == "submit")
-            return cmdSubmit(o, fd);
-        if (o.command == "eval")
-            return cmdEval(o, fd);
-        return cmdMetrics(o, fd);
-    };
-    const bool known =
-        o.command == "ping" || o.command == "eval-coder"
-        || o.command == "density" || o.command == "energy"
-        || o.command == "static" || o.command == "advise"
-        || o.command == "submit" || o.command == "eval"
-        || o.command == "metrics";
-    if (!known) {
+    Command command = nullptr;
+    for (const auto &[name, run] : kCommands) {
+        if (o.command == name)
+            command = run;
+    }
+    if (!command) {
         std::fprintf(stderr,
                      "bvf_client: unknown command '%s' (ping, "
                      "eval-coder, density, energy, static, advise, "
@@ -765,15 +653,10 @@ main(int argc, char **argv)
     // position is unknowable, so resuming it could pair a stale
     // response with a fresh request.
     for (int attempt = 0;; ++attempt) {
-        int fd = -1;
         try {
-            fd = connectTo(o);
-            const int rc = dispatch(fd);
-            ::close(fd);
-            return rc;
+            Connection connection(o);
+            return command(o, connection);
         } catch (const TransportError &e) {
-            if (fd >= 0)
-                ::close(fd);
             if (attempt >= o.retries) {
                 std::fprintf(
                     stderr, "bvf_client: %s (gave up after %d "

@@ -106,73 +106,37 @@ WorkerClient::checkin(TransportPtr transport)
     idle_.push_back(std::move(transport));
 }
 
-std::chrono::milliseconds
-WorkerClient::remainingBudget(Clock::time_point start,
-                              std::chrono::milliseconds deadline)
-{
-    if (deadline.count() <= 0)
-        return std::chrono::milliseconds{-1}; // block forever
-    const auto spent =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            clock_->now() - start);
-    const auto left = deadline - spent;
-    return left.count() > 0 ? left : std::chrono::milliseconds{0};
-}
-
 Result<Frame>
 WorkerClient::request(const Frame &frame,
                       std::chrono::milliseconds deadline)
 {
-    const auto start = clock_->now();
+    const server::Deadline budget(deadline, *clock_);
     auto checkedOut = checkout(deadline);
     if (!checkedOut.ok())
         return checkedOut.error();
     TransportPtr transport = std::move(checkedOut.value());
 
     const std::string bytes = encodeFrame(frame.type, frame.payload);
-    auto sent = transport->send(bytes, remainingBudget(start, deadline));
+    auto sent = transport->send(bytes, budget.remaining());
     if (!sent.ok()) {
         transport->close();
         return sent.error();
     }
 
     std::string buf;
-    for (;;) {
-        std::size_t consumed = 0;
-        auto parsed = server::parseFrame(buf, consumed);
-        if (parsed.ok()) {
-            if (consumed == buf.size()) {
-                checkin(std::move(transport)); // provably clean stream
-            } else {
-                // Bytes beyond the response (a duplicated frame, a
-                // babbling worker): the answer we matched by position
-                // is still the answer, but a pooled connection holding
-                // leftovers would serve them as the *next* request's
-                // response. Never re-pool a desynced stream.
-                transport->close();
-            }
-            return std::move(parsed.value());
-        }
-        if (parsed.error().code != ErrorCode::Truncated) {
-            transport->close(); // stream offset is unreliable now
-            return parsed.error();
-        }
-        const auto budget = remainingBudget(start, deadline);
-        if (budget.count() == 0) {
-            transport->close();
-            return Error{ErrorCode::Timeout, "worker deadline expired"};
-        }
-        auto got = transport->recv(budget);
-        if (!got.ok()) {
-            transport->close();
-            return got.error();
-        }
-        if (got.value().empty()) {
-            transport->close();
-            return Error{ErrorCode::Io, "worker hung up mid-frame"};
-        }
-        buf.append(got.value());
+    auto response = server::readFrame(*transport, buf, budget);
+    if (response.ok() && buf.empty()) {
+        checkin(std::move(transport)); // provably clean stream
+    } else {
+        // A failed read leaves the stream offset unreliable. So do
+        // bytes beyond the response (a duplicated frame, a babbling
+        // worker): the answer we matched by position is still the
+        // answer, but a pooled connection holding leftovers would
+        // serve them as the *next* request's response. Never re-pool
+        // a desynced stream.
+        transport->close();
     }
+    return response;
 }
 
 } // namespace bvf::fleet

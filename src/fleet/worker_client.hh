@@ -100,11 +100,6 @@ class WorkerClient
     checkout(std::chrono::milliseconds deadline);
     void checkin(server::TransportPtr transport);
 
-    /** Budget left of @p deadline measured from @p start; <=0 = forever. */
-    std::chrono::milliseconds
-    remainingBudget(Clock::time_point start,
-                    std::chrono::milliseconds deadline);
-
     WorkerAddress address_;
     DialFn dial_;
     Clock *clock_;

@@ -353,18 +353,6 @@ serve(const Row &row, const Frame &request, KernelStore &kernels,
 } // namespace
 
 Frame
-errorFrame(const Error &error)
-{
-    WireError wire;
-    wire.code = static_cast<std::uint8_t>(error.code);
-    wire.message = error.message;
-    Frame frame;
-    frame.type = MsgType::ErrorResponse;
-    frame.payload = wire.encode();
-    return frame;
-}
-
-Frame
 RequestHandler::handle(const Frame &request) const
 {
     Frame out;

@@ -51,9 +51,6 @@ class RequestHandler
     std::shared_ptr<KernelStore> kernels_;
 };
 
-/** Build an ErrorResponse frame from a structured error. */
-Frame errorFrame(const Error &error);
-
 } // namespace bvf::server
 
 #endif // BVF_SERVER_HANDLER_HH

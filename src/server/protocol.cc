@@ -136,6 +136,29 @@ parseFrame(std::string_view bytes, std::size_t &consumed)
     return frame;
 }
 
+Frame
+errorFrame(const Error &error)
+{
+    WireError wire;
+    wire.code = static_cast<std::uint8_t>(error.code);
+    wire.message = error.message;
+    return Frame{MsgType::ErrorResponse, wire.encode()};
+}
+
+StreamStep
+nextRequest(std::string &buf)
+{
+    std::size_t consumed = 0;
+    auto parsed = parseFrame(buf, consumed);
+    if (parsed.ok()) {
+        buf.erase(0, consumed);
+        return {StreamStep::Request, std::move(parsed.value())};
+    }
+    if (parsed.error().code == ErrorCode::Truncated)
+        return {StreamStep::NeedMore, {}};
+    return {StreamStep::HangUp, errorFrame(parsed.error())};
+}
+
 // --- Wire primitives --------------------------------------------------
 
 void

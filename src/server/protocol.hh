@@ -114,6 +114,31 @@ std::string encodeFrame(MsgType type, std::string_view payload);
  */
 Result<Frame> parseFrame(std::string_view bytes, std::size_t &consumed);
 
+/** Build an ErrorResponse frame from a structured error. */
+Frame errorFrame(const Error &error);
+
+/** What a server does next with one connection's buffered bytes. */
+struct StreamStep
+{
+    enum Kind
+    {
+        NeedMore, //!< no whole frame buffered yet: read more bytes
+        Request,  //!< frame is the next request; its bytes left buf
+        HangUp,   //!< framing failed: send frame (the error) once, close
+    };
+    Kind kind;
+    Frame frame;
+};
+
+/**
+ * Server stream step: take the next request off the front of @p buf.
+ * After a framing error the stream offset is unreliable, so the only
+ * answer is one errorFrame() of the failure, then a hangup. bvfd's
+ * connection reader and the simulated worker (sim/sim_net.hh) both
+ * take their requests through this.
+ */
+StreamStep nextRequest(std::string &buf);
+
 // --- Payload serialization helpers -----------------------------------
 //
 // A message's field list is `static void fields(auto &self, auto &io)`:
@@ -973,6 +998,19 @@ inline constexpr std::tuple kMessageTable{
     MessageRow<void, WireError>{
         {"error", MsgType::ErrorResponse, MsgType::ErrorResponse}},
 };
+
+/** The kMessageTable row whose request struct is @p Req. */
+template <typename Req, std::size_t I = 0>
+constexpr const auto &
+requestRow()
+{
+    using Row =
+        std::tuple_element_t<I, std::decay_t<decltype(kMessageTable)>>;
+    if constexpr (std::is_same_v<typename Row::Request, Req>)
+        return std::get<I>(kMessageTable);
+    else
+        return requestRow<Req, I + 1>();
+}
 
 /** The table's rows without their structs, for lookups at run time. */
 inline constexpr auto kMessageKinds = std::apply(

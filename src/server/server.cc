@@ -7,7 +7,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -29,23 +28,8 @@ namespace bvf::server
 namespace
 {
 
-/** write() the whole buffer, riding out short writes and EINTR. */
-bool
-writeAll(int fd, std::string_view bytes)
-{
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
+/** A send/recv deadline of 0: block until done. */
+constexpr std::chrono::milliseconds kBlock{0};
 
 } // namespace
 
@@ -267,18 +251,17 @@ Server::acceptLoop()
 }
 
 void
-Server::serveMetricsHttp(int fd, std::string already)
+Server::serveMetricsHttp(Transport &io, std::string already)
 {
     // Consume the rest of the request head, bounded *before* we
     // buffer: an attacker feeding an endless request line must cost a
     // rejection, not memory. We answer any complete GET head.
-    char buf[1024];
     HttpScanResult scan = scanHttpHead(already);
     while (scan.state == HttpScan::NeedMore) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n <= 0)
+        auto got = io.recv(kBlock);
+        if (!got.ok() || got.value().empty())
             break;
-        already.append(buf, static_cast<std::size_t>(n));
+        already += got.value();
         scan = scanHttpHead(already);
     }
 
@@ -307,9 +290,7 @@ Server::serveMetricsHttp(int fd, std::string already)
             body.size());
         break;
     }
-    writeAll(fd, head);
-    if (!body.empty())
-        writeAll(fd, body);
+    io.send(head + body, kBlock); // the client may already be gone
     metrics_.addBytesOut(head.size() + body.size());
 }
 
@@ -328,9 +309,12 @@ void
 Server::serveConnection(int fd)
 {
     auto conn = std::make_shared<Connection>();
+    // Reader and writer share one non-owning transport; the fd is
+    // closed below, after both are done with it.
+    SocketTransport io(fd, /*owned=*/false);
 
     // Writer: flush responses in request order as they complete.
-    std::thread writer([this, fd, conn] {
+    std::thread writer([this, fd, conn, &io] {
         for (;;) {
             std::shared_ptr<Slot> slot;
             {
@@ -349,7 +333,7 @@ Server::serveConnection(int fd)
             conn->cv.notify_all(); // reader may be waiting on the window
             const std::string bytes =
                 encodeFrame(slot->response.type, slot->response.payload);
-            if (!writeAll(fd, bytes)) {
+            if (!io.send(bytes, kBlock).ok()) {
                 {
                     std::lock_guard<std::mutex> lock(conn->mutex);
                     conn->dead = true;
@@ -365,15 +349,13 @@ Server::serveConnection(int fd)
 
     std::string buf;
     bool sniffed = false;
-    char chunk[4096];
-    for (;;) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
+    bool open = true;
+    while (open) {
+        auto got = io.recv(kBlock);
+        if (!got.ok() || got.value().empty())
             break; // EOF (or drain's shutdown(SHUT_RD))
-        metrics_.addBytesIn(static_cast<std::uint64_t>(n));
-        buf.append(chunk, static_cast<std::size_t>(n));
+        metrics_.addBytesIn(got.value().size());
+        buf += got.value();
 
         if (!sniffed && buf.size() >= 4) {
             sniffed = true;
@@ -385,24 +367,22 @@ Server::serveConnection(int fd)
                 }
                 conn->cv.notify_all();
                 writer.join();
-                serveMetricsHttp(fd, std::move(buf));
+                serveMetricsHttp(io, std::move(buf));
                 ::shutdown(fd, SHUT_RDWR);
                 ::close(fd);
                 return;
             }
         }
 
-        bool fatalFraming = false;
-        while (!buf.empty()) {
-            std::size_t consumed = 0;
-            auto parsed = parseFrame(buf, consumed);
-            if (!parsed.ok()) {
-                if (parsed.error().code == ErrorCode::Truncated)
-                    break; // need more bytes
+        for (;;) {
+            StreamStep step = nextRequest(buf);
+            if (step.kind == StreamStep::NeedMore)
+                break;
+            auto slot = std::make_shared<Slot>();
+            if (step.kind == StreamStep::HangUp) {
                 // Framing is broken: answer once, then hang up.
                 metrics_.onProtocolError();
-                auto slot = std::make_shared<Slot>();
-                slot->response = errorFrame(parsed.error());
+                slot->response = std::move(step.frame);
                 slot->done = true;
                 slot->requestType = MsgType::ErrorResponse;
                 {
@@ -410,15 +390,12 @@ Server::serveConnection(int fd)
                     conn->inflight.push_back(std::move(slot));
                 }
                 conn->cv.notify_all();
-                fatalFraming = true;
+                open = false;
                 break;
             }
-            buf.erase(0, consumed);
-            metrics_.onRequest(parsed.value().type);
-
-            auto slot = std::make_shared<Slot>();
+            metrics_.onRequest(step.frame.type);
             slot->submitted = std::chrono::steady_clock::now();
-            slot->requestType = parsed.value().type;
+            slot->requestType = step.frame.type;
             {
                 // Backpressure: cap this connection's pending work.
                 std::unique_lock<std::mutex> lock(conn->mutex);
@@ -433,7 +410,7 @@ Server::serveConnection(int fd)
                 conn->inflight.push_back(slot);
             }
             pool_->submit([this, conn, slot,
-                           frame = std::move(parsed.value())] {
+                           frame = std::move(step.frame)] {
                 Frame response = dispatch_(frame);
                 if (response.type == MsgType::ErrorResponse)
                     metrics_.onError(frame.type);
@@ -451,13 +428,8 @@ Server::serveConnection(int fd)
                 conn->cv.notify_all();
             });
         }
-        bool dead;
-        {
-            std::lock_guard<std::mutex> lock(conn->mutex);
-            dead = conn->dead;
-        }
-        if (fatalFraming || dead)
-            break;
+        std::lock_guard<std::mutex> lock(conn->mutex);
+        open = open && !conn->dead;
     }
 
     {

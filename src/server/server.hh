@@ -14,6 +14,10 @@
  *  - a *writer* thread sends responses strictly in request order as
  *    each finishes, so a client may pipeline a whole batch and match
  *    responses to requests by position.
+ * Both move bytes through one non-owning SocketTransport over the
+ * accepted descriptor (transport.hh), whose sends never raise SIGPIPE,
+ * and the reader takes each request off its buffer with nextRequest()
+ * (protocol.hh).
  *
  * A connection whose bytes fail framing (bad magic, bad CRC, oversized
  * length, wrong version) gets one ErrorResponse and is closed: after a
@@ -45,6 +49,7 @@
 #include "runtime/thread_pool.hh"
 #include "server/handler.hh"
 #include "server/metrics.hh"
+#include "server/transport.hh"
 
 namespace bvf::server
 {
@@ -126,7 +131,7 @@ class Server
 
     void acceptLoop();
     void serveConnection(int fd);
-    void serveMetricsHttp(int fd, std::string already);
+    void serveMetricsHttp(Transport &io, std::string already);
     Result<int> listenTcp();
     Result<int> listenUnix();
 

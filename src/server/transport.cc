@@ -2,19 +2,19 @@
  * @file
  * SocketTransport: poll()-bounded socket I/O.
  *
- * Moved out of fleet/worker_client.cc so both the client and the
- * server share one deadline discipline: every blocking step -- connect,
- * write, read -- rides poll() with the remaining budget, so a peer that
- * was SIGKILLed mid-request surfaces as Timeout (or Io on a reset)
- * instead of hanging the caller.
+ * Every endpoint shares one deadline discipline: each blocking step --
+ * connect, write, read -- rides poll() with the remaining budget, so a
+ * peer that was SIGKILLed mid-request surfaces as Timeout (or Io on a
+ * reset) instead of hanging the caller. send() passes MSG_NOSIGNAL: a
+ * peer that hung up fails the write instead of raising SIGPIPE.
  */
 
 #include "server/transport.hh"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <netdb.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -31,29 +31,12 @@ namespace bvf::server
 namespace
 {
 
-using SteadyClock = std::chrono::steady_clock;
-
-/** Remaining poll() budget in ms; <= 0 deadline means "infinite". */
-int
-remainingMs(SteadyClock::time_point start,
-            std::chrono::milliseconds deadline)
-{
-    if (deadline.count() <= 0)
-        return -1; // poll(): wait forever
-    const auto spent =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            SteadyClock::now() - start);
-    const auto left = deadline - spent;
-    return left.count() > 0 ? static_cast<int>(left.count()) : 0;
-}
-
 /** Wait until @p fd is ready for @p events or the budget is gone. */
 Result<void>
-waitReady(int fd, short events, SteadyClock::time_point start,
-          std::chrono::milliseconds deadline)
+waitReady(int fd, short events, const Deadline &deadline)
 {
     for (;;) {
-        const int budget = remainingMs(start, deadline);
+        const int budget = static_cast<int>(deadline.remaining().count());
         if (budget == 0)
             return Error{ErrorCode::Timeout, "transport deadline expired"};
         pollfd p = {fd, events, 0};
@@ -77,11 +60,10 @@ waitReady(int fd, short events, SteadyClock::time_point start,
 /** Finish a (possibly in-progress) non-blocking connect on @p fd. */
 Result<TransportPtr>
 finishConnect(int fd, int rc, const std::string &what,
-              SteadyClock::time_point start,
-              std::chrono::milliseconds deadline)
+              const Deadline &deadline)
 {
     if (rc != 0 && errno == EINPROGRESS) {
-        auto ready = waitReady(fd, POLLOUT, start, deadline);
+        auto ready = waitReady(fd, POLLOUT, deadline);
         if (!ready.ok()) {
             ::close(fd);
             return ready.error();
@@ -107,16 +89,28 @@ finishConnect(int fd, int rc, const std::string &what,
 
 } // namespace
 
+std::chrono::milliseconds
+Deadline::remaining() const
+{
+    if (budget_.count() <= 0)
+        return std::chrono::milliseconds{-1}; // block forever
+    const auto spent =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            clock_.now() - start_);
+    const auto left = budget_ - spent;
+    return left.count() > 0 ? left : std::chrono::milliseconds{0};
+}
+
 Result<void>
 SocketTransport::send(std::string_view bytes,
                       std::chrono::milliseconds deadline)
 {
     if (fd_ < 0)
         return Error{ErrorCode::Io, "transport is closed"};
-    const auto start = SteadyClock::now();
+    const Deadline budget(deadline);
     std::size_t off = 0;
     while (off < bytes.size()) {
-        auto ready = waitReady(fd_, POLLOUT, start, deadline);
+        auto ready = waitReady(fd_, POLLOUT, budget);
         if (!ready.ok())
             return ready.error();
         const ssize_t n = ::send(fd_, bytes.data() + off,
@@ -138,10 +132,10 @@ SocketTransport::recv(std::chrono::milliseconds deadline)
 {
     if (fd_ < 0)
         return Error{ErrorCode::Io, "transport is closed"};
-    const auto start = SteadyClock::now();
+    const Deadline budget(deadline);
     char chunk[4096];
     for (;;) {
-        auto ready = waitReady(fd_, POLLIN, start, deadline);
+        auto ready = waitReady(fd_, POLLIN, budget);
         if (!ready.ok())
             return ready.error();
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -169,29 +163,40 @@ Result<TransportPtr>
 SocketTransport::dialTcp(const std::string &host, int port,
                          std::chrono::milliseconds deadline)
 {
-    const auto start = SteadyClock::now();
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-    if (fd < 0)
-        return Error{ErrorCode::Io, "socket(): out of descriptors"};
+    const Deadline budget(deadline);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
     if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        return Error{ErrorCode::InvalidArgument,
-                     strFormat("bad address '%s'", host.c_str())};
+        addrinfo hints{};
+        hints.ai_family = AF_INET;
+        hints.ai_socktype = SOCK_STREAM;
+        addrinfo *found = nullptr;
+        const int rc =
+            ::getaddrinfo(host.c_str(), nullptr, &hints, &found);
+        if (rc != 0) {
+            return Error{ErrorCode::InvalidArgument,
+                         strFormat("cannot resolve %s: %s", host.c_str(),
+                                   ::gai_strerror(rc))};
+        }
+        addr.sin_addr =
+            reinterpret_cast<const sockaddr_in *>(found->ai_addr)->sin_addr;
+        ::freeaddrinfo(found);
     }
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0)
+        return Error{ErrorCode::Io, "socket(): out of descriptors"};
     const int rc =
         ::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr));
     return finishConnect(fd, rc, strFormat("%s:%d", host.c_str(), port),
-                         start, deadline);
+                         budget);
 }
 
 Result<TransportPtr>
 SocketTransport::dialUnix(const std::string &path,
                           std::chrono::milliseconds deadline)
 {
-    const auto start = SteadyClock::now();
+    const Deadline budget(deadline);
     const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd < 0)
         return Error{ErrorCode::Io, "socket(): out of descriptors"};
@@ -205,7 +210,31 @@ SocketTransport::dialUnix(const std::string &path,
     std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
     const int rc =
         ::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr));
-    return finishConnect(fd, rc, "unix:" + path, start, deadline);
+    return finishConnect(fd, rc, "unix:" + path, budget);
+}
+
+Result<Frame>
+readFrame(Transport &transport, std::string &buf, const Deadline &deadline)
+{
+    for (;;) {
+        std::size_t consumed = 0;
+        auto parsed = parseFrame(buf, consumed);
+        if (parsed.ok()) {
+            buf.erase(0, consumed);
+            return parsed;
+        }
+        if (parsed.error().code != ErrorCode::Truncated)
+            return parsed;
+        const auto budget = deadline.remaining();
+        if (budget.count() == 0)
+            return Error{ErrorCode::Timeout, "response deadline expired"};
+        auto got = transport.recv(budget);
+        if (!got.ok())
+            return got.error();
+        if (got.value().empty())
+            return Error{ErrorCode::Io, "peer hung up mid-frame"};
+        buf.append(got.value());
+    }
 }
 
 } // namespace bvf::server

@@ -2,15 +2,17 @@
  * @file
  * Byte-stream transport seam.
  *
- * Both sides of the wire protocol used to talk to raw file descriptors
- * directly, which meant every fault a transport can exhibit -- a frame
- * truncated inside its CRC, a duplicated response, a connection reset
- * mid-write -- could only be provoked with real sockets and real
- * processes. Transport is the seam: the coordinator's WorkerClient and
- * the server's per-connection loops move bytes through this interface,
- * SocketTransport is the production poll()-driven implementation, and
- * the simulation harness (sim/sim_net.hh) substitutes an in-memory one
- * whose fault schedule is driven from a seed.
+ * Every endpoint of the wire protocol moves its bytes through
+ * Transport: bvfd's per-connection reader and writer (one non-owning
+ * SocketTransport over the accepted descriptor), the fleet
+ * coordinator's WorkerClient, and bvf_client. SocketTransport is the
+ * production poll()-driven implementation; the simulation harness
+ * (sim/sim_net.hh) substitutes an in-memory one whose fault schedule
+ * is driven from a seed, so every fault a transport can exhibit -- a
+ * frame truncated inside its CRC, a duplicated response, a connection
+ * reset mid-write -- is provoked without real sockets. Clients read
+ * responses with readFrame(); servers take requests with
+ * nextRequest() (protocol.hh).
  *
  * Semantics both implementations honour:
  *  - send() writes the whole buffer or fails; a deadline of <= 0ms
@@ -29,10 +31,32 @@
 #include <string>
 #include <string_view>
 
+#include "common/clock.hh"
 #include "common/result.hh"
+#include "server/protocol.hh"
 
 namespace bvf::server
 {
+
+/** A time budget measured on a Clock from the moment it is made. */
+class Deadline
+{
+  public:
+    /** @p budget <= 0 never runs out. */
+    explicit Deadline(std::chrono::milliseconds budget,
+                      Clock &clock = systemClock())
+        : clock_(clock), start_(clock.now()), budget_(budget)
+    {
+    }
+
+    /** Time left: -1 ms (block forever) when endless, else >= 0. */
+    std::chrono::milliseconds remaining() const;
+
+  private:
+    Clock &clock_;
+    Clock::time_point start_;
+    std::chrono::milliseconds budget_;
+};
 
 /** One bidirectional byte stream. */
 class Transport
@@ -84,8 +108,8 @@ class SocketTransport final : public Transport
     int fd() const { return fd_; }
 
     /**
-     * Deadline-bounded non-blocking connect to @p host:@p port
-     * (IPv4 dotted quad).
+     * Deadline-bounded non-blocking connect to @p host:@p port. A host
+     * that is not an IPv4 dotted quad is resolved (IPv4 only).
      */
     static Result<TransportPtr>
     dialTcp(const std::string &host, int port,
@@ -99,6 +123,16 @@ class SocketTransport final : public Transport
     int fd_ = -1;
     bool owned_ = true;
 };
+
+/**
+ * Client read: receive from @p transport until one whole frame parses
+ * off the front of @p buf, and return it. The frame's bytes leave
+ * @p buf; any bytes after it stay there. Timeout when @p deadline runs
+ * out, Io when the peer hangs up mid-frame or recv() fails, and
+ * parseFrame()'s error when the bytes are not a frame.
+ */
+Result<Frame> readFrame(Transport &transport, std::string &buf,
+                        const Deadline &deadline);
 
 } // namespace bvf::server
 

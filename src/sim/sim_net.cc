@@ -7,8 +7,6 @@
 
 #include <utility>
 
-#include "server/handler.hh"
-
 namespace bvf::sim
 {
 
@@ -163,42 +161,29 @@ Result<void>
 SimNet::deliverToWorker(const std::shared_ptr<Conn> &conn,
                         std::string bytes)
 {
-    // The worker side mirrors the real server's reader loop: parse
-    // frames out of the stream, answer each, and on a framing error
-    // answer once then hang up.
+    // The worker takes its requests through the real server's stream
+    // step and answers each; a framing error is answered once, then
+    // the worker hangs up.
     conn->parseBuf.append(bytes);
-    while (!conn->parseBuf.empty() && !conn->closedByWorker) {
-        std::size_t consumed = 0;
-        auto parsed = server::parseFrame(conn->parseBuf, consumed);
-        if (!parsed.ok()) {
-            if (parsed.error().code == ErrorCode::Truncated)
-                break; // need more bytes
-            std::string reply = server::encodeFrame(
-                server::MsgType::ErrorResponse,
-                server::errorFrame(parsed.error()).payload);
-            bool duplicate = false;
-            if (applyFaults(conn->worker, false, reply, duplicate)) {
-                // A duplicated frame rides the same stream, so it
-                // shows up appended to the original delivery -- which
-                // is exactly the shape the client's "never re-pool a
-                // stream with leftover bytes" defense must catch.
-                if (duplicate)
-                    reply += reply;
-                conn->pending.push_back(
-                    {clock_.now() + faults_.latency, reply});
-            }
-            conn->closedByWorker = true;
+    while (!conn->closedByWorker) {
+        server::StreamStep step = server::nextRequest(conn->parseBuf);
+        if (step.kind == server::StreamStep::NeedMore)
             break;
-        }
-        conn->parseBuf.erase(0, consumed);
-        Frame response = handler_(conn->worker, parsed.value());
+        conn->closedByWorker = step.kind == server::StreamStep::HangUp;
+        const Frame response = conn->closedByWorker
+                                   ? std::move(step.frame)
+                                   : handler_(conn->worker, step.frame);
         std::string reply =
             server::encodeFrame(response.type, response.payload);
         bool duplicate = false;
         if (!applyFaults(conn->worker, false, reply, duplicate))
             continue; // response lost en route
+        // A duplicated frame rides the same stream, so it shows up
+        // appended to the original delivery -- which is exactly the
+        // shape the client's "never re-pool a stream with leftover
+        // bytes" defense must catch.
         if (duplicate)
-            reply += reply; // same stream: arrives in one delivery
+            reply += reply;
         conn->pending.push_back({clock_.now() + faults_.latency, reply});
     }
     return {};

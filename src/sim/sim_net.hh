@@ -8,8 +8,8 @@
  * the byte-faithful wire model:
  *
  *  - bytes sent are run through the fault schedule (drop, truncate,
- *    corrupt), then fed to the worker's frame parser exactly like the
- *    real server's reader loop -- so a corrupted request really does
+ *    corrupt), then taken off the stream by the real server's stream
+ *    step (server::nextRequest) -- so a corrupted request really does
  *    fail CRC on the "remote" side and really does produce the same
  *    ErrorResponse-then-hangup the real bvfd would;
  *  - responses suffer their own faults (drop, truncate, corrupt,

@@ -426,6 +426,45 @@ TEST(Server, DrainAnswersEverythingThenClosesConnections)
     server.drain(); // idempotent
 }
 
+/**
+ * Serve 4 pipelined pings, each taking 100 ms, to a client that hangs
+ * up right after sending them; exit 0 once the drain is done.
+ */
+[[noreturn]] void
+serveAClientThatHangsUp()
+{
+    ServerOptions options = smallServer();
+    options.handler = [](const Frame &request) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        return Frame{MsgType::PingResponse, request.payload};
+    };
+    Server server(options);
+    if (!server.start().ok())
+        std::exit(2);
+    {
+        TestClient client(server.port());
+        std::string batch;
+        for (int i = 0; i < 4; ++i)
+            batch += pingBytes(static_cast<std::uint64_t>(i));
+        client.send(batch);
+        // Hang up once all four are read, before any is answered.
+        while (server.metrics().requestsTotal() < 4)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.drain(); // every response meets the closed socket
+    std::exit(0);
+}
+
+TEST(Server, ClientHangupWithResponsesPendingDoesNotKillTheProcess)
+{
+    // A process embedding the server need not ignore SIGPIPE: writing
+    // a response to a client that already hung up must fail the write,
+    // not raise the signal.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(serveAClientThatHangsUp(), ::testing::ExitedWithCode(0),
+                "");
+}
+
 namespace
 {
 
