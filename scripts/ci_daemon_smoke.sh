@@ -7,32 +7,39 @@
 # advice, chip energy, bit density, kernel submission with evaluation,
 # and an evaluation the daemon refuses), checks that /metrics exports
 # every message-table label for requests, responses and request errors
-# and counted all of it, then sends SIGTERM and asserts a clean drain:
+# and counted all of it, then starts bvf_fleet serve in front of the
+# daemon (its worker named by host name) and checks that ping, energy
+# and advise answered through the fleet print exactly what bvfd
+# answered directly. Last it sends SIGTERM and asserts a clean drain:
 # exit status 0, the drained log line, and the exiting banner.
 #
 # Usage: scripts/ci_daemon_smoke.sh [path/to/bvfd] [path/to/bvf_client]
+#        [path/to/bvf_fleet]
 # The work directory is printed on entry; CI uploads it on failure.
 
 set -u
 
 BVFD="${1:-build/examples/bvfd}"
 CLIENT="${2:-build/examples/bvf_client}"
+FLEET="${3:-build/examples/bvf_fleet}"
 WORK="$(mktemp -d /tmp/bvf-daemon-smoke.XXXXXX)"
 echo "work directory: $WORK"
 
 DAEMON_PID=""
+FLEET_PID=""
 
 fail() {
     echo "FAIL: $*" >&2
-    if [ -n "$DAEMON_PID" ]; then
-        kill -9 "$DAEMON_PID" 2>/dev/null
-        wait "$DAEMON_PID" 2>/dev/null
-    fi
+    for pid in $FLEET_PID $DAEMON_PID; do
+        kill -9 "$pid" 2>/dev/null
+        wait "$pid" 2>/dev/null
+    done
     exit 1
 }
 
 [ -x "$BVFD" ] || fail "daemon '$BVFD' not found or not executable"
 [ -x "$CLIENT" ] || fail "client '$CLIENT' not found or not executable"
+[ -x "$FLEET" ] || fail "fleet '$FLEET' not found or not executable"
 
 echo "== start bvfd on an ephemeral port =="
 # Started directly (no subshell wrapper) so $! is the daemon itself and
@@ -120,6 +127,36 @@ check_metric 'bvfd_request_errors_total{type="eval_submitted"} 1'
 check_metric 'bvfd_responses_total{type="error"} 1'
 check_metric 'bvfd_protocol_errors_total 0'
 
+echo "== the same answers through bvf_fleet serve =="
+"$FLEET" --worker "localhost:$PORT" serve --port 0 > "$WORK/fleet.log" 2>&1 &
+FLEET_PID=$!
+FLEET_PORT=""
+for _ in $(seq 1 100); do
+    FLEET_PORT="$(sed -n 's/^bvf_fleet: listening on 127\.0\.0\.1:\([0-9][0-9]*\) .*$/\1/p' \
+        "$WORK/fleet.log")"
+    [ -n "$FLEET_PORT" ] && break
+    kill -0 "$FLEET_PID" 2>/dev/null || fail "bvf_fleet died during startup"
+    sleep 0.1
+done
+[ -n "$FLEET_PORT" ] || fail "bvf_fleet never announced its port"
+"$CLIENT" --port "$FLEET_PORT" ping 8 > "$WORK/fleet-ping.out" \
+    || fail "ping 8 through the fleet exited nonzero"
+cmp "$WORK/ping.out" "$WORK/fleet-ping.out" \
+    || fail "ping 8 through the fleet differs from bvfd's"
+for app_cmd in energy advise; do
+    "$CLIENT" --port "$FLEET_PORT" "$app_cmd" KMN \
+        > "$WORK/fleet-$app_cmd.out" \
+        || fail "$app_cmd KMN through the fleet exited nonzero"
+    cmp "$WORK/$app_cmd.out" "$WORK/fleet-$app_cmd.out" \
+        || fail "$app_cmd KMN through the fleet differs from bvfd's"
+done
+kill -TERM "$FLEET_PID" || fail "could not signal bvf_fleet"
+wait "$FLEET_PID"
+STATUS=$?
+FLEET_PID=""
+[ "$STATUS" -eq 0 ] \
+    || fail "bvf_fleet exited with status $STATUS after SIGTERM"
+
 echo "== SIGTERM must drain cleanly =="
 kill -TERM "$DAEMON_PID" || fail "could not signal bvfd"
 wait "$DAEMON_PID"
@@ -131,6 +168,7 @@ grep -q "bvfd: drained (served" "$WORK/bvfd.log" \
 grep -q "bvfd: exiting" "$WORK/bvfd.log" \
     || fail "no exit banner in the daemon log"
 
-echo "PASS: daemon served every request type and drained on SIGTERM"
+echo "PASS: daemon served every request type, answered the same through"
+echo "      bvf_fleet, and drained on SIGTERM"
 rm -rf "$WORK"
 exit 0
