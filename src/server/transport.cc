@@ -179,8 +179,9 @@ SocketTransport::dialTcp(const std::string &host, int port,
                          strFormat("cannot resolve %s: %s", host.c_str(),
                                    ::gai_strerror(rc))};
         }
-        addr.sin_addr =
-            reinterpret_cast<const sockaddr_in *>(found->ai_addr)->sin_addr;
+        sockaddr_in resolved{};
+        std::memcpy(&resolved, found->ai_addr, sizeof(resolved));
+        addr.sin_addr = resolved.sin_addr;
         ::freeaddrinfo(found);
     }
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
