@@ -185,7 +185,6 @@ class Connection
   public:
     explicit Connection(const Options &o) : o_(o)
     {
-        constexpr std::chrono::milliseconds kBlock{0};
         auto dialed =
             o.unixPath.empty()
                 ? SocketTransport::dialTcp(o.host, o.port, kBlock)
@@ -204,7 +203,7 @@ class Connection
     void
     send(std::string_view bytes)
     {
-        auto sent = transport_->send(bytes, std::chrono::milliseconds{0});
+        auto sent = transport_->send(bytes, kBlock);
         if (!sent.ok()) {
             throw TransportError{
                 strFormat("write(): %s", sent.error().message.c_str())};
@@ -247,6 +246,9 @@ class Connection
     }
 
   private:
+    /** Connect and write like the old blocking socket: no deadline. */
+    static constexpr std::chrono::milliseconds kBlock{0};
+
     std::chrono::milliseconds
     deadline() const
     {
