@@ -17,7 +17,6 @@
 #include "common/table.hh"
 #include "coder/nv_coder.hh"
 #include "core/experiment.hh"
-#include "workload/kernel_builder.hh"
 #include "workload/value_model.hh"
 
 using namespace bvf;
@@ -36,30 +35,24 @@ pivotAblation()
         gpu::GpuConfig config = gpu::baselineConfig();
         core::ExperimentDriver driver(config);
         double base_sum = 0.0, coded_sum = 0.0;
+        core::RunOptions options;
+        options.vsRegisterPivot = pivot;
         // A representative subset keeps the ablation quick.
         for (const char *abbr : {"ATA", "BFS", "SGE", "HSP", "GES",
                                  "MMU", "SSP", "BLA"}) {
-            core::AccountantOptions opts;
-            opts.vsRegisterPivot = pivot;
-            opts.arch = config.arch;
-            auto accountant = std::make_shared<core::EnergyAccountant>(
-                driver.unitCapacities(), opts);
-            isa::Program prog =
-                workload::buildProgram(workload::findApp(abbr));
-            gpu::Gpu machine(config, std::move(prog), *accountant);
-            const auto stats = machine.run();
-            accountant->finalize(stats.cycles);
+            const core::AppRun run =
+                driver.runApp(workload::findApp(abbr), options);
 
             power::ChipPowerModel model(circuit::TechNode::N28, 1.2,
                                         700e6,
                                         circuit::CellKind::SramBvf8T,
                                         config);
             const auto base = model.evaluate(
-                accountant->unitStats(coder::Scenario::Baseline), 0, 0,
-                stats, false);
+                run.accountant->unitStats(coder::Scenario::Baseline), 0, 0,
+                run.gpuStats, false);
             const auto coded = model.evaluate(
-                accountant->unitStats(coder::Scenario::AllCoders), 0, 0,
-                stats, false);
+                run.accountant->unitStats(coder::Scenario::AllCoders), 0,
+                0, run.gpuStats, false);
             base_sum += base.units.at(coder::UnitId::Reg).total();
             coded_sum += coded.units.at(coder::UnitId::Reg).total();
         }

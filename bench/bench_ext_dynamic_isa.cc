@@ -37,6 +37,8 @@ main()
 {
     core::ExperimentDriver driver(gpu::baselineConfig());
     core::Pricing pricing; // 28nm nominal
+    core::RunOptions dynamic_isa;
+    dynamic_isa.dynamicIsa = true;
 
     TextTable table("Extension: static (Table 2) vs dynamic "
                     "(per-application) ISA masks, instruction-side "
@@ -50,8 +52,8 @@ main()
     for (const char *abbr : {"ATA", "BFS", "SGE", "HSP", "GES", "MMU",
                              "SSP", "BLA", "NQU", "FFT", "SAD", "KMN"}) {
         const auto &spec = workload::findApp(abbr);
-        const auto run_static = driver.runApp(spec, false);
-        const auto run_dynamic = driver.runApp(spec, true);
+        const auto run_static = driver.runApp(spec);
+        const auto run_dynamic = driver.runApp(spec, dynamic_isa);
         const auto e_static = driver.evaluate(run_static, pricing);
         const auto e_dynamic = driver.evaluate(run_dynamic, pricing);
 

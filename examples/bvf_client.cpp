@@ -47,7 +47,8 @@
  *
  * Transport failures -- connection refused, daemon hung up, response
  * deadline expired, torn frame -- are retried; an ErrorResponse is the
- * daemon's answer and is never retried.
+ * daemon's answer and is never retried: it prints "bvf_client: daemon
+ * refused the request: [CODE] MESSAGE" and exits 1.
  */
 
 #include <cerrno>
@@ -103,6 +104,12 @@ struct Options
  * connection -- unlike an ErrorResponse, which is an answer.
  */
 struct TransportError
+{
+    std::string what;
+};
+
+/** The daemon answered with an ErrorResponse: reported, never retried. */
+struct Refusal
 {
     std::string what;
 };
@@ -260,17 +267,18 @@ class Connection
     std::string buf_; //!< bytes read past the last response
 };
 
-/** Fail loudly when @p frame is an ErrorResponse. */
+/** Throw a Refusal when @p frame is an ErrorResponse. */
 void
 rejectError(const Frame &frame)
 {
     if (frame.type != MsgType::ErrorResponse)
         return;
     const auto wire = WireError::decode(frame.payload);
-    fatal_if(wire.ok(), "daemon refused the request: [%u] %s",
-             static_cast<unsigned>(wire.value().code),
-             wire.value().message.c_str());
-    fatal("daemon refused the request (undecodable error payload)");
+    throw Refusal{
+        wire.ok() ? strFormat("[%u] %s",
+                              static_cast<unsigned>(wire.value().code),
+                              wire.value().message.c_str())
+                  : std::string("(undecodable error payload)")};
 }
 
 /**
@@ -658,6 +666,11 @@ main(int argc, char **argv)
         try {
             Connection connection(o);
             return command(o, connection);
+        } catch (const Refusal &e) {
+            std::fprintf(stderr,
+                         "bvf_client: daemon refused the request: %s\n",
+                         e.what.c_str());
+            return 1;
         } catch (const TransportError &e) {
             if (attempt >= o.retries) {
                 std::fprintf(

@@ -176,33 +176,10 @@ parse(int argc, char **argv)
     return o;
 }
 
-/** Expand names ("all" -> suite), dropping duplicates. */
-std::vector<workload::AppSpec>
-resolveApps(const std::vector<std::string> &names)
-{
-    std::vector<workload::AppSpec> specs;
-    auto add = [&](const workload::AppSpec &spec) {
-        for (const auto &have : specs) {
-            if (have.abbr == spec.abbr)
-                return;
-        }
-        specs.push_back(spec);
-    };
-    for (const auto &name : names) {
-        if (name == "all") {
-            for (const auto &spec : workload::evaluationSuite())
-                add(spec);
-        } else {
-            add(workload::findApp(name));
-        }
-    }
-    return specs;
-}
-
 int
 runCampaign(Options &o)
 {
-    const auto specs = resolveApps(o.apps);
+    const auto specs = workload::resolveApps(o.apps);
     fleet::Coordinator coordinator(o.fleet);
     coordinator.start();
     fleet::FleetCampaign campaign(coordinator, o.campaign);

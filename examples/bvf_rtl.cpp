@@ -65,9 +65,8 @@ namespace
 Word64
 appMask(const workload::AppSpec &spec, isa::GpuArch arch)
 {
-    const isa::Program program = workload::buildProgram(spec);
-    const isa::InstructionEncoder encoder(arch);
-    return isa::extractPreferenceMask(encoder.encode(program.body));
+    return isa::kernelPreferenceMask(arch,
+                                     workload::buildProgram(spec).body);
 }
 
 // --- emit --------------------------------------------------------------

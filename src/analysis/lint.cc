@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/interpreter.hh"
+#include "analysis/optimizer.hh"
 #include "common/logging.hh"
 
 namespace bvf::analysis
@@ -100,91 +101,20 @@ Linter::checkDeadWrites()
 {
     const int size = static_cast<int>(program_.body.size());
 
-    // Backward liveness over the syntactic CFG (both branch edges kept,
-    // so "dead" means dead on every path).
-    std::vector<std::uint64_t> live_regs(static_cast<std::size_t>(size), 0);
-    std::vector<std::uint8_t> live_preds(static_cast<std::size_t>(size), 0);
-
-    auto transfer = [&](int pc) {
-        const Instruction &instr =
-            program_.body[static_cast<std::size_t>(pc)];
-        std::uint64_t out_regs = 0;
-        std::uint8_t out_preds = 0;
-        if (instr.op != Opcode::Exit) {
-            if (pc + 1 < size) {
-                out_regs |= live_regs[static_cast<std::size_t>(pc + 1)];
-                out_preds |= live_preds[static_cast<std::size_t>(pc + 1)];
-            }
-            if (instr.op == Opcode::Bra && instr.imm >= 0
-                && instr.imm < size) {
-                out_regs |= live_regs[static_cast<std::size_t>(instr.imm)];
-                out_preds |=
-                    live_preds[static_cast<std::size_t>(instr.imm)];
-            }
-        }
-        // Kill: only unpredicated writes are certain to overwrite.
-        const bool certain = !readsGuard(instr);
-        if (certain && isa::writesRegister(instr.op)
-            && instr.dst < isa::numRegisters) {
-            out_regs &= ~(std::uint64_t(1) << instr.dst);
-        }
-        if (certain && instr.op == Opcode::SetP
-            && instr.dst < isa::numPredicates) {
-            out_preds &= static_cast<std::uint8_t>(~(1u << instr.dst));
-        }
-        // Gen: every register/predicate the instruction reads.
-        if (isa::readsSrcA(instr.op) && instr.srcA < isa::numRegisters)
-            out_regs |= std::uint64_t(1) << instr.srcA;
-        if (isa::readsSrcB(instr.op) && !instr.immB
-            && instr.srcB < isa::numRegisters) {
-            out_regs |= std::uint64_t(1) << instr.srcB;
-        }
-        if (readsDst(instr.op) && instr.dst < isa::numRegisters)
-            out_regs |= std::uint64_t(1) << instr.dst;
-        if (readsGuard(instr) && instr.pred < isa::numPredicates)
-            out_preds |= static_cast<std::uint8_t>(1u << instr.pred);
-        return std::pair{out_regs, out_preds};
-    };
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (int pc = size - 1; pc >= 0; --pc) {
-            const auto [regs, preds] = transfer(pc);
-            const auto idx = static_cast<std::size_t>(pc);
-            if (regs != live_regs[idx] || preds != live_preds[idx]) {
-                live_regs[idx] = regs;
-                live_preds[idx] = preds;
-                changed = true;
-            }
-        }
-    }
-
-    auto live_out = [&](int pc) {
-        const Instruction &instr =
-            program_.body[static_cast<std::size_t>(pc)];
-        std::uint64_t regs = 0;
-        std::uint8_t preds = 0;
-        if (instr.op != Opcode::Exit) {
-            if (pc + 1 < size) {
-                regs |= live_regs[static_cast<std::size_t>(pc + 1)];
-                preds |= live_preds[static_cast<std::size_t>(pc + 1)];
-            }
-            if (instr.op == Opcode::Bra && instr.imm >= 0
-                && instr.imm < size) {
-                regs |= live_regs[static_cast<std::size_t>(instr.imm)];
-                preds |= live_preds[static_cast<std::size_t>(instr.imm)];
-            }
-        }
-        return std::pair{regs, preds};
-    };
+    // The optimizer's liveness with every slot kept: plain backward
+    // liveness over the syntactic CFG (both branch edges), so "dead"
+    // means dead on every path.
+    const std::vector<char> kept(static_cast<std::size_t>(size), 1);
+    const Liveness live =
+        deletionLiveness(program_, program_.body, kept, analysis_);
 
     for (int pc = 0; pc < size; ++pc) {
         const auto idx = static_cast<std::size_t>(pc);
         if (!analysis_.in[idx].reachable)
             continue;
         const Instruction &instr = program_.body[idx];
-        const auto [regs, preds] = live_out(pc);
+        const auto [regs, preds] =
+            liveOutOf(program_, kept, analysis_, live, pc);
         if (isa::writesRegister(instr.op) && instr.dst < isa::numRegisters
             && !((regs >> instr.dst) & 1u)) {
             add(LintCode::DeadWrite, pc,

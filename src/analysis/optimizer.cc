@@ -112,17 +112,7 @@ regMov(std::uint8_t dst, std::uint8_t src, const Instruction &guard_of)
     return m;
 }
 
-/**
- * Deletion-restricted backward liveness in original coordinates:
- * edges from the original body, gens/kills from the rewritten
- * instructions of kept slots, identity through deleted slots. The
- * validator recomputes the same fixpoint independently.
- */
-struct Liveness
-{
-    std::vector<std::uint64_t> regs;
-    std::vector<std::uint8_t> preds;
-};
+} // namespace
 
 Liveness
 deletionLiveness(const isa::Program &orig,
@@ -203,7 +193,6 @@ deletionLiveness(const isa::Program &orig,
     return live;
 }
 
-/** Live-out of pc under @p live (same edge rule as the fixpoint). */
 std::pair<std::uint64_t, std::uint8_t>
 liveOutOf(const isa::Program &orig, const std::vector<char> &kept,
           const AnalysisResult &ar, const Liveness &live, int pc)
@@ -227,6 +216,9 @@ liveOutOf(const isa::Program &orig, const std::vector<char> &kept,
     }
     return {regs, preds};
 }
+
+namespace
+{
 
 /** Phase 1: in-place rewrites justified by the original analysis. */
 void

@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/equiv.hh"
@@ -118,6 +119,33 @@ struct OptimizeResult
      */
     std::uint64_t analysisSteps = 0;
 };
+
+/** Per-pc live-in register and predicate sets. */
+struct Liveness
+{
+    std::vector<std::uint64_t> regs;
+    std::vector<std::uint8_t> preds;
+};
+
+/**
+ * Deletion-restricted backward liveness in original coordinates:
+ * edges from the original body, gens/kills from the rewritten
+ * instructions @p work of kept slots, identity through deleted slots.
+ * A branch's taken edge counts while the branch is kept or its guard
+ * is not provably false under @p ar. With every slot kept and
+ * work == orig.body this is plain liveness over the syntactic CFG
+ * (both branch edges), which the linter's dead-write check uses. The
+ * translation validator recomputes the fixpoint independently.
+ */
+Liveness deletionLiveness(const isa::Program &orig,
+                          const std::vector<isa::Instruction> &work,
+                          const std::vector<char> &kept,
+                          const AnalysisResult &ar);
+
+/** Live-out of @p pc under @p live (same edge rule as the fixpoint). */
+std::pair<std::uint64_t, std::uint8_t>
+liveOutOf(const isa::Program &orig, const std::vector<char> &kept,
+          const AnalysisResult &ar, const Liveness &live, int pc);
 
 /**
  * Optimize @p program. Total over every decodeProgram / parseAsm

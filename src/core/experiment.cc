@@ -5,10 +5,9 @@
 
 #include "core/experiment.hh"
 
-#include <optional>
-
 #include "common/logging.hh"
 #include "core/static_check.hh"
+#include "core/trace.hh"
 #include "workload/kernel_builder.hh"
 
 namespace bvf::core
@@ -42,15 +41,6 @@ ExperimentDriver::unitCapacities() const
 
 AppRun
 ExperimentDriver::runApp(const workload::AppSpec &spec,
-                         bool dynamicIsa) const
-{
-    RunOptions options;
-    options.dynamicIsa = dynamicIsa;
-    return runApp(spec, options);
-}
-
-AppRun
-ExperimentDriver::runApp(const workload::AppSpec &spec,
                          const RunOptions &options) const
 {
     AppRun run = runProgram(workload::buildProgram(spec), options);
@@ -77,9 +67,8 @@ ExperimentDriver::runProgram(isa::Program program,
     if (options.dynamicIsa) {
         // The "assembler" profiles this binary and programs the mask
         // register at launch (Section 4.3, dynamic method).
-        const isa::InstructionEncoder encoder(config_.arch);
-        const auto binary = encoder.encode(program.body);
-        opts.dynamicIsaMask = isa::extractPreferenceMask(binary);
+        opts.dynamicIsaMask =
+            isa::kernelPreferenceMask(config_.arch, program.body);
     }
     run.accountant = std::make_shared<EnergyAccountant>(unitCapacities(),
                                                         opts);
@@ -108,6 +97,11 @@ ExperimentDriver::runProgram(isa::Program program,
                                                         options.fault);
         sink = run.faults.get();
     }
+    std::optional<TeeSink> tapped;
+    if (options.tap) {
+        tapped.emplace(*sink, *options.tap);
+        sink = &*tapped;
+    }
 
     gpu::Gpu machine(config_, std::move(program), *sink);
     machine.setCancellation(options.cancel);
@@ -127,6 +121,7 @@ ExperimentDriver::runProgram(isa::Program program,
                  "static cross-check failed for %s: %zu observed ratios "
                  "escaped their proven intervals",
                  label.c_str(), violations.size());
+        run.staticPrediction = std::move(staticReport->prediction);
     }
     return run;
 }

@@ -15,10 +15,12 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/predictor.hh"
 #include "common/cancel.hh"
 #include "common/result.hh"
 #include "core/accountant.hh"
@@ -41,6 +43,12 @@ struct AppRun
 
     /** Fault-injection layer; null when the run was fault-free. */
     std::shared_ptr<fault::FaultSink> faults;
+
+    /**
+     * The static density prediction the run was cross-checked against
+     * (RunOptions::checkStatic); empty when no check ran.
+     */
+    std::optional<analysis::StaticPrediction> staticPrediction;
 };
 
 /** Per-scenario chip energy for one app under one pricing. */
@@ -153,6 +161,14 @@ struct RunOptions
      * is just faster.
      */
     bool uniformDispatch = false;
+
+    /**
+     * Observer of the machine's raw access stream (null = none): it
+     * receives every event the machine emits, before the fault layer,
+     * alongside the accountant. bvf_sim hangs its trace writer and its
+     * pivot sweep here.
+     */
+    sram::AccessSink *tap = nullptr;
 };
 
 /** Why one application of a suite run could not be simulated. */
@@ -179,19 +195,9 @@ class ExperimentDriver
   public:
     explicit ExperimentDriver(gpu::GpuConfig config);
 
-    /**
-     * Simulate one application (all scenarios accounted).
-     *
-     * @param dynamicIsa use a per-application ISA mask extracted from
-     *        this kernel's binary (Section 4.3 "dynamic" variant)
-     *        instead of the static Table 2 mask
-     */
+    /** Simulate one application (all scenarios accounted). */
     AppRun runApp(const workload::AppSpec &spec,
-                  bool dynamicIsa = false) const;
-
-    /** Simulate one application with full per-run options. */
-    AppRun runApp(const workload::AppSpec &spec,
-                  const RunOptions &options) const;
+                  const RunOptions &options = {}) const;
 
     /**
      * Single fail-soft attempt at one application: any fatal() raised

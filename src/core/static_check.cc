@@ -1,5 +1,7 @@
 #include "core/static_check.hh"
 
+#include "common/logging.hh"
+
 namespace bvf::core
 {
 
@@ -55,6 +57,43 @@ crossCheckRun(const StaticReport &report, const EnergyAccountant &accountant)
     return analysis::crossCheck(report.prediction,
                                 observedStreams(accountant),
                                 observedNoc(accountant));
+}
+
+std::vector<std::string>
+crossCheckAdvice(const analysis::StaticAdvice &advice,
+                 const PivotSweepSink &sweep)
+{
+    constexpr double eps = 1e-9;
+    std::vector<std::string> violations;
+    for (int p = 0; p < 32; ++p) {
+        const auto &bound = advice.pivot.bounds[static_cast<std::size_t>(p)];
+        const PivotCount &measured = sweep.count(p);
+        if (measured.bits == 0)
+            continue; // vacuously consistent
+        if (!bound.any) {
+            violations.push_back(strFormat(
+                "pivot %d: register traffic observed but the advisor "
+                "proved the register file idle", p));
+            continue;
+        }
+        const double m = measured.density();
+        if (m < bound.lo - eps || m > bound.hi + eps) {
+            violations.push_back(strFormat(
+                "pivot %d: measured density %.6f outside proven "
+                "[%.6f, %.6f]", p, m, bound.lo, bound.hi));
+        }
+    }
+    const int best = sweep.bestMeasuredPivot();
+    const int advised = advice.pivot.bestPivot;
+    const double gap =
+        sweep.count(best).density() - sweep.count(advised).density();
+    if (gap > advice.pivot.provenSlack + eps) {
+        violations.push_back(strFormat(
+            "dynamic best pivot %d beats advised pivot %d by %.6f, "
+            "more than the proven slack %.6f",
+            best, advised, gap, advice.pivot.provenSlack));
+    }
+    return violations;
 }
 
 } // namespace bvf::core

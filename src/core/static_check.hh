@@ -6,7 +6,8 @@
  * into the plain observation tuples analysis::crossCheck consumes, and
  * packages the whole static pipeline (interpret, lint, predict) with
  * the knobs a given run actually used so predictions and observations
- * are comparable.
+ * are comparable. Also checks the static pivot advice against a
+ * dynamic sweep of all 32 VS register pivots.
  */
 
 #ifndef BVF_CORE_STATIC_CHECK_HH
@@ -14,10 +15,12 @@
 
 #include <vector>
 
+#include "analysis/advisor.hh"
 #include "analysis/check.hh"
 #include "analysis/interpreter.hh"
 #include "analysis/predictor.hh"
 #include "core/accountant.hh"
+#include "core/pivot_sweep.hh"
 #include "gpu/gpu_config.hh"
 #include "isa/program.hh"
 
@@ -57,6 +60,16 @@ std::vector<analysis::ObservedNoc> observedNoc(
  */
 std::vector<std::string> crossCheckRun(const StaticReport &report,
                                        const EnergyAccountant &accountant);
+
+/**
+ * Cross-check the static pivot advice against a dynamic sweep of the
+ * same program: every pivot's measured density must sit inside its
+ * proven bound, and the dynamically best pivot may beat the advised
+ * one by at most the proven slack. Returns one message per violation;
+ * empty means the advice holds.
+ */
+std::vector<std::string> crossCheckAdvice(
+    const analysis::StaticAdvice &advice, const PivotSweepSink &sweep);
 
 } // namespace bvf::core
 

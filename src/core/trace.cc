@@ -22,7 +22,6 @@ constexpr char magic[4] = {'B', 'V', 'F', 'T'};
 constexpr char batchMagic[4] = {'B', 'T', 'C', 'H'};
 constexpr char footerMagic[4] = {'B', 'V', 'F', 'E'};
 constexpr std::uint32_t version = 2;
-constexpr std::uint32_t legacyVersion = 1;
 
 /** Flush threshold: one CRC per ~64KiB of records. */
 constexpr std::size_t batchFlushBytes = 64 * 1024;
@@ -156,54 +155,6 @@ failOrSalvage(ReplaySummary summary, const ReplayOptions &opts,
     return summary;
 }
 
-/** Version-1 stream: raw records, no batching, no checksums. */
-Result<ReplaySummary>
-replayLegacy(std::istream &in, sram::AccessSink &sink,
-             const ReplayOptions &opts)
-{
-    ReplaySummary summary;
-    std::vector<Word> words;
-    std::vector<Word64> instrs;
-    for (;;) {
-        const auto h = readRaw<RecordHeader>(in);
-        if (!in && in.eof())
-            return summary; // clean EOF at a record boundary
-        if (!in) {
-            return failOrSalvage(summary, opts, ErrorCode::Io,
-                                 "stream failure mid-record");
-        }
-        // Re-dispatch through the bounds-checked path by staging the
-        // payload; header fields drive the payload length.
-        const std::size_t payload_bytes =
-            static_cast<RecordKind>(h.kind) == RecordKind::Fetch
-                ? h.count * sizeof(Word64)
-                : h.count * sizeof(Word);
-        std::vector<char> staged(sizeof(h) + payload_bytes);
-        std::memcpy(staged.data(), &h, sizeof(h));
-        in.read(staged.data() + sizeof(h),
-                static_cast<std::streamsize>(payload_bytes));
-        if (!in) {
-            return failOrSalvage(
-                summary, opts, ErrorCode::Truncated,
-                strFormat("record %llu truncated",
-                          static_cast<unsigned long long>(
-                              summary.records)));
-        }
-        ByteReader reader(staged.data(), staged.size());
-        const std::string err =
-            dispatchRecord(reader, sink, words, instrs);
-        if (!err.empty()) {
-            return failOrSalvage(
-                summary, opts, ErrorCode::Corrupt,
-                strFormat("record %llu: %s",
-                          static_cast<unsigned long long>(
-                              summary.records),
-                          err.c_str()));
-        }
-        ++summary.records;
-    }
-}
-
 } // namespace
 
 TraceWriter::TraceWriter(std::ostream &out) : out_(out)
@@ -330,8 +281,6 @@ replayTrace(std::istream &in, sram::AccessSink &sink,
     const auto v = readRaw<std::uint32_t>(in);
     if (!in)
         return Error{ErrorCode::Truncated, "trace ends inside header"};
-    if (v == legacyVersion)
-        return replayLegacy(in, sink, opts);
     if (v != version) {
         return Error{ErrorCode::Unsupported,
                      strFormat("unsupported trace version %u", v)};

@@ -23,10 +23,10 @@
  * Batches are CRC-checked *before* any contained record reaches the
  * sink, so corruption never feeds garbage into an accountant; the
  * footer's record count makes truncation at a batch boundary
- * detectable. Version-1 streams (no batching, no checksums) are still
- * replayable. Replay reports failures as structured Result errors --
- * and can salvage the longest valid prefix -- instead of killing the
- * process.
+ * detectable. Any other version, including the unbatched,
+ * unchecksummed version 1, is refused as Unsupported. Replay reports
+ * failures as structured Result errors -- and can salvage the longest
+ * valid prefix -- instead of killing the process.
  */
 
 #ifndef BVF_CORE_TRACE_HH

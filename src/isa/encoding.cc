@@ -294,6 +294,12 @@ extractPreferenceMask(std::span<const Word64> corpus)
     return mask;
 }
 
+Word64
+kernelPreferenceMask(GpuArch arch, const std::vector<Instruction> &body)
+{
+    return extractPreferenceMask(InstructionEncoder(arch).encode(body));
+}
+
 std::vector<double>
 bitPositionOneProbability(std::span<const Word64> corpus)
 {

@@ -107,6 +107,13 @@ class InstructionEncoder
  */
 Word64 extractPreferenceMask(std::span<const Word64> corpus);
 
+/**
+ * Section 4.3's dynamic method: the preference mask extracted from one
+ * kernel's own binary, assembled under @p arch.
+ */
+Word64 kernelPreferenceMask(GpuArch arch,
+                            const std::vector<Instruction> &body);
+
 /** Per-position probability of bit value 1 over a corpus (Fig. 14). */
 std::vector<double> bitPositionOneProbability(
     std::span<const Word64> corpus);

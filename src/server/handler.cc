@@ -176,11 +176,9 @@ respond(const StaticQueryRequest &req, KernelStore &)
     const gpu::GpuConfig config = eval.machine();
     const isa::Program program = workload::buildProgram(spec);
 
-    Word64 isaMask = 0;
-    if (eval.dynamicIsa) {
-        const isa::InstructionEncoder encoder(config.arch);
-        isaMask = isa::extractPreferenceMask(encoder.encode(program.body));
-    }
+    const Word64 isaMask =
+        eval.dynamicIsa ? isa::kernelPreferenceMask(config.arch, program.body)
+                        : 0;
     const core::StaticReport report =
         core::analyzeStatic(program, config, isaMask, eval.pivot);
 

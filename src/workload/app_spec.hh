@@ -90,6 +90,13 @@ const std::vector<AppSpec> &evaluationSuite();
 /** Look up an application by abbreviation; fatals if missing. */
 const AppSpec &findApp(const std::string &abbr);
 
+/**
+ * Resolve command-line application names: "all" expands to the suite,
+ * anything else goes through findApp, and a repeated application is
+ * dropped with a warning.
+ */
+std::vector<AppSpec> resolveApps(const std::vector<std::string> &names);
+
 } // namespace bvf::workload
 
 #endif // BVF_WORKLOAD_APP_SPEC_HH

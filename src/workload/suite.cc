@@ -339,4 +339,28 @@ findApp(const std::string &abbr)
     fatal("unknown application abbreviation '%s'", abbr.c_str());
 }
 
+std::vector<AppSpec>
+resolveApps(const std::vector<std::string> &names)
+{
+    std::vector<AppSpec> specs;
+    auto add = [&](const AppSpec &spec) {
+        for (const AppSpec &have : specs) {
+            if (have.abbr == spec.abbr) {
+                warn("ignoring duplicate application %s", spec.abbr.c_str());
+                return;
+            }
+        }
+        specs.push_back(spec);
+    };
+    for (const std::string &name : names) {
+        if (name == "all") {
+            for (const AppSpec &spec : evaluationSuite())
+                add(spec);
+        } else {
+            add(findApp(name));
+        }
+    }
+    return specs;
+}
+
 } // namespace bvf::workload

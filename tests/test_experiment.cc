@@ -199,6 +199,41 @@ TEST_F(ExperimentTest, FaultInjectionLeavesAccountingDeterministic)
                      eb.at(Scenario::Baseline).chipTotal());
 }
 
+TEST_F(ExperimentTest, TapSeesTheRawStreamBeforeTheFaultLayer)
+{
+    // Faults change what the accountant is handed, never what the
+    // machine emits: a tap on a faulty run accounts exactly what the
+    // fault-free run's accountant does.
+    ExperimentDriver driver(gpu::baselineConfig());
+    AccountantOptions opts;
+    opts.arch = driver.config().arch;
+    EnergyAccountant tapped(driver.unitCapacities(), opts);
+    RunOptions options;
+    options.fault.enabled = true;
+    options.fault.seed = 5;
+    options.fault.softErrorRate = 1e-3;
+    options.tap = &tapped;
+    const auto faulty = driver.runApp(workload::findApp("ATA"), options);
+    tapped.finalize(faulty.gpuStats.cycles);
+    ASSERT_TRUE(faulty.faults);
+    ASSERT_GT(faulty.faults->totals().injected.total(), 0u);
+
+    const auto reads = [](const EnergyAccountant &a, coder::UnitId u) {
+        return a.unitStats(Scenario::Baseline).at(u).reads.ones;
+    };
+    for (const auto &[unit, stats] :
+         run().accountant->unitStats(Scenario::Baseline)) {
+        EXPECT_EQ(reads(tapped, unit), stats.reads.ones)
+            << coder::unitName(unit);
+        EXPECT_EQ(tapped.unitStats(Scenario::Baseline).at(unit).writes.ones,
+                  stats.writes.ones)
+            << coder::unitName(unit);
+    }
+    EXPECT_NE(reads(*faulty.accountant, coder::UnitId::L1D),
+              reads(tapped, coder::UnitId::L1D));
+    EXPECT_FALSE(faulty.staticPrediction); // no --check-static
+}
+
 TEST_F(ExperimentTest, EccPricingCostsEnergy)
 {
     // SECDED check bits must show up as extra stored bits and extra

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/advisor.hh"
 #include "analysis/lint.hh"
 #include "common/rng.hh"
 #include "core/accountant.hh"
@@ -383,5 +384,72 @@ TEST(StaticCheckTest, SampledSuiteAppsPassCrossCheck)
         EXPECT_TRUE(result.ok())
             << abbr << ": "
             << (result.ok() ? "" : result.error().describe());
+        // The prediction the run was checked against comes back.
+        EXPECT_TRUE(result.ok() && result.value().staticPrediction) << abbr;
     }
+}
+
+/** KMN's static pivot advice and a dynamic sweep tapped off its run. */
+struct AdvisedRun
+{
+    analysis::StaticAdvice advice;
+    core::PivotSweepSink sweep;
+};
+
+const AdvisedRun &
+advisedKmn()
+{
+    static const AdvisedRun r = [] {
+        AdvisedRun out;
+        const gpu::GpuConfig config = gpu::baselineConfig();
+        const workload::AppSpec &spec = workload::findApp("KMN");
+        const isa::Program program = workload::buildProgram(spec);
+        analysis::AdvisorOptions opts;
+        opts.arch = config.arch;
+        opts.lineBytes = config.lineBytes;
+        out.advice = analysis::adviseProgram(
+            program, analysis::analyzeProgram(program), opts);
+        core::RunOptions options;
+        options.tap = &out.sweep;
+        core::ExperimentDriver(config).runApp(spec, options);
+        return out;
+    }();
+    return r;
+}
+
+TEST(StaticCheckTest, AdviceHoldsAgainstTheSweep)
+{
+    const AdvisedRun &r = advisedKmn();
+    ASSERT_GT(r.sweep.accesses(), 0u);
+    EXPECT_TRUE(core::crossCheckAdvice(r.advice, r.sweep).empty());
+}
+
+TEST(StaticCheckTest, AdviceCheckNamesANarrowedPivot)
+{
+    const AdvisedRun &r = advisedKmn();
+    const int pivot = 7;
+    const double measured = r.sweep.count(pivot).density();
+    ASSERT_GT(r.sweep.count(pivot).bits, 0u);
+    analysis::StaticAdvice advice = r.advice;
+    auto &bound = advice.pivot.bounds[static_cast<std::size_t>(pivot)];
+    bound.lo = bound.hi = measured + 0.01;
+    const auto violations = core::crossCheckAdvice(advice, r.sweep);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].rfind("pivot 7: measured density", 0), 0u)
+        << violations[0];
+}
+
+TEST(StaticCheckTest, AdviceCheckCatchesAGapBeyondTheSlack)
+{
+    const AdvisedRun &r = advisedKmn();
+    const double gap =
+        r.sweep.count(r.sweep.bestMeasuredPivot()).density()
+        - r.sweep.count(r.advice.pivot.bestPivot).density();
+    analysis::StaticAdvice advice = r.advice;
+    advice.pivot.provenSlack = gap - 0.01;
+    const auto violations = core::crossCheckAdvice(advice, r.sweep);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_NE(violations[0].find("more than the proven slack"),
+              std::string::npos)
+        << violations[0];
 }

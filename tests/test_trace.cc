@@ -369,37 +369,25 @@ TEST(Trace, WriterLatchesStreamFailure)
     EXPECT_EQ(finished.error().code, ErrorCode::Io);
 }
 
-TEST(Trace, LegacyV1StreamStillReplayable)
+TEST(Trace, LegacyV1StreamIsUnsupported)
 {
-    // Hand-build a version-1 stream: bare records, no batches/footer.
-    struct LegacyHeader
-    {
-        std::uint8_t kind, a, b, flags;
-        std::uint32_t activeMask;
-        std::uint64_t cycle;
-        std::uint32_t count;
-    };
+    // Version 1 (bare records, no batches, checksums or footer) has no
+    // writer and no replay path left: its header is refused before any
+    // record can reach the sink.
     std::string bytes = "BVFT";
     const std::uint32_t version = 1;
     bytes.append(reinterpret_cast<const char *>(&version), 4);
-    LegacyHeader h{};
-    h.kind = 1; // access
-    h.a = static_cast<std::uint8_t>(UnitId::L1D);
-    h.b = static_cast<std::uint8_t>(AccessType::Read);
-    h.activeMask = 0x1;
-    h.cycle = 7;
-    h.count = 1;
-    bytes.append(reinterpret_cast<const char *>(&h), sizeof(h));
-    const Word w = 0xf0f0f0f0u;
-    bytes.append(reinterpret_cast<const char *>(&w), sizeof(w));
+    std::string record(24, '\0');
+    record[0] = 1; // access
+    bytes += record;
 
     std::stringstream in(bytes);
     CountingSink counter;
     const auto replayed = replayTrace(in, counter);
-    ASSERT_TRUE(replayed.ok());
-    EXPECT_EQ(replayed.value().records, 1u);
-    EXPECT_FALSE(replayed.value().sawFooter);
-    EXPECT_EQ(counter.events, 1u);
+    ASSERT_FALSE(replayed.ok());
+    EXPECT_EQ(replayed.error().code, ErrorCode::Unsupported);
+    EXPECT_EQ(replayed.error().message, "unsupported trace version 1");
+    EXPECT_EQ(counter.events, 0u);
 }
 
 TEST(Trace, TeeDeliversToBothSinks)
