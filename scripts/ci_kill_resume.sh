@@ -34,8 +34,15 @@ echo "== interrupted campaign: SIGKILL mid-run =="
 "$BVF_SIM" --journal "$WORK/int.journal" --report "$WORK/int.report" \
     "${APPS[@]}" &
 PID=$!
-# Long enough to complete a couple of apps, far short of all six.
-sleep 1.5
+# Kill as soon as one app is journaled ("JREC" starts each record):
+# far short of all six on any host. A fixed sleep outlived the whole
+# campaign on a fast host (six apps take about 0.5 s on 4 cores).
+for _ in $(seq 1 3000); do
+    [ "$(grep -a -o JREC "$WORK/int.journal" 2>/dev/null | wc -l)" -ge 1 ] \
+        && break
+    kill -0 "$PID" 2>/dev/null || break
+    sleep 0.01
+done
 kill -9 "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null
 [ -f "$WORK/int.journal" ] \
