@@ -8,7 +8,7 @@
  * (routing, health bookkeeping, framing, socket hop) -- and reports
  * exact p50/p99 from the recorded samples. The second runs a sharded
  * campaign over a 3-worker fleet, times it against the serial runner,
- * and byte-compares the merged report with the serial bytes, because a
+ * and byte-compares the fleet's report with the serial bytes, because a
  * fleet that is fast but wrong is worthless.
  *
  * Usage: bench_fleet [REQUESTS] [THREADS] [JSON_PATH] [APP_COUNT]
@@ -179,14 +179,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    char tmpl[] = "/tmp/bvf-bench-fleet-XXXXXX";
-    const char *shardDir = mkdtemp(tmpl);
-    if (!shardDir) {
-        std::fprintf(stderr, "mkdtemp failed\n");
-        return 1;
-    }
     fleet::FleetCampaignOptions copts;
-    copts.journalDir = shardDir;
     copts.jobs = static_cast<int>(threads);
     fleet::FleetCampaign fleetCampaign(coord, copts);
     const auto fleetStart = std::chrono::steady_clock::now();
@@ -200,9 +193,6 @@ main(int argc, char **argv)
                      outcome.error().describe().c_str());
         return 1;
     }
-    for (const auto &p : outcome.value().shardPaths)
-        ::remove(p.c_str());
-    ::remove(shardDir);
 
     const bool identical =
         outcome.value().report.render() == ref.value().render();

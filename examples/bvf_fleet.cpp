@@ -4,13 +4,14 @@
  *
  * Two modes sharing one coordinator core (src/fleet):
  *
- *   campaign APP... | all    shard the campaign's applications across
- *                            the workers, journal each worker's
- *                            completions, merge the shards and write a
- *                            report bit-identical to a serial
+ *   campaign APP... | all    spread the campaign's applications across
+ *                            the workers, journal each completion
+ *                            (the journal `bvf_sim --journal` writes,
+ *                            so either tool resumes the other's) and
+ *                            write a report bit-identical to a serial
  *                            `bvf_sim campaign` of the same
  *                            configuration -- regardless of worker
- *                            count, sharding, or mid-run worker death.
+ *                            count, routing, or mid-run worker death.
  *
  *   serve                    run a front-end daemon (same framed
  *                            protocol as bvfd) that proxies every
@@ -21,7 +22,7 @@
  *
  * Usage:
  *   bvf_fleet --worker HOST:PORT [--worker ...] campaign all \
- *             --journal-dir DIR [--report FILE]
+ *             [--journal FILE [--resume]] [--report FILE]
  *   bvf_fleet --worker HOST:PORT [--worker ...] serve [--port N]
  *
  * Fleet options:
@@ -35,10 +36,9 @@
  *   --breaker-cooldown-ms N  open time before half-open (default 1000)
  *
  * Campaign options:
- *   --journal-dir DIR   per-worker shard journals (required)
- *   --report FILE       merged campaign report
- *   --merged-journal FILE  single merged journal
- *   --resume            continue from existing shard journals
+ *   --journal FILE      campaign journal (optional)
+ *   --report FILE       campaign report
+ *   --resume            continue from an existing --journal
  *   --jobs N            concurrent in-flight applications (default 4)
  *   --arch/--sched/--pivot/--dynamic-isa/--node/--pstate/--cell/
  *   --ecc/--cells-bitline   as in bvf_sim; bvf6t past its reliability
@@ -118,12 +118,10 @@ parse(int argc, char **argv)
         } else if (arg == "--breaker-cooldown-ms") {
             o.fleet.breakerCooldown = std::chrono::milliseconds(
                 cli::parseInteger(arg, args.value(arg), 0, 3600000));
-        } else if (arg == "--journal-dir") {
-            o.campaign.journalDir = args.value(arg);
+        } else if (arg == "--journal") {
+            o.campaign.journalPath = args.value(arg);
         } else if (arg == "--report") {
             o.campaign.reportPath = args.value(arg);
-        } else if (arg == "--merged-journal") {
-            o.campaign.mergedJournalPath = args.value(arg);
         } else if (arg == "--resume") {
             o.campaign.resume = true;
         } else if (arg == "--jobs") {
@@ -158,7 +156,7 @@ parse(int argc, char **argv)
             "command must be 'campaign' or 'serve'\n"
             "usage: bvf_fleet --worker HOST:PORT [--worker ...] campaign "
             "APP... | all\n"
-            "                 --journal-dir DIR [--report FILE] [--resume] "
+            "                 [--journal FILE [--resume]] [--report FILE] "
             "[--jobs N]\n"
             "                 "
             + core::evalUsage("                 ")
@@ -170,8 +168,8 @@ parse(int argc, char **argv)
     if (o.command == "campaign") {
         if (o.apps.empty())
             cli::dieUsage("campaign needs application names or 'all'");
-        if (o.campaign.journalDir.empty())
-            cli::dieUsage("campaign needs --journal-dir DIR");
+        if (o.campaign.resume && o.campaign.journalPath.empty())
+            cli::dieUsage("--resume requires --journal FILE");
     }
     return o;
 }
@@ -193,18 +191,15 @@ runCampaign(Options &o)
                 out.report.results.size(), coordinator.workerCount());
     std::printf(
         "  completed %d quarantined %d restored %d config %08x\n",
-        out.report.completed, out.report.quarantined, out.restored,
+        out.report.completed, out.report.quarantined, out.report.resumed,
         out.report.configCrc);
     std::printf("  failovers %llu deaths %llu revivals %llu "
-                "breaker-opens %llu duplicates-merged %d\n",
+                "breaker-opens %llu\n",
                 static_cast<unsigned long long>(out.fleetStats.failovers),
                 static_cast<unsigned long long>(out.fleetStats.deaths),
                 static_cast<unsigned long long>(out.fleetStats.revivals),
                 static_cast<unsigned long long>(
-                    out.fleetStats.breakerOpens),
-                out.mergeInfo.duplicatesDropped);
-    for (const auto &w : out.mergeInfo.warnings)
-        warn("%s", w.c_str());
+                    out.fleetStats.breakerOpens));
     if (!o.campaign.reportPath.empty()) {
         std::printf("  report: %s\n", o.campaign.reportPath.c_str());
     } else {

@@ -37,7 +37,8 @@
  *                      /tmp/bvf-simsweep-<pid>)
  *   --phases N         fault phases per scenario (default: seeded 1-3)
  *   --fuzz-iters N     run the fuzz drivers instead of scenarios
- *   --fuzz-target T    frame|http|trace|journal|merge|bytecode|asm
+ *   --fuzz-target T    frame|http|trace|journal|bytecode|asm|rtl|
+ *                      rtlvec|opt
  *                      (default: all)
  *   --corpus DIR       replay every DIR/<target> input before fuzzing
  *   --write-corpus DIR write each target's seed inputs there and exit
@@ -168,8 +169,8 @@ runFuzzing(const Options &o)
         const std::string name = sim::fuzzTargetName(target);
 
         if (!o.corpusDir.empty()) {
-            auto replayed = sim::replayCorpusDir(
-                target, o.corpusDir + "/" + name, o.scratch);
+            auto replayed =
+                sim::replayCorpusDir(target, o.corpusDir + "/" + name);
             if (!replayed.ok()) {
                 std::fprintf(stderr, "bvf_simsweep: corpus %s: %s\n",
                              name.c_str(),

@@ -5,10 +5,13 @@
 # writes the reference report. Then a 3-worker bvfd fleet runs the same
 # campaign through bvf_fleet while this script SIGKILLs one worker
 # mid-run and restarts it on the same port. The fleet must fail the
-# dead worker over, keep every app exactly-once, and produce a merged
-# report that is byte-for-byte identical (cmp) to the serial golden.
-# A last leg runs a 2-app --ecc campaign through the same fleet and
-# cmps it against `bvf_sim --ecc` on the same apps.
+# dead worker over, keep every app exactly-once, and produce a report
+# that is byte-for-byte identical (cmp) to the serial golden.
+# A second leg runs a 2-app --ecc campaign through the same fleet and
+# cmps it against `bvf_sim --ecc` on the same apps. A last leg SIGKILLs
+# the coordinator itself once its journal holds one app, resumes the
+# campaign with `bvf_fleet --resume`, and cmps the result against
+# `bvf_sim` on the same apps.
 #
 # Usage: scripts/ci_fleet_chaos.sh [path/to/bvfd] [path/to/bvf_fleet] \
 #                                  [path/to/bvf_sim]
@@ -73,26 +76,25 @@ start_worker 1 0; PORT1="$WORKER_PORT"
 start_worker 2 0; PORT2="$WORKER_PORT"; WORKER2_PID="$WORKER_PID"
 echo "workers on ports $PORT0 $PORT1 $PORT2"
 
-echo "== launch the sharded campaign =="
-mkdir -p "$WORK/shards"
+echo "== launch the campaign across the fleet =="
 "$FLEET" --worker "127.0.0.1:$PORT0" --worker "127.0.0.1:$PORT1" \
     --worker "127.0.0.1:$PORT2" \
     --heartbeat-ms 100 --deadline-ms 60000 --backoff-ms 50 \
-    campaign all --journal-dir "$WORK/shards" \
-    --report "$WORK/merged.txt" --jobs 4 \
+    campaign all --journal "$WORK/campaign.bvfj" \
+    --report "$WORK/fleet.txt" --jobs 4 \
     > "$WORK/fleet.log" 2>&1 &
 FLEET_PID=$!
 
-# Wait until the campaign is demonstrably underway (a shard journal
+# Wait until the campaign is demonstrably underway (its journal
 # exists), so the kill below lands mid-run, not before or after.
 for _ in $(seq 1 300); do
-    ls "$WORK/shards"/*.bvfj >/dev/null 2>&1 && break
+    [ -f "$WORK/campaign.bvfj" ] && break
     kill -0 "$FLEET_PID" 2>/dev/null \
-        || fail "bvf_fleet exited before writing any shard"
+        || fail "bvf_fleet exited before journaling any app"
     sleep 0.1
 done
-ls "$WORK/shards"/*.bvfj >/dev/null 2>&1 \
-    || fail "no shard journal appeared; cannot stage the chaos kill"
+[ -f "$WORK/campaign.bvfj" ] \
+    || fail "no campaign journal appeared; cannot stage the chaos kill"
 
 echo "== SIGKILL worker 2 mid-campaign =="
 kill -9 "$WORKER2_PID" || fail "could not SIGKILL worker 2"
@@ -112,9 +114,9 @@ cat "$WORK/fleet.log"
 [ "$STATUS" -eq 0 ] \
     || fail "bvf_fleet exited with status $STATUS (see $WORK/fleet.log)"
 
-echo "== the merged report must be byte-identical to the golden =="
-cmp "$WORK/golden.txt" "$WORK/merged.txt" \
-    || fail "merged report differs from the serial golden"
+echo "== the fleet report must be byte-identical to the golden =="
+cmp "$WORK/golden.txt" "$WORK/fleet.txt" \
+    || fail "fleet report differs from the serial golden"
 
 echo "== exactly-once and failover accounting =="
 grep -q "completed 58 quarantined 0" "$WORK/fleet.log" \
@@ -128,19 +130,56 @@ echo "== --ecc leg: a 2-app fleet report equals bvf_sim --ecc =="
 "$SIM" --ecc --report "$WORK/ecc-serial.txt" GAU HWL \
     > "$WORK/ecc-serial.log" 2>&1 \
     || fail "serial --ecc campaign failed (see $WORK/ecc-serial.log)"
-mkdir -p "$WORK/ecc-shards"
 "$FLEET" --worker "127.0.0.1:$PORT0" --worker "127.0.0.1:$PORT1" \
     --worker "127.0.0.1:$PORT2" --deadline-ms 60000 \
-    campaign GAU HWL --ecc --journal-dir "$WORK/ecc-shards" \
+    campaign GAU HWL --ecc --journal "$WORK/ecc.bvfj" \
     --report "$WORK/ecc-fleet.txt" > "$WORK/ecc-fleet.log" 2>&1 \
     || fail "fleet --ecc campaign failed (see $WORK/ecc-fleet.log)"
 cmp "$WORK/ecc-serial.txt" "$WORK/ecc-fleet.txt" \
     || fail "fleet --ecc report differs from bvf_sim --ecc"
 
+echo "== coordinator leg: SIGKILL bvf_fleet, resume, cmp with bvf_sim =="
+KILL_APPS=(BCK BFS BTR CFD GAU HWL)
+"$SIM" --report "$WORK/kill-serial.txt" "${KILL_APPS[@]}" \
+    > "$WORK/kill-serial.log" 2>&1 \
+    || fail "serial campaign failed (see $WORK/kill-serial.log)"
+"$FLEET" --worker "127.0.0.1:$PORT0" --worker "127.0.0.1:$PORT1" \
+    --worker "127.0.0.1:$PORT2" --deadline-ms 60000 \
+    campaign "${KILL_APPS[@]}" --jobs 1 --journal "$WORK/kill.bvfj" \
+    --report "$WORK/kill-fleet.txt" > "$WORK/kill-fleet.log" 2>&1 &
+FLEET_PID=$!
+# Kill as soon as one app is journaled ("JREC" starts each record),
+# as scripts/ci_kill_resume.sh does for bvf_sim.
+for _ in $(seq 1 3000); do
+    [ "$(grep -a -o JREC "$WORK/kill.bvfj" 2>/dev/null | wc -l)" -ge 1 ] \
+        && break
+    kill -0 "$FLEET_PID" 2>/dev/null || break
+    sleep 0.01
+done
+kill -9 "$FLEET_PID" 2>/dev/null
+wait "$FLEET_PID" 2>/dev/null
+FLEET_PID=""
+[ -f "$WORK/kill.bvfj" ] \
+    || fail "no journal survived the coordinator kill"
+[ ! -f "$WORK/kill-fleet.txt" ] \
+    || fail "the killed coordinator wrote a report; it died too late to test resume"
+"$FLEET" --worker "127.0.0.1:$PORT0" --worker "127.0.0.1:$PORT1" \
+    --worker "127.0.0.1:$PORT2" --deadline-ms 60000 \
+    campaign "${KILL_APPS[@]}" --jobs 1 --journal "$WORK/kill.bvfj" \
+    --resume --report "$WORK/kill-fleet.txt" \
+    > "$WORK/kill-resume.log" 2>&1 \
+    || fail "bvf_fleet --resume failed (see $WORK/kill-resume.log)"
+cat "$WORK/kill-resume.log"
+cmp "$WORK/kill-serial.txt" "$WORK/kill-fleet.txt" \
+    || fail "resumed fleet report differs from bvf_sim"
+RESTORED="$(sed -n 's/.* restored \([0-9][0-9]*\) .*/\1/p' "$WORK/kill-resume.log")"
+[ -n "$RESTORED" ] && [ "$RESTORED" -ge 1 ] \
+    || fail "the resumed campaign restored no app from the journal"
+
 for pid in $WORKER_PIDS; do
     kill "$pid" 2>/dev/null
     wait "$pid" 2>/dev/null
 done
-echo "PASS: fleet survived a SIGKILL+restart with a bit-identical report"
+echo "PASS: fleet survived worker and coordinator SIGKILLs with bit-identical reports"
 rm -rf "$WORK"
 exit 0

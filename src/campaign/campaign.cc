@@ -334,6 +334,14 @@ CampaignRunner::runOneApp(const workload::AppSpec &spec) const
 Result<CampaignReport>
 CampaignRunner::run(std::span<const workload::AppSpec> apps)
 {
+    return run(apps, [this](const workload::AppSpec &spec)
+                   -> Result<AppResult> { return runOneApp(spec); });
+}
+
+Result<CampaignReport>
+CampaignRunner::run(std::span<const workload::AppSpec> apps,
+                    const AppStep &step)
+{
     CampaignReport report;
     report.configCrc = configDigest(apps);
 
@@ -379,40 +387,46 @@ CampaignRunner::run(std::span<const workload::AppSpec> apps)
 
     // One producer shared by both execution shapes. Journal appends
     // are serialized and happen in completion order; resume keys by
-    // abbreviation, so line order is free to vary across runs.
+    // abbreviation, so line order is free to vary across runs. The
+    // first campaign-level error wins and stops every later app.
     std::mutex journalMutex;
-    std::atomic<bool> journalFailed{false};
-    Error journalError;
+    std::atomic<bool> failed{false};
+    Error failure;
+    auto fail = [&](Error error) { // caller holds journalMutex
+        if (!failed.load(std::memory_order_relaxed)) {
+            failure = std::move(error);
+            failed.store(true, std::memory_order_release);
+        }
+    };
     auto produce = [&](const workload::AppSpec &spec) -> AppResult {
         if (const AppResult *prior = findRestored(spec.abbr)) {
             AppResult result = *prior;
             result.fromJournal = true;
             return result;
         }
-        if (journalFailed.load(std::memory_order_acquire)) {
-            // The campaign is already doomed; don't burn hours
-            // simulating results that will be discarded.
-            AppResult skipped;
-            skipped.name = spec.name;
-            skipped.abbr = spec.abbr;
-            skipped.error = Error{ErrorCode::Failed,
-                                  "skipped after journal failure"};
+        // The campaign is doomed once anything failed; don't burn
+        // hours producing results that will be discarded.
+        AppResult skipped;
+        skipped.name = spec.name;
+        skipped.abbr = spec.abbr;
+        skipped.error = Error{ErrorCode::Failed,
+                              "skipped after a campaign failure"};
+        if (failed.load(std::memory_order_acquire))
             return skipped;
-        }
         inform("simulating %s (%s)", spec.name.c_str(),
                spec.abbr.c_str());
-        AppResult result = runOneApp(spec);
-        if (journal) {
-            std::lock_guard<std::mutex> lock(journalMutex);
-            if (!journalFailed.load(std::memory_order_relaxed)) {
-                const auto appended = journal->append(result);
-                if (!appended.ok()) {
-                    journalError = appended.error();
-                    journalFailed.store(true, std::memory_order_release);
-                }
-            }
+        auto produced = step(spec);
+        std::lock_guard<std::mutex> lock(journalMutex);
+        if (!produced.ok()) {
+            fail(produced.error());
+            return skipped;
         }
-        return result;
+        if (journal && !failed.load(std::memory_order_relaxed)) {
+            if (auto appended = journal->append(produced.value());
+                !appended.ok())
+                fail(appended.error());
+        }
+        return std::move(produced.value());
     };
 
     if (options_.jobs > 1 && apps.size() > 1) {
@@ -426,12 +440,12 @@ CampaignRunner::run(std::span<const workload::AppSpec> apps)
         report.results.reserve(apps.size());
         for (const workload::AppSpec &spec : apps) {
             report.results.push_back(produce(spec));
-            if (journalFailed.load(std::memory_order_acquire))
+            if (failed.load(std::memory_order_acquire))
                 break;
         }
     }
-    if (journalFailed.load(std::memory_order_acquire))
-        return journalError;
+    if (failed.load(std::memory_order_acquire))
+        return failure;
 
     // Counters derive from the ordered results, never from completion
     // order, so they match the serial campaign bit for bit.

@@ -33,6 +33,7 @@
 #define BVF_CAMPAIGN_CAMPAIGN_HH
 
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -117,6 +118,14 @@ Result<std::vector<std::string>> diffReports(std::string_view expected,
                                              std::string_view actual);
 
 /**
+ * How a campaign produces one application's result. A failed
+ * application is a Quarantined result; an Error is a campaign-level
+ * failure that ends the campaign.
+ */
+using AppStep =
+    std::function<Result<AppResult>(const workload::AppSpec &)>;
+
+/**
  * Drives applications through an ExperimentDriver with journaling,
  * watchdog, retry and quarantine.
  */
@@ -134,6 +143,15 @@ class CampaignRunner
      * (journal conflicts, persistence failures).
      */
     Result<CampaignReport> run(std::span<const workload::AppSpec> apps);
+
+    /**
+     * Run (or resume) the campaign over @p apps, producing each app
+     * that the journal does not already hold with @p step. The first
+     * Error -- from the step or from a journal append -- stops every
+     * later app and is returned.
+     */
+    Result<CampaignReport> run(std::span<const workload::AppSpec> apps,
+                               const AppStep &step);
 
     /**
      * Digest of everything that determines campaign results: machine,

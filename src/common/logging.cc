@@ -112,18 +112,6 @@ parseLogLevel(const std::string &name, LogLevel &out)
     return false;
 }
 
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
-}
-
-bool
-verbose()
-{
-    return logLevel() >= LogLevel::Info;
-}
-
 std::string
 strFormat(const char *fmt, ...)
 {

@@ -51,13 +51,6 @@ std::string logLevelName(LogLevel level);
  */
 bool parseLogLevel(const std::string &name, LogLevel &out);
 
-/**
- * Back-compat shim: verbose on == LogLevel::Info, off == Warn.
- * Prefer setLogLevel() in new code.
- */
-void setVerbose(bool verbose);
-bool verbose();
-
 /** Thrown instead of exiting when a ScopedFatalTrap is active. */
 class FatalError : public std::runtime_error
 {

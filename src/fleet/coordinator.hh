@@ -32,7 +32,7 @@
  *
  * A background heartbeat pings every worker each interval; a dead
  * worker that answers again is revived and rejoins routing, which is
- * how a chaos-restarted worker picks its shard back up mid-campaign.
+ * how a chaos-restarted worker picks its apps back up mid-campaign.
  */
 
 #ifndef BVF_FLEET_COORDINATOR_HH
@@ -187,16 +187,12 @@ class Coordinator
     FleetStats stats() const;
 
     std::size_t workerCount() const { return clients_.size(); }
-    const WorkerAddress &workerAddress(std::size_t index) const
-    {
-        return clients_[index]->address();
-    }
 
     /**
      * Route key for @p frame: the application abbreviation for
      * app-keyed requests (density/energy/static), else a digest of the
-     * payload. Keying by abbr pins each app to one worker, which keeps
-     * shard journals disjoint under normal operation.
+     * payload. Keying by abbr pins each app to one worker under normal
+     * operation, so repeated requests for it reuse that worker's state.
      */
     static std::string routeKeyForFrame(const server::Frame &frame);
 

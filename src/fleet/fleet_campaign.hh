@@ -1,15 +1,14 @@
 /**
  * @file
- * Distributed campaign: the 58-app sweep sharded across a bvfd fleet.
+ * Distributed campaign: the 58-app sweep spread across a bvfd fleet.
  *
- * Each application becomes one ChipEnergyRequest routed by its
- * abbreviation through the coordinator, so under normal operation the
- * suite partitions cleanly across workers and each worker's journal
- * holds a disjoint shard. Failover blurs that -- an app whose primary
- * died finishes on a failover worker and lands in *that* worker's
- * journal, possibly alongside a replayed copy elsewhere -- and the
- * merge (fleet/merge.hh) is what restores the exactly-once,
- * campaign-ordered, bit-identical-to-serial report at the end.
+ * The campaign loop is campaign::CampaignRunner's: it restores from
+ * the journal, stops on the first campaign-level failure, journals
+ * every finished app and derives the counters. The fleet supplies only
+ * the step that produces one app: a ChipEnergyRequest routed by the
+ * app's abbreviation through the coordinator. The coordinator process
+ * writes the one journal, in the format and under the digest of
+ * `bvf_sim`'s, so either tool resumes the other's journal.
  *
  * Bit identity with `bvf_sim campaign` holds because:
  *  - the wire carries energies as raw IEEE-754 u64 bit patterns;
@@ -31,12 +30,11 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
+#include "campaign/campaign.hh"
 #include "common/result.hh"
 #include "core/eval_config.hh"
 #include "fleet/coordinator.hh"
-#include "fleet/merge.hh"
 #include "workload/app_spec.hh"
 
 namespace bvf::fleet
@@ -45,16 +43,13 @@ namespace bvf::fleet
 /** Knobs for one distributed campaign. */
 struct FleetCampaignOptions
 {
-    /** Directory for per-worker shard journals (required). */
-    std::string journalDir;
+    /** Campaign journal; empty runs without persistence. */
+    std::string journalPath;
 
-    /** Merged report file; empty skips writing (render still runs). */
+    /** Report file; empty skips writing (render still runs). */
     std::string reportPath;
 
-    /** Merged single-journal file; empty skips writing. */
-    std::string mergedJournalPath;
-
-    /** Continue from existing shard journals instead of refusing. */
+    /** Continue from an existing journal instead of refusing. */
     bool resume = false;
 
     /** Client-side concurrent in-flight apps; <= 1 is serial. */
@@ -74,14 +69,11 @@ struct FleetCampaignOptions
 /** Everything a finished fleet campaign hands back. */
 struct FleetCampaignOutcome
 {
-    campaign::CampaignReport report; //!< merged, campaign-ordered
-    MergeOutcome mergeInfo;          //!< dedupe/salvage accounting
+    campaign::CampaignReport report; //!< campaign-ordered
     FleetStats fleetStats;           //!< failovers, revivals, ...
-    std::vector<std::string> shardPaths;
-    int restored = 0; //!< apps adopted from shard journals (resume)
 };
 
-/** Runs one campaign through a coordinator and merges the shards. */
+/** Runs one campaign through a coordinator. */
 class FleetCampaign
 {
   public:
@@ -89,10 +81,10 @@ class FleetCampaign
                   FleetCampaignOptions options);
 
     /**
-     * Shard, execute, journal, merge, and (optionally) persist the
-     * report. Per-app rejections are quarantined in the report; the
-     * error path is reserved for campaign-level problems: no routable
-     * worker left, journal I/O failure, merge conflict, or a cell
+     * Execute, journal and (optionally) persist the report. Per-app
+     * rejections are quarantined in the report; the error path is
+     * reserved for campaign-level problems: no routable worker left,
+     * an undecodable reply, journal I/O failure, or a cell
      * configuration the wire protocol cannot express.
      */
     Result<FleetCampaignOutcome>
@@ -105,10 +97,14 @@ class FleetCampaign
     std::uint32_t
     configDigest(std::span<const workload::AppSpec> apps) const;
 
-    /** Shard journal path for worker @p index under journalDir. */
-    std::string shardPath(std::size_t index) const;
-
   private:
+    /** The serial runner's options for this campaign. */
+    campaign::CampaignOptions campaignOptions() const;
+
+    /** Produce one app on the fleet. */
+    Result<campaign::AppResult>
+    remoteStep(const workload::AppSpec &spec);
+
     Coordinator &coordinator_;
     FleetCampaignOptions options_;
 };

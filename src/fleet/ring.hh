@@ -12,7 +12,7 @@
  *
  * The two properties the fleet leans on:
  *  - determinism: the same key and the same worker set always produce
- *    the same preference list, so shard journals are reproducible;
+ *    the same preference list, so routing is reproducible;
  *  - minimal disruption: removing a worker only re-routes the keys it
  *    owned -- every other key's primary is untouched, which is what
  *    keeps a worker death from stampeding the whole fleet onto one

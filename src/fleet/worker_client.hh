@@ -93,8 +93,6 @@ class WorkerClient
     /** Drop every pooled connection (e.g. after the worker died). */
     void closeAll();
 
-    const WorkerAddress &address() const { return address_; }
-
   private:
     Result<server::TransportPtr>
     checkout(std::chrono::milliseconds deadline);

@@ -22,7 +22,6 @@
 #include "common/rng.hh"
 #include "core/trace.hh"
 #include "fault/secded.hh"
-#include "fleet/merge.hh"
 #include "isa/asm.hh"
 #include "isa/bytecode.hh"
 #include "rtl/eval.hh"
@@ -31,7 +30,6 @@
 #include "server/http.hh"
 #include "server/protocol.hh"
 #include "sram/access_sink.hh"
-#include "workload/app_spec.hh"
 
 namespace bvf::sim
 {
@@ -41,7 +39,7 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/** Config digest every journal/merge fuzz input is framed under. */
+/** Config digest every journal fuzz input is framed under. */
 constexpr std::uint32_t kFuzzDigest = 0x42f0f0f0u;
 
 std::string
@@ -122,18 +120,6 @@ sampleResult(const std::string &name, const std::string &abbr,
         r.bvfUnitsEnergy[i] = 1e-4 / static_cast<double>(i + 1);
     }
     return r;
-}
-
-std::vector<workload::AppSpec>
-mergeApps()
-{
-    workload::AppSpec a;
-    a.name = "alpha";
-    a.abbr = "AAA";
-    workload::AppSpec b;
-    b.name = "beta";
-    b.abbr = "BBB";
-    return {a, b};
 }
 
 std::string
@@ -303,44 +289,6 @@ checkJournal(const std::string &bytes)
         != again) {
         return Error{ErrorCode::Failed,
                      fail("journal round-trip is not bit-stable")};
-    }
-    return {};
-}
-
-Result<void>
-checkMerge(const std::string &bytes, const std::string &scratchDir)
-{
-    const std::string dir = scratchDir + "/merge-stage";
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    const std::string hostile = dir + "/shard-hostile.bvfj";
-    const std::string good = dir + "/shard-good.bvfj";
-    {
-        std::ofstream f(hostile, std::ios::binary | std::ios::trunc);
-        f.write(bytes.data(),
-                static_cast<std::streamsize>(bytes.size()));
-    }
-    {
-        const std::string goodBytes = goodJournalBytes();
-        std::ofstream f(good, std::ios::binary | std::ios::trunc);
-        f.write(goodBytes.data(),
-                static_cast<std::streamsize>(goodBytes.size()));
-    }
-    const auto apps = mergeApps();
-    const std::vector<std::string> shards = {hostile, good};
-    auto merged = fleet::mergeShardJournals(shards, kFuzzDigest, apps);
-    if (!merged.ok())
-        return {}; // clean refusal of a hostile shard is correct
-    const auto &results = merged.value().report.results;
-    if (results.size() != apps.size()) {
-        return Error{ErrorCode::Failed,
-                     fail("merge accepted wrong app count")};
-    }
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].abbr != apps[i].abbr) {
-            return Error{ErrorCode::Failed,
-                         fail("merge broke campaign ordering")};
-        }
     }
     return {};
 }
@@ -710,8 +658,6 @@ fuzzTargetName(FuzzTarget target)
         return "trace";
       case FuzzTarget::Journal:
         return "journal";
-      case FuzzTarget::Merge:
-        return "merge";
       case FuzzTarget::Bytecode:
         return "bytecode";
       case FuzzTarget::Asm:
@@ -735,7 +681,7 @@ fuzzTargetFromName(const std::string &name)
     }
     return Error{ErrorCode::InvalidArgument,
                  strFormat("unknown fuzz target '%s' (want frame, "
-                           "http, trace, journal, merge, bytecode, "
+                           "http, trace, journal, bytecode, "
                            "asm, rtl, rtlvec or opt)",
                            name.c_str())};
 }
@@ -789,7 +735,6 @@ corpusSeeds(FuzzTarget target)
         seeds.push_back(goodTraceBytes());
         break;
       case FuzzTarget::Journal:
-      case FuzzTarget::Merge:
         seeds.push_back(goodJournalBytes());
         break;
       case FuzzTarget::Bytecode:
@@ -893,8 +838,7 @@ corpusSeeds(FuzzTarget target)
 }
 
 Result<void>
-checkFuzzInput(FuzzTarget target, const std::string &bytes,
-               const std::string &scratchDir)
+checkFuzzInput(FuzzTarget target, const std::string &bytes)
 {
     switch (target) {
       case FuzzTarget::Frame:
@@ -905,8 +849,6 @@ checkFuzzInput(FuzzTarget target, const std::string &bytes,
         return checkTrace(bytes);
       case FuzzTarget::Journal:
         return checkJournal(bytes);
-      case FuzzTarget::Merge:
-        return checkMerge(bytes, scratchDir);
       case FuzzTarget::Bytecode:
         return checkBytecode(bytes);
       case FuzzTarget::Asm:
@@ -939,7 +881,7 @@ runFuzz(FuzzTarget target, std::uint64_t seed, std::uint64_t iterations,
         const std::string &base = seeds[rng.nextBounded(seeds.size())];
         const std::string input = mutate(base, rng);
         ++report.iterations;
-        auto checked = checkFuzzInput(target, input, scratchDir);
+        auto checked = checkFuzzInput(target, input);
         if (checked.ok())
             continue;
         report.failed = true;
@@ -959,8 +901,7 @@ runFuzz(FuzzTarget target, std::uint64_t seed, std::uint64_t iterations,
 }
 
 Result<FuzzReport>
-replayCorpusDir(FuzzTarget target, const std::string &dir,
-                const std::string &scratchDir)
+replayCorpusDir(FuzzTarget target, const std::string &dir)
 {
     FuzzReport report;
     if (!fs::is_directory(dir))
@@ -976,7 +917,7 @@ replayCorpusDir(FuzzTarget target, const std::string &dir,
         if (!bytes.ok())
             return bytes.error();
         ++report.iterations;
-        auto checked = checkFuzzInput(target, bytes.value(), scratchDir);
+        auto checked = checkFuzzInput(target, bytes.value());
         if (!checked.ok()) {
             report.failed = true;
             report.what = checked.error().message;

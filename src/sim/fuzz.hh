@@ -2,10 +2,10 @@
  * @file
  * Deterministic byte-mutation fuzzing for every untrusted parser.
  *
- * Ten surfaces accept bytes from outside the process's trust
+ * Nine surfaces accept bytes from outside the process's trust
  * boundary: wire-protocol frames, the /metrics HTTP request head,
  * trace v2 streams (salvage included), campaign journals (salvage
- * included), the shard-journal merge, BVFK kernel bytecode, kernel
+ * included), BVFK kernel bytecode, kernel
  * assembly text, Verilog netlist text, packed netlist test vectors
  * and the certificate-guided optimizer pipeline (bytecode in,
  * validated bytecode or byte-identical fallback out). Each gets a
@@ -45,7 +45,6 @@ enum class FuzzTarget : std::uint8_t
     Http,     //!< server::scanHttpHead
     Trace,    //!< core::replayTrace, strict and salvage
     Journal,  //!< campaign::parseJournal, salvage included
-    Merge,    //!< fleet::mergeShardJournals over a hostile shard
     Bytecode, //!< isa::decodeProgram + the admission verifier
     Asm,      //!< isa::parseAsm + render round trip + verifier
     Rtl,      //!< rtl::parseVerilog + canonical re-emission fixed point
@@ -53,11 +52,10 @@ enum class FuzzTarget : std::uint8_t
     Opt,      //!< analysis::optimizeProgram + translation validation
 };
 
-constexpr std::array<FuzzTarget, 10> kAllFuzzTargets = {
-    FuzzTarget::Frame,    FuzzTarget::Http,  FuzzTarget::Trace,
-    FuzzTarget::Journal,  FuzzTarget::Merge, FuzzTarget::Bytecode,
-    FuzzTarget::Asm,      FuzzTarget::Rtl,   FuzzTarget::RtlVec,
-    FuzzTarget::Opt};
+constexpr std::array<FuzzTarget, 9> kAllFuzzTargets = {
+    FuzzTarget::Frame,   FuzzTarget::Http,     FuzzTarget::Trace,
+    FuzzTarget::Journal, FuzzTarget::Bytecode, FuzzTarget::Asm,
+    FuzzTarget::Rtl,     FuzzTarget::RtlVec,   FuzzTarget::Opt};
 
 /** Display name, e.g. "frame". */
 std::string fuzzTargetName(FuzzTarget target);
@@ -80,8 +78,7 @@ struct FuzzReport
  * sanitizers. This is the primitive both the fuzz loop and corpus
  * replay share.
  */
-Result<void> checkFuzzInput(FuzzTarget target, const std::string &bytes,
-                            const std::string &scratchDir);
+Result<void> checkFuzzInput(FuzzTarget target, const std::string &bytes);
 
 /** Valid seed inputs for @p target, built with the real encoders. */
 std::vector<std::string> corpusSeeds(FuzzTarget target);
@@ -89,8 +86,7 @@ std::vector<std::string> corpusSeeds(FuzzTarget target);
 /**
  * Run @p iterations mutated inputs against @p target. A failing input
  * is written under @p scratchDir and reported; the run stops at the
- * first failure. @p scratchDir is also where the Merge target stages
- * its shard files.
+ * first failure.
  */
 Result<FuzzReport> runFuzz(FuzzTarget target, std::uint64_t seed,
                            std::uint64_t iterations,
@@ -102,8 +98,7 @@ Result<FuzzReport> runFuzz(FuzzTarget target, std::uint64_t seed,
  * empty corpus = success.
  */
 Result<FuzzReport> replayCorpusDir(FuzzTarget target,
-                                   const std::string &dir,
-                                   const std::string &scratchDir);
+                                   const std::string &dir);
 
 } // namespace bvf::sim
 

@@ -9,9 +9,9 @@
  *  2. Up to maxPhases *faulty* campaign attempts run with the full
  *     fault schedule live: wire faults from SimNet, worker kills and
  *     restarts on the SimClock, torn/failed journal writes from the
- *     atomic-write hook. Each failed attempt resumes from the shard
- *     journals it left behind; shards whose *header* was destroyed
- *     (parseJournal refuses them outright, by design) are removed
+ *     atomic-write hook. Each failed attempt resumes from the campaign
+ *     journal it left behind; a journal whose *header* was destroyed
+ *     (parseJournal refuses it outright, by design) is removed
  *     between attempts, standing in for the operator the refusal
  *     message tells to intervene.
  *  3. A final *quiet* phase: faults off, everyone restarted, breakers
@@ -68,7 +68,7 @@ hashAbbr(const std::string &abbr)
 /**
  * The simulated worker's evaluator: a pure function of the app
  * abbreviation. Every worker computing identical bits for the same
- * app is what lets the merge's bit-identity checks pass -- the same
+ * app is what lets the report's bit-identity check pass -- the same
  * contract the real handler meets via deterministic per-app seeds.
  */
 server::ChipEnergyResponse
@@ -174,6 +174,7 @@ runScenario(const ScenarioOptions &options)
     }
     const std::string refDir = options.scratchDir + "/ref";
     const std::string runDir = options.scratchDir + "/run";
+    const std::string journalPath = runDir + "/campaign.bvfj";
     std::error_code ec;
     fs::remove_all(refDir, ec);
     fs::remove_all(runDir, ec);
@@ -237,7 +238,6 @@ runScenario(const ScenarioOptions &options)
         fleet::Coordinator coord(
             simFleetOptions(workers, options.seed, clock, net));
         auto fco = campaignBase;
-        fco.journalDir = refDir;
         fco.reportPath = refDir + "/report.txt"; // for diffing failures
         fleet::FleetCampaign fc(coord, fco);
         digest = fc.configDigest(apps);
@@ -352,10 +352,9 @@ runScenario(const ScenarioOptions &options)
         }
 
         auto fco = campaignBase;
-        fco.journalDir = runDir;
+        fco.journalPath = journalPath;
         fco.resume = p > 0;
         fco.reportPath = runDir + "/report.txt";
-        fco.mergedJournalPath = runDir + "/merged.bvfj";
         fleet::FleetCampaign fc(coord, fco);
         auto out = fc.run(apps);
         ++result.phases;
@@ -386,20 +385,14 @@ runScenario(const ScenarioOptions &options)
             break;
         }
 
-        // Operator intervention between attempts: a shard whose
+        // Operator intervention between attempts: a journal whose
         // *header* was destroyed is refused forever by design (no
         // config digest left to trust); the refusal message tells the
         // operator to remove it, so the scenario does.
-        for (std::size_t w = 0; w < workers; ++w) {
-            const std::string path = fc.shardPath(w);
-            if (!fileExists(path))
-                continue;
-            auto bytes = readFileBytes(path);
-            if (bytes.ok()
-                && campaign::parseJournal(bytes.value(), digest).ok())
-                continue;
-            fs::remove(path, ec);
-        }
+        if (auto bytes = readFileBytes(journalPath);
+            bytes.ok()
+            && !campaign::parseJournal(bytes.value(), digest).ok())
+            fs::remove(journalPath, ec);
         clock.advance(
             std::chrono::milliseconds{50 + rng.nextBounded(300)});
     }
@@ -418,7 +411,7 @@ runScenario(const ScenarioOptions &options)
     result.identical = finalRender == reference;
     if (!result.identical) {
         result.violation =
-            "merged report is not byte-identical to the fault-free "
+            "report is not byte-identical to the fault-free "
             "reference";
         return result;
     }
@@ -429,18 +422,18 @@ runScenario(const ScenarioOptions &options)
         result.violation = "report file on disk differs from render";
         return result;
     }
-    // ... and the merged journal must parse cleanly: exactly one
+    // ... and the campaign journal must parse cleanly: exactly one
     // record per app, no salvage needed -- the never-double-counts
     // and never-accepts-corruption checks in one.
-    auto mergedBytes = readFileBytes(runDir + "/merged.bvfj");
-    if (!mergedBytes.ok()) {
-        result.violation = "merged journal missing";
+    auto journalBytes = readFileBytes(journalPath);
+    if (!journalBytes.ok()) {
+        result.violation = "campaign journal missing";
         return result;
     }
-    auto parsed = campaign::parseJournal(mergedBytes.value(), digest);
+    auto parsed = campaign::parseJournal(journalBytes.value(), digest);
     if (!parsed.ok() || parsed.value().salvaged
         || parsed.value().results.size() != apps.size()) {
-        result.violation = "merged journal is not clean";
+        result.violation = "campaign journal is not clean";
         return result;
     }
 

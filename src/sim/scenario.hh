@@ -3,7 +3,7 @@
  * Seeded end-to-end fault scenarios for the fleet.
  *
  * One scenario = one full distributed campaign (coordinator + N
- * simulated workers + shard journals + merge) executed in a single
+ * simulated workers + the campaign journal) executed in a single
  * thread on simulated time, while a seeded fault schedule drops,
  * delays, corrupts and duplicates wire messages, kills and restarts
  * workers, and tears or fails journal writes. The property under test

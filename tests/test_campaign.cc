@@ -4,17 +4,22 @@
  * round-trip results bit-exactly and salvage torn tails, a resumed
  * campaign must render byte-identically to an uninterrupted one, the
  * watchdog must quarantine a hanging application without sinking the
- * run, retries must be counted and exhausted into quarantine, and a
+ * run, retries must be counted and exhausted into quarantine, the
+ * campaign loop must resume a journal cut anywhere and stop on a
+ * step's error (driven by stub steps, without simulation), and a
  * report diffed against a golden one must flag a single ULP of drift.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -483,6 +488,133 @@ TEST(Campaign, ParallelQuarantineMatchesSerialCounters)
     EXPECT_EQ(report.completed, 2);
     EXPECT_EQ(report.quarantined, 1);
     EXPECT_EQ(report.retried, 1);
+}
+
+// --- The campaign loop, driven by stub steps --------------------------
+
+/** Specs that only name apps: a stub step needs no workload. */
+std::vector<workload::AppSpec>
+stubApps(const std::vector<std::string> &abbrs)
+{
+    std::vector<workload::AppSpec> specs;
+    for (const std::string &abbr : abbrs) {
+        workload::AppSpec spec;
+        spec.name = "app-" + abbr;
+        spec.abbr = abbr;
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+/** A fixed result per app, keyed by its abbreviation. */
+Result<AppResult>
+stubStep(const workload::AppSpec &spec)
+{
+    return sampleResult(spec.abbr, static_cast<double>(spec.abbr[0]));
+}
+
+/** Records in the journal at @p path; 0 while it is missing or torn. */
+std::size_t
+journaledRecords(const std::string &path, std::uint32_t digest)
+{
+    const auto loaded = CampaignJournal(path, digest).load();
+    return loaded.ok() ? loaded.value().results.size() : 0;
+}
+
+/** Poll @p done for up to ten seconds. */
+template <typename Fn>
+void
+waitUntil(Fn done)
+{
+    for (int i = 0; i < 10000 && !done(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+TEST(CampaignLoop, JournalCutAtEveryOffsetResumesOrRefusesCleanly)
+{
+    TempDir dir;
+    const auto apps = stubApps({"AAA", "BBB", "CCC"});
+    core::ExperimentDriver driver(gpu::baselineConfig());
+    CampaignOptions opts;
+    opts.journalPath = dir.path("full.journal");
+    const auto full = CampaignRunner(driver, opts).run(apps, stubStep);
+    ASSERT_TRUE(full.ok());
+    const auto bytes = readFileBytes(opts.journalPath);
+    ASSERT_TRUE(bytes.ok());
+
+    opts.journalPath = dir.path("cut.journal");
+    opts.resume = true;
+    int resumedSome = 0;
+    for (std::size_t cut = 0; cut <= bytes.value().size(); ++cut) {
+        ASSERT_TRUE(
+            atomicWriteFile(opts.journalPath, bytes.value().substr(0, cut))
+                .ok());
+        const auto resumed =
+            CampaignRunner(driver, opts).run(apps, stubStep);
+        if (resumed.ok()) {
+            // Salvaged or whole, every app is delivered exactly once.
+            EXPECT_EQ(resumed.value().render(), full.value().render())
+                << cut;
+            resumedSome += resumed.value().resumed > 0 ? 1 : 0;
+        } else {
+            // Header damage is refused from the taxonomy, never a crash.
+            const ErrorCode code = resumed.error().code;
+            EXPECT_TRUE(code == ErrorCode::Corrupt
+                        || code == ErrorCode::InvalidArgument)
+                << cut << ": " << resumed.error().describe();
+        }
+    }
+    EXPECT_GT(resumedSome, 0);
+}
+
+TEST(CampaignLoop, StepErrorEndsTheCampaignAfterAppOne)
+{
+    const auto apps = stubApps({"AAA", "BBB", "CCC"});
+    core::ExperimentDriver driver(gpu::baselineConfig());
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE(jobs);
+        TempDir dir;
+        CampaignOptions opts;
+        opts.journalPath = dir.path("campaign.journal");
+        opts.jobs = jobs;
+        CampaignRunner runner(driver, opts);
+        const std::uint32_t digest = runner.configDigest(apps);
+
+        std::atomic<bool> failing{false};
+        std::atomic<int> lastAppSteps{0};
+        const AppStep step =
+            [&](const workload::AppSpec &spec) -> Result<AppResult> {
+            if (spec.abbr == "BBB") {
+                // Fail only once app 1 is on disk, so the pool's
+                // interleaving cannot decide what the journal holds.
+                waitUntil([&] {
+                    return journaledRecords(opts.journalPath, digest) == 1;
+                });
+                failing = true;
+                return Error{ErrorCode::Io, "stub: the fleet is gone"};
+            }
+            if (spec.abbr == "CCC") {
+                // Under the pool app 3 runs alongside app 2; finish
+                // well after app 2's error has landed.
+                ++lastAppSteps;
+                waitUntil([&] { return failing.load(); });
+                std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            }
+            return stubStep(spec);
+        };
+
+        const auto outcome = runner.run(apps, step);
+        ASSERT_FALSE(outcome.ok());
+        EXPECT_EQ(outcome.error().code, ErrorCode::Io);
+        EXPECT_EQ(outcome.error().message, "stub: the fleet is gone");
+        const auto loaded = CampaignJournal(opts.journalPath, digest).load();
+        ASSERT_TRUE(loaded.ok());
+        ASSERT_EQ(loaded.value().results.size(), 1u);
+        EXPECT_EQ(loaded.value().results[0].abbr, "AAA");
+        if (jobs == 1) {
+            EXPECT_EQ(lastAppSteps.load(), 0); // the loop stopped
+        }
+    }
 }
 
 /** A synthetic two-app report; golden tests need no simulation. */

@@ -2,13 +2,12 @@
  * @file
  * Fleet tests: consistent-hash routing properties, the worker health
  * and circuit-breaker state machines, jittered backoff, worker-address
- * parsing, the shard-journal merge rules (failover-replay dedupe,
- * conflicting duplicates, truncated-shard salvage, zero-job shards,
- * byte-identity), and end-to-end coordinator behaviour against real
+ * parsing, and end-to-end coordinator behaviour against real
  * in-process bvfd servers: failover, overload signaling, bad-job
- * quarantine, heartbeat revival, the proxy front-end, and the
- * crown-jewel property -- a fleet campaign's merged report is
- * byte-identical to the serial campaign's.
+ * quarantine, heartbeat revival, the proxy front-end, the
+ * crown-jewel property -- a fleet campaign's report is byte-identical
+ * to the serial campaign's -- and resuming either tool's journal with
+ * the other.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +30,6 @@
 #include "fleet/coordinator.hh"
 #include "fleet/fleet_campaign.hh"
 #include "fleet/health.hh"
-#include "fleet/merge.hh"
 #include "fleet/ring.hh"
 #include "fleet/worker_client.hh"
 #include "gpu/gpu_config.hh"
@@ -311,253 +309,6 @@ TEST(RouteKey, OtherRequestsRouteByPayloadDigest)
     EXPECT_NE(Coordinator::routeKeyForFrame(
                   {MsgType::PingRequest, ping.encode()}),
               key);
-}
-
-// --- merge ------------------------------------------------------------
-
-/** A completed result with awkward (non-terminating) energy values. */
-AppResult
-sampleResult(const std::string &abbr, double seed)
-{
-    AppResult r;
-    r.name = "app-" + abbr;
-    r.abbr = abbr;
-    r.attempts = 1;
-    r.cycles = 1000 + static_cast<std::uint64_t>(seed);
-    r.instructions = 2000 + static_cast<std::uint64_t>(seed);
-    for (std::size_t i = 0; i < r.chipEnergy.size(); ++i) {
-        r.chipEnergy[i] = seed / 3.0 + static_cast<double>(i) / 7.0;
-        r.bvfUnitsEnergy[i] = seed / 9.0 + static_cast<double>(i) / 11.0;
-    }
-    return r;
-}
-
-/** Minimal specs whose abbrs define the campaign order. */
-std::vector<workload::AppSpec>
-specsFor(const std::vector<std::string> &abbrs)
-{
-    std::vector<workload::AppSpec> specs;
-    for (const auto &abbr : abbrs) {
-        workload::AppSpec s;
-        s.name = "app-" + abbr;
-        s.abbr = abbr;
-        specs.push_back(s);
-    }
-    return specs;
-}
-
-TEST(Merge, BitLevelEqualityDiscriminates)
-{
-    const AppResult a = sampleResult("AAA", 1.0);
-    AppResult b = a;
-    EXPECT_TRUE(appResultsIdentical(a, b));
-    b.chipEnergy[3] = std::nextafter(b.chipEnergy[3], 1e300);
-    EXPECT_FALSE(appResultsIdentical(a, b));
-}
-
-TEST(Merge, ShardOrderIsErasedAndCountersRecomputed)
-{
-    TempDir dir;
-    const std::uint32_t crc = 0xfeedface;
-    AppResult bad = sampleResult("BBB", 2.0);
-    bad.status = AppStatus::Quarantined;
-    bad.attempts = 3;
-    bad.error = Error{ErrorCode::Timeout, "watchdog"};
-
-    // Campaign order AAA, BBB, CCC -- shards hold them interleaved.
-    std::vector<AppResult> shard0 = {sampleResult("CCC", 3.0)};
-    std::vector<AppResult> shard1 = {bad, sampleResult("AAA", 1.0)};
-    ASSERT_TRUE(atomicWriteFile(dir.path("s0.bvfj"),
-                                serializeJournal(crc, shard0))
-                    .ok());
-    ASSERT_TRUE(atomicWriteFile(dir.path("s1.bvfj"),
-                                serializeJournal(crc, shard1))
-                    .ok());
-
-    const std::vector<std::string> paths = {dir.path("s0.bvfj"),
-                                            dir.path("s1.bvfj")};
-    const auto specs = specsFor({"AAA", "BBB", "CCC"});
-    auto merged = mergeShardJournals(paths, crc, specs);
-    ASSERT_TRUE(merged.ok());
-    const auto &out = merged.value();
-    ASSERT_EQ(out.report.results.size(), 3u);
-    EXPECT_EQ(out.report.results[0].abbr, "AAA");
-    EXPECT_EQ(out.report.results[1].abbr, "BBB");
-    EXPECT_EQ(out.report.results[2].abbr, "CCC");
-    EXPECT_EQ(out.report.completed, 2);
-    EXPECT_EQ(out.report.quarantined, 1);
-    EXPECT_EQ(out.report.retried, 1);
-    EXPECT_EQ(out.report.configCrc, crc);
-    EXPECT_EQ(out.duplicatesDropped, 0);
-}
-
-TEST(Merge, MergedReportIsByteIdenticalToDirectRender)
-{
-    TempDir dir;
-    const std::uint32_t crc = 0x12345678;
-    const std::vector<AppResult> all = {sampleResult("AAA", 1.0),
-                                        sampleResult("BBB", 2.0),
-                                        sampleResult("CCC", 3.0)};
-
-    // Reference: what a serial campaign of these results renders.
-    campaign::CampaignReport serial;
-    serial.results = all;
-    serial.completed = 3;
-    serial.configCrc = crc;
-
-    std::vector<AppResult> shard0 = {all[1]};
-    std::vector<AppResult> shard1 = {all[2], all[0]};
-    ASSERT_TRUE(atomicWriteFile(dir.path("s0.bvfj"),
-                                serializeJournal(crc, shard0))
-                    .ok());
-    ASSERT_TRUE(atomicWriteFile(dir.path("s1.bvfj"),
-                                serializeJournal(crc, shard1))
-                    .ok());
-    const std::vector<std::string> paths = {dir.path("s0.bvfj"),
-                                            dir.path("s1.bvfj")};
-    auto merged = mergeShardJournals(
-        paths, crc, specsFor({"AAA", "BBB", "CCC"}));
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(merged.value().report.render(), serial.render());
-}
-
-TEST(Merge, FailoverReplayDuplicatesAreDropped)
-{
-    TempDir dir;
-    const std::uint32_t crc = 1;
-    const AppResult dup = sampleResult("AAA", 1.0);
-    std::vector<AppResult> shard0 = {dup};
-    std::vector<AppResult> shard1 = {dup, sampleResult("BBB", 2.0)};
-    ASSERT_TRUE(atomicWriteFile(dir.path("s0.bvfj"),
-                                serializeJournal(crc, shard0))
-                    .ok());
-    ASSERT_TRUE(atomicWriteFile(dir.path("s1.bvfj"),
-                                serializeJournal(crc, shard1))
-                    .ok());
-    const std::vector<std::string> paths = {dir.path("s0.bvfj"),
-                                            dir.path("s1.bvfj")};
-    auto merged =
-        mergeShardJournals(paths, crc, specsFor({"AAA", "BBB"}));
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(merged.value().duplicatesDropped, 1);
-    EXPECT_EQ(merged.value().report.completed, 2);
-}
-
-TEST(Merge, ConflictingDuplicatesAreRefused)
-{
-    TempDir dir;
-    const std::uint32_t crc = 1;
-    std::vector<AppResult> shard0 = {sampleResult("AAA", 1.0)};
-    std::vector<AppResult> shard1 = {sampleResult("AAA", 99.0)};
-    ASSERT_TRUE(atomicWriteFile(dir.path("s0.bvfj"),
-                                serializeJournal(crc, shard0))
-                    .ok());
-    ASSERT_TRUE(atomicWriteFile(dir.path("s1.bvfj"),
-                                serializeJournal(crc, shard1))
-                    .ok());
-    const std::vector<std::string> paths = {dir.path("s0.bvfj"),
-                                            dir.path("s1.bvfj")};
-    auto merged = mergeShardJournals(paths, crc, specsFor({"AAA"}));
-    ASSERT_FALSE(merged.ok());
-    EXPECT_EQ(merged.error().code, ErrorCode::Corrupt);
-    EXPECT_NE(merged.error().message.find("conflicting"),
-              std::string::npos);
-}
-
-TEST(Merge, MissingAppBreaksExactlyOnce)
-{
-    TempDir dir;
-    const std::uint32_t crc = 1;
-    std::vector<AppResult> shard0 = {sampleResult("AAA", 1.0)};
-    ASSERT_TRUE(atomicWriteFile(dir.path("s0.bvfj"),
-                                serializeJournal(crc, shard0))
-                    .ok());
-    const std::vector<std::string> paths = {dir.path("s0.bvfj")};
-    auto merged =
-        mergeShardJournals(paths, crc, specsFor({"AAA", "BBB"}));
-    ASSERT_FALSE(merged.ok());
-    EXPECT_NE(merged.error().message.find("BBB"), std::string::npos);
-}
-
-TEST(Merge, ZeroJobShardsAreFine)
-{
-    TempDir dir;
-    const std::uint32_t crc = 1;
-    std::vector<AppResult> shard1 = {sampleResult("AAA", 1.0)};
-    ASSERT_TRUE(atomicWriteFile(dir.path("s1.bvfj"),
-                                serializeJournal(crc, shard1))
-                    .ok());
-    // Shards 0 and 2 never wrote a file: the ring routed them nothing.
-    const std::vector<std::string> paths = {
-        dir.path("s0.bvfj"), dir.path("s1.bvfj"), dir.path("s2.bvfj")};
-    auto merged = mergeShardJournals(paths, crc, specsFor({"AAA"}));
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(merged.value().missingShards, 2);
-    EXPECT_EQ(merged.value().report.completed, 1);
-}
-
-TEST(Merge, TruncatedShardIsSalvagedWhenReplayCovers)
-{
-    TempDir dir;
-    const std::uint32_t crc = 1;
-    const AppResult first = sampleResult("AAA", 1.0);
-    const AppResult second = sampleResult("BBB", 2.0);
-
-    // Shard 0 died mid-write of BBB: intact AAA, torn tail.
-    std::vector<AppResult> both = {first, second};
-    std::string torn = campaign::serializeJournal(crc, both);
-    torn.resize(torn.size() - 7); // cut inside BBB's record
-    ASSERT_TRUE(atomicWriteFile(dir.path("s0.bvfj"), torn).ok());
-
-    // Failover replayed BBB on shard 1.
-    std::vector<AppResult> shard1 = {second};
-    ASSERT_TRUE(atomicWriteFile(dir.path("s1.bvfj"),
-                                campaign::serializeJournal(crc, shard1))
-                    .ok());
-
-    const std::vector<std::string> paths = {dir.path("s0.bvfj"),
-                                            dir.path("s1.bvfj")};
-    auto merged =
-        mergeShardJournals(paths, crc, specsFor({"AAA", "BBB"}));
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(merged.value().salvagedShards, 1);
-    EXPECT_FALSE(merged.value().warnings.empty());
-    EXPECT_EQ(merged.value().report.completed, 2);
-}
-
-TEST(Merge, TornShardAtEveryOffsetSalvagesOrRefusesCleanly)
-{
-    TempDir dir;
-    const std::uint32_t crc = 77;
-    const AppResult first = sampleResult("AAA", 1.0);
-    const AppResult second = sampleResult("BBB", 2.0);
-    const std::vector<AppResult> both = {first, second};
-    const std::string full = campaign::serializeJournal(crc, both);
-
-    // Shard 1 is intact and covers every app, so whenever the torn
-    // shard 0 parses (salvaged or whole), the merge must succeed and
-    // deliver each app exactly once.
-    ASSERT_TRUE(atomicWriteFile(dir.path("s1.bvfj"), full).ok());
-    const std::vector<std::string> paths = {dir.path("s0.bvfj"),
-                                            dir.path("s1.bvfj")};
-    const auto apps = specsFor({"AAA", "BBB"});
-
-    for (std::size_t cut = 0; cut < full.size(); ++cut) {
-        ASSERT_TRUE(
-            atomicWriteFile(dir.path("s0.bvfj"), full.substr(0, cut))
-                .ok());
-        auto merged = mergeShardJournals(paths, crc, apps);
-        if (merged.ok()) {
-            // Exactly-once delivery must survive the tear: two apps,
-            // no double count, duplicates (failover replays) dropped.
-            EXPECT_EQ(merged.value().report.completed, 2) << cut;
-            EXPECT_LE(merged.value().duplicatesDropped, 2) << cut;
-        } else {
-            // A refusal must come from the taxonomy, never a crash or
-            // a hang: header damage is Corrupt by design.
-            EXPECT_EQ(merged.error().code, ErrorCode::Corrupt) << cut;
-        }
-    }
 }
 
 // --- Coordinator against real servers ---------------------------------
@@ -840,8 +591,7 @@ TEST(FleetCampaign, ReportIsByteIdenticalToSerial)
         fopts.requestDeadline = 60000ms; // ECC apps are slow in sanitizer builds
         Coordinator coord(fopts);
         FleetCampaignOptions opts;
-        opts.journalDir = dir.path("shards");
-        ASSERT_EQ(::mkdir(opts.journalDir.c_str(), 0755), 0);
+        opts.journalPath = dir.path("campaign.bvfj");
         opts.reportPath = dir.path("report.txt");
         opts.jobs = 2;
         opts.config = config;
@@ -871,10 +621,6 @@ TEST(FleetCampaign, ReportIsByteIdenticalToSerial)
             }
         }
 
-        // Cleanup shard files so TempDir can remove its directory.
-        for (const auto &p : outcome.value().shardPaths)
-            ::unlink(p.c_str());
-        ::rmdir(opts.journalDir.c_str());
         w0.kill();
         w1.kill();
     }
@@ -903,28 +649,97 @@ TEST(FleetCampaign, SurvivesADeadWorkerAndStaysByteIdentical)
     w1.kill();
 
     FleetCampaignOptions opts;
-    opts.journalDir = dir.path("shards");
-    ASSERT_EQ(::mkdir(opts.journalDir.c_str(), 0755), 0);
+    opts.journalPath = dir.path("campaign.bvfj");
     opts.jobs = 2;
     FleetCampaign fleet(coord, opts);
     auto outcome = fleet.run(apps);
     ASSERT_TRUE(outcome.ok()) << outcome.error().describe();
 
     EXPECT_EQ(outcome.value().report.render(), ref.value().render());
-
-    for (const auto &p : outcome.value().shardPaths)
-        ::unlink(p.c_str());
-    ::rmdir(opts.journalDir.c_str());
     w0.kill();
+}
+
+/**
+ * Cut the journal at @p path back to its first record: what a
+ * coordinator or bvf_sim killed after one app leaves behind.
+ */
+void
+keepFirstRecord(const std::string &path, std::uint32_t configCrc)
+{
+    auto bytes = readFileBytes(path);
+    ASSERT_TRUE(bytes.ok());
+    auto load = campaign::parseJournal(bytes.value(), configCrc);
+    ASSERT_TRUE(load.ok());
+    ASSERT_FALSE(load.value().results.empty());
+    load.value().results.resize(1);
+    ASSERT_TRUE(atomicWriteFile(path, campaign::serializeJournal(
+                                          configCrc, load.value().results))
+                    .ok());
+}
+
+TEST(FleetCampaign, ResumesASerialJournal)
+{
+    TempDir dir;
+    const auto apps = fastApps();
+    const std::string journal = dir.path("campaign.bvfj");
+
+    core::ExperimentDriver driver(gpu::baselineConfig());
+    campaign::CampaignOptions serialOpts;
+    serialOpts.journalPath = journal;
+    const auto ref = campaign::CampaignRunner(driver, serialOpts).run(apps);
+    ASSERT_TRUE(ref.ok());
+    keepFirstRecord(journal, ref.value().configCrc);
+
+    LiveWorker w0, w1;
+    FleetOptions fopts = fleetOver({w0.address(), w1.address()});
+    fopts.requestDeadline = 60000ms;
+    Coordinator coord(fopts);
+    FleetCampaignOptions opts;
+    opts.journalPath = journal;
+    opts.resume = true;
+    auto outcome = FleetCampaign(coord, opts).run(apps);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().describe();
+    EXPECT_EQ(outcome.value().report.resumed, 1);
+    EXPECT_EQ(outcome.value().report.render(), ref.value().render());
+    w0.kill();
+    w1.kill();
+}
+
+TEST(FleetCampaign, SerialRunnerResumesAFleetJournal)
+{
+    TempDir dir;
+    const auto apps = fastApps();
+    const std::string journal = dir.path("campaign.bvfj");
+
+    LiveWorker w0, w1;
+    FleetOptions fopts = fleetOver({w0.address(), w1.address()});
+    fopts.requestDeadline = 60000ms;
+    Coordinator coord(fopts);
+    FleetCampaignOptions opts;
+    opts.journalPath = journal;
+    FleetCampaign fleet(coord, opts);
+    auto outcome = fleet.run(apps);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().describe();
+    w0.kill();
+    w1.kill();
+    keepFirstRecord(journal, fleet.configDigest(apps));
+
+    core::ExperimentDriver driver(gpu::baselineConfig());
+    campaign::CampaignOptions serialOpts;
+    serialOpts.journalPath = journal;
+    serialOpts.resume = true;
+    const auto resumed =
+        campaign::CampaignRunner(driver, serialOpts).run(apps);
+    ASSERT_TRUE(resumed.ok()) << resumed.error().describe();
+    EXPECT_EQ(resumed.value().resumed, 1);
+    EXPECT_EQ(resumed.value().render(), outcome.value().report.render());
 }
 
 TEST(FleetCampaign, RejectsUnreliableCellsHonestly)
 {
-    TempDir dir;
     LiveWorker w0;
     Coordinator coord(fleetOver({w0.address()}));
     FleetCampaignOptions opts;
-    opts.journalDir = dir.path("shards");
     opts.config.cell = circuit::CellKind::SramBvf6T;
     FleetCampaign fleet(coord, opts);
     const auto apps = fastApps();

@@ -88,11 +88,10 @@ TEST(Fuzz, BoundedRunHoldsEveryInvariant)
 
 TEST(Fuzz, RegressionCorpusReplaysClean)
 {
-    TempDir dir;
     for (const FuzzTarget target : kAllFuzzTargets) {
         const std::string corpus =
             std::string(BVF_CORPUS_DIR) + "/" + fuzzTargetName(target);
-        auto report = replayCorpusDir(target, corpus, dir.str());
+        auto report = replayCorpusDir(target, corpus);
         ASSERT_TRUE(report.ok()) << fuzzTargetName(target);
         EXPECT_FALSE(report.value().failed)
             << fuzzTargetName(target) << ": " << report.value().what
@@ -111,7 +110,6 @@ TEST(Fuzz, RegressionCorpusReplaysClean)
  */
 TEST(Fuzz, OversizedLengthStaysInsideTheFramingTaxonomy)
 {
-    TempDir dir;
     server::Ping ping;
     ping.nonce = 7;
     std::string frame =
@@ -119,7 +117,7 @@ TEST(Fuzz, OversizedLengthStaysInsideTheFramingTaxonomy)
     frame[8] ^= 0x01;
     frame[11] ^= 0x01;
 
-    auto checked = checkFuzzInput(FuzzTarget::Frame, frame, dir.str());
+    auto checked = checkFuzzInput(FuzzTarget::Frame, frame);
     EXPECT_TRUE(checked.ok()) << checked.error().message;
 
     std::size_t consumed = 0;

@@ -71,22 +71,6 @@ TEST(Logging, ParseRejectsUnknownSpellings)
     EXPECT_EQ(out, LogLevel::Debug);
 }
 
-TEST(Logging, VerboseShimMapsOntoLevels)
-{
-    LevelGuard guard;
-    setVerbose(true);
-    EXPECT_EQ(logLevel(), LogLevel::Info);
-    EXPECT_TRUE(verbose());
-    setVerbose(false);
-    EXPECT_EQ(logLevel(), LogLevel::Warn);
-    EXPECT_FALSE(verbose());
-    // Debug is at least as chatty as Info, so verbose() holds there too.
-    setLogLevel(LogLevel::Debug);
-    EXPECT_TRUE(verbose());
-    setLogLevel(LogLevel::Quiet);
-    EXPECT_FALSE(verbose());
-}
-
 /** Captured lines for the sink tests (LogSinkFn is a plain pointer). */
 std::mutex capturedMutex;
 std::vector<std::pair<LogLevel, std::string>> captured;
