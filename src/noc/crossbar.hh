@@ -12,7 +12,8 @@
  * Arbitration is per destination port, round-robin among contending
  * sources, one flit per cycle per port -- a standard iSLIP-lite model,
  * detailed enough to change flit orderings under different warp
- * schedulers (the paper's Figure 21 sensitivity).
+ * schedulers (the paper's Figure 21 sensitivity). Each side has at most
+ * 64 ports, so the contenders for a port are one 64-bit mask.
  */
 
 #ifndef BVF_NOC_CROSSBAR_HH
@@ -46,9 +47,12 @@ class Crossbar
   public:
     using DeliverFn = std::function<void(const Packet &)>;
 
+    /** Ports per side: a port's contenders are one 64-bit mask. */
+    static constexpr int maxPorts = 64;
+
     /**
-     * @param numSms SM-side ports
-     * @param numBanks L2-side ports
+     * @param numSms SM-side ports, at most maxPorts
+     * @param numBanks L2-side ports, at most maxPorts
      * @param sink accounting sink for per-channel flit traffic
      */
     Crossbar(int numSms, int numBanks, sram::AccessSink &sink);
@@ -92,12 +96,18 @@ class Crossbar
     {
         // Per source port: queue of packets awaiting transmission.
         std::vector<std::deque<InFlight>> sourceQueues;
+        // Per destination port: bit s is set while source s's head
+        // packet targets the port.
+        std::vector<std::uint64_t> contenders;
         // Per destination port: round-robin pointer over sources.
         std::vector<int> rrPointer;
         // Packets in sourceQueues. With none, a step sends no flit and
         // moves no rrPointer, so it can be skipped.
         int queued = 0;
     };
+
+    /** Queue @p pkt at source @p src of @p net, bound for port @p dst. */
+    static void enqueue(Network &net, int src, int dst, Packet pkt);
 
     void stepNetwork(Network &net, bool isRequest, std::uint64_t cycle);
 
