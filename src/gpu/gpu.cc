@@ -346,6 +346,7 @@ Gpu::run()
         stats_.sm.readyChecks += s.readyChecks;
         stats_.sm.issueStalls += s.issueStalls;
         stats_.sm.stallReplays += s.stallReplays;
+        stats_.sm.frozenSteps += s.frozenSteps;
     }
     stats_.noc = noc_->stats();
     stats_.dramRowHits = mc_->rowHits();

@@ -42,6 +42,13 @@ class WarpScheduler
 
     /** Notify that @p warp issued (policy bookkeeping). */
     virtual void issued(int warp, std::uint64_t cycle) = 0;
+
+    /**
+     * Does pick() depend only on its arguments and issued() history, so
+     * that it leaves the policy unchanged and repeats its pick while
+     * they do? The SM freezes a stalled retry only under such a policy.
+     */
+    virtual bool repeatablePick() const { return true; }
 };
 
 /** Factory for the configured policy. */
@@ -89,6 +96,9 @@ class TwoLevelScheduler : public WarpScheduler
     int pick(std::uint64_t ready, std::span<const std::uint64_t> lastIssue,
              std::uint64_t cycle) override;
     void issued(int warp, std::uint64_t cycle) override;
+
+    /** No: every pick may rotate the pool and moves rr_. */
+    bool repeatablePick() const override { return false; }
 
   private:
     void refill(std::uint64_t ready);
