@@ -71,9 +71,9 @@ bdiCompress(std::span<const Word> block)
                 res.compressedBytes =
                     1 + 4
                     + static_cast<int>(block.size()) * delta_bytes;
-                res.scheme =
-                    (base == 0 ? "z" : "b") + std::string("4d")
-                    + std::to_string(delta_bytes);
+                // Appended in steps, as in Error::describe.
+                res.scheme = base == 0 ? "z4d" : "b4d";
+                res.scheme += std::to_string(delta_bytes);
                 if (res.compressedBytes < res.originalBytes)
                     return res;
                 res.compressible = false;

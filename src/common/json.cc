@@ -57,7 +57,11 @@ jsonEscape(std::string_view s)
 std::string
 jsonQuote(std::string_view s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    // Appended in steps, as in Error::describe.
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 } // namespace bvf

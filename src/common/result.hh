@@ -69,7 +69,13 @@ struct Error
     std::string
     describe() const
     {
-        return "[" + errorCodeName(code) + "] " + message;
+        // Appended in steps: GCC 12 misreads an inlined `"[" + string`
+        // chain as an overlapping memcpy (-Wrestrict).
+        std::string out = "[";
+        out += errorCodeName(code);
+        out += "] ";
+        out += message;
+        return out;
     }
 };
 

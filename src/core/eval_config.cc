@@ -94,17 +94,26 @@ parseEvalFlag(cli::ArgStream &args, const std::string &flag,
 std::string
 evalUsage(std::string_view indent)
 {
-    auto choice = [](std::string_view flag, const auto &table) {
-        return "[" + std::string(flag) + " " + spellingList(table, "|")
-               + "]";
+    // Appended in steps, as in Error::describe.
+    std::string out;
+    auto choice = [&out](std::string_view flag, const auto &table,
+                         std::string_view then) {
+        out += "[";
+        out += flag;
+        out += " ";
+        out += spellingList(table, "|");
+        out += "]";
+        out += then;
     };
-    const std::string nl = "\n" + std::string(indent);
-    return choice("--node", kNodeSpellings) + " "
-           + choice("--pstate", kPStateSpellings) + " "
-           + choice("--sched", kSchedSpellings) + nl
-           + choice("--cell", kCellSpellings) + " "
-           + choice("--arch", kArchSpellings) + nl
-           + "[--pivot N] [--dynamic-isa] [--ecc] [--cells-bitline N]";
+    std::string nl = "\n";
+    nl += indent;
+    choice("--node", kNodeSpellings, " ");
+    choice("--pstate", kPStateSpellings, " ");
+    choice("--sched", kSchedSpellings, nl);
+    choice("--cell", kCellSpellings, " ");
+    choice("--arch", kArchSpellings, nl);
+    out += "[--pivot N] [--dynamic-isa] [--ecc] [--cells-bitline N]";
+    return out;
 }
 
 } // namespace bvf::core

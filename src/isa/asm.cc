@@ -620,8 +620,11 @@ class Assembler
         }
         instr.op = op;
         if (!suffix.empty() && operandForm(op) != OperandForm::Compare) {
-            fail(line.number,
-                 "'" + opcodeName(op) + "' takes no suffix");
+            // Appended in steps, as in Error::describe.
+            std::string what = "'";
+            what += opcodeName(op);
+            what += "' takes no suffix";
+            fail(line.number, what);
             return;
         }
 

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/interpreter.hh"
@@ -543,30 +544,23 @@ class SoundnessProbe : public gpu::ExecProbe
                     continue;
                 const Word v = warp.reg(lane, r);
                 if (!fact.kb().contains(v))
-                    report(pc, "r" + std::to_string(r) + " lane "
-                                   + std::to_string(lane) + " value "
-                                   + std::to_string(v) + " escapes "
-                                   + fact.kb().toString());
+                    report(pc, laneEscape(r, lane, v, fact.kb().toString()));
                 if (!fact.si().contains(v))
-                    report(pc, "r" + std::to_string(r) + " lane "
-                                   + std::to_string(lane) + " value "
-                                   + std::to_string(v) + " escapes "
-                                   + fact.si().toString());
+                    report(pc, laneEscape(r, lane, v, fact.si().toString()));
             }
             // The lane-affine component speaks about the whole 32-lane
             // vector and is only claimed outside divergent regions.
             if (!analysis_.divergentRegion[idx] && fact.affine().known
                 && !fact.affine().contains(warp.regBlock(r).data()))
-                report(pc, "r" + std::to_string(r) + " vector escapes "
-                               + fact.affine().toString());
+                report(pc, describe('r', r, " vector escapes ",
+                                    fact.affine().toString()));
             // regAnywhere must cover the values independent of pc.
             const analysis::KnownBits &any =
                 analysis_.regAnywhere[static_cast<std::size_t>(r)];
             for (int lane = 0; lane < gpu::warpSize; ++lane)
                 if (!any.contains(warp.reg(lane, r)))
-                    report(pc, "r" + std::to_string(r)
-                                   + " escapes regAnywhere "
-                                   + any.toString());
+                    report(pc, describe('r', r, " escapes regAnywhere ",
+                                        any.toString()));
         }
 
         // Outside every divergent region the warp must be whole: the
@@ -584,11 +578,9 @@ class SoundnessProbe : public gpu::ExecProbe
                     continue;
                 const bool v = warp.predicate(lane, p);
                 if (fact.value == analysis::Bool3::True && !v)
-                    report(pc, "p" + std::to_string(p)
-                                   + " false despite proven true");
+                    report(pc, describe('p', p, " false despite proven true"));
                 if (fact.value == analysis::Bool3::False && v)
-                    report(pc, "p" + std::to_string(p)
-                                   + " true despite proven false");
+                    report(pc, describe('p', p, " true despite proven false"));
             }
             if (fact.uni == analysis::Uniformity::Uniform
                 && active == gpu::fullMask) {
@@ -597,8 +589,8 @@ class SoundnessProbe : public gpu::ExecProbe
                     (warp.predicate(lane, p) ? any_true : any_false) =
                         true;
                 if (any_true && any_false)
-                    report(pc, "p" + std::to_string(p)
-                                   + " diverges despite proven uniform");
+                    report(pc, describe('p', p,
+                                        " diverges despite proven uniform"));
             }
         }
     }
@@ -606,6 +598,34 @@ class SoundnessProbe : public gpu::ExecProbe
     const std::vector<std::string> &violations() const { return bad_; }
 
   private:
+    /**
+     * @p kind, @p index, @p how, @p tail: "r3 escapes regAnywhere ...".
+     * Appended in steps: GCC 12 misreads an inlined `"r" + string` chain
+     * as an overlapping memcpy (-Wrestrict).
+     */
+    static std::string
+    describe(char kind, int index, std::string_view how,
+             std::string_view tail = {})
+    {
+        std::string out(1, kind);
+        out += std::to_string(index);
+        out += how;
+        out += tail;
+        return out;
+    }
+
+    /** "rR lane L value V escapes DOMAIN". */
+    static std::string
+    laneEscape(int r, int lane, Word v, const std::string &domain)
+    {
+        std::string how = " lane ";
+        how += std::to_string(lane);
+        how += " value ";
+        how += std::to_string(v);
+        how += " escapes ";
+        return describe('r', r, how, domain);
+    }
+
     void
     report(int pc, std::string what)
     {
