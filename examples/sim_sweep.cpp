@@ -42,7 +42,9 @@
  *                      (default: all)
  *   --corpus DIR       replay every DIR/<target> input before fuzzing
  *   --write-corpus DIR write each target's seed inputs there and exit
- *   --verbose          per-seed / per-target progress lines
+ *   --verbose          per-seed / per-target progress lines, and a
+ *                      line per salvaged journal (otherwise counted
+ *                      in the summary)
  *
  * Exit: 0 all green; 1 a scenario violated the contract or a fuzz
  * invariant broke (the failing seed/input is printed); 2 usage.
@@ -239,6 +241,7 @@ runSweep(const Options &o)
 {
     std::uint64_t identical = 0;
     std::uint64_t withFailures = 0;
+    std::uint64_t salvaged = 0;
     for (std::uint64_t i = 0; i < o.seeds; ++i) {
         const std::uint64_t seed = o.simSeed + i;
         sim::ScenarioOptions so;
@@ -265,7 +268,10 @@ runSweep(const Options &o)
         }
         identical += r.identical ? 1 : 0;
         withFailures += r.cleanFailure ? 1 : 0;
+        salvaged += r.salvaged.size();
         if (o.verbose) {
+            for (const std::string &note : r.salvaged)
+                warn("%s", note.c_str());
             std::printf("seed %-8llu ok  phases=%d kills=%d ops=%llu%s\n",
                         static_cast<unsigned long long>(seed),
                         r.phases, r.kills,
@@ -275,9 +281,16 @@ runSweep(const Options &o)
     }
     std::printf("bvf_simsweep: %llu scenario(s) green, all "
                 "byte-identical (%llu needed resume after clean "
-                "failures)\n",
+                "failures)",
                 static_cast<unsigned long long>(identical),
                 static_cast<unsigned long long>(withFailures));
+    // Under --verbose each salvage has its line above, and stdout keeps
+    // its old form.
+    if (!o.verbose && salvaged > 0) {
+        std::printf(", %llu salvaged journal(s) (--verbose lists them)",
+                    static_cast<unsigned long long>(salvaged));
+    }
+    std::printf("\n");
     return 0;
 }
 

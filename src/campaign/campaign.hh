@@ -81,6 +81,13 @@ struct CampaignOptions
 
     /** Pricing every application's energies are evaluated under. */
     core::Pricing pricing;
+
+    /**
+     * Told "journal 'PATH': WHAT" when a resume loads a journal by
+     * salvaging its intact records and dropping a damaged tail. Unset,
+     * the note is a warn() line.
+     */
+    std::function<void(const std::string &note)> onSalvage;
 };
 
 /** Campaign outcome: per-app results plus bookkeeping counters. */

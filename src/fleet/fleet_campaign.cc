@@ -32,6 +32,7 @@ FleetCampaign::campaignOptions() const
     serial.jobs = options_.jobs;
     serial.run = options_.config.runOptions();
     serial.pricing = options_.config.pricing();
+    serial.onSalvage = options_.onSalvage;
     return serial;
 }
 

@@ -28,6 +28,7 @@
 #ifndef BVF_FLEET_FLEET_CAMPAIGN_HH
 #define BVF_FLEET_FLEET_CAMPAIGN_HH
 
+#include <functional>
 #include <span>
 #include <string>
 
@@ -64,6 +65,9 @@ struct FleetCampaignOptions
 
     /** The config every app is requested and digested under. */
     core::EvalConfig config;
+
+    /** As campaign::CampaignOptions::onSalvage. */
+    std::function<void(const std::string &note)> onSalvage;
 };
 
 /** Everything a finished fleet campaign hands back. */

@@ -355,6 +355,9 @@ runScenario(const ScenarioOptions &options)
         fco.journalPath = journalPath;
         fco.resume = p > 0;
         fco.reportPath = runDir + "/report.txt";
+        fco.onSalvage = [&result](const std::string &note) {
+            result.salvaged.push_back(note);
+        };
         fleet::FleetCampaign fc(coord, fco);
         auto out = fc.run(apps);
         ++result.phases;

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.hh"
 
@@ -59,6 +60,8 @@ struct ScenarioResult
     int phases = 0;           //!< campaign attempts made
     int kills = 0;            //!< worker crashes injected
     std::uint64_t transportOps = 0;
+    /** One note per phase that resumed a salvaged journal. */
+    std::vector<std::string> salvaged;
 };
 
 /**

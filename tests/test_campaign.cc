@@ -567,6 +567,42 @@ TEST(CampaignLoop, JournalCutAtEveryOffsetResumesOrRefusesCleanly)
     EXPECT_GT(resumedSome, 0);
 }
 
+TEST(CampaignLoop, SalvageNoteReachesTheCaller)
+{
+    TempDir dir;
+    const auto apps = stubApps({"AAA", "BBB"});
+    core::ExperimentDriver driver(gpu::baselineConfig());
+    CampaignOptions opts;
+    opts.journalPath = dir.path("full.journal");
+    ASSERT_TRUE(CampaignRunner(driver, opts).run(apps, stubStep).ok());
+    const auto bytes = readFileBytes(opts.journalPath);
+    ASSERT_TRUE(bytes.ok());
+
+    // A torn tail: the last record loses its final byte.
+    opts.journalPath = dir.path("torn.journal");
+    opts.resume = true;
+    ASSERT_TRUE(atomicWriteFile(opts.journalPath,
+                                bytes.value().substr(
+                                    0, bytes.value().size() - 1))
+                    .ok());
+    std::vector<std::string> notes;
+    opts.onSalvage = [&notes](const std::string &note) {
+        notes.push_back(note);
+    };
+    const auto resumed = CampaignRunner(driver, opts).run(apps, stubStep);
+    ASSERT_TRUE(resumed.ok()) << resumed.error().describe();
+    EXPECT_EQ(resumed.value().resumed, 1);
+    ASSERT_EQ(notes.size(), 1u);
+    EXPECT_EQ(notes[0].rfind("journal '" + opts.journalPath + "': ", 0),
+              0u)
+        << notes[0];
+
+    // The resume rewrote a whole journal: nothing left to salvage.
+    notes.clear();
+    ASSERT_TRUE(CampaignRunner(driver, opts).run(apps, stubStep).ok());
+    EXPECT_TRUE(notes.empty());
+}
+
 TEST(CampaignLoop, StepErrorEndsTheCampaignAfterAppOne)
 {
     const auto apps = stubApps({"AAA", "BBB", "CCC"});
