@@ -4,8 +4,11 @@
 # Runs one parent and one change process per seed, alternating which
 # of the two goes first, then prints, per end-to-end metric, each
 # side's median and quartiles and how many pairs the change won (ties
-# count for neither). Exits non-zero if any run fails or reports
-# "correct": false.
+# count for neither). The same rows follow for the raw times of each
+# run's `detail` line (wall_raw_s, setup_raw_s and the HostScale
+# reference_ms the scaled times are divided by), so a scaled change
+# that only the reference moved shows beside the raw one. Exits
+# non-zero if any run fails or reports "correct": false.
 #
 # Usage:
 #   scripts/bench_pairs.sh [--seconds S] [--out FILE] \
@@ -15,7 +18,7 @@
 # bench/pipeline/pins.txt. The end-to-end metrics and which direction
 # is better come from CHANGE_ROOT/BENCHMARK.json. --seconds is the run
 # length of every run (default 35, the benchmark's); --out keeps the
-# raw result lines (JSON, one per run).
+# raw result and detail lines (JSON, one per run).
 #
 # Example, with each checkout's binary built by bench/pipeline/run.sh:
 #   scripts/bench_pairs.sh ../parent/.bench_build/pipeline/bench_pipeline \
@@ -50,21 +53,25 @@ trap 'rm -rf "$tmp"' EXIT
 runs=${out:-$tmp/runs.jsonl}
 : >"$runs"
 
-# run_one SIDE SEED: one process; appends {"side", "seed", "result"}.
+# run_one SIDE SEED: one process; appends {"side", "seed", "status",
+# "detail", "result"}.
 run_one() {
-    local side=$1 seed=$2 bin root result status=0
+    local side=$1 seed=$2 bin root out detail result status=0
     if [[ $side == parent ]]; then bin=$parent_bin root=$parent_root
     else bin=$change_bin root=$change_root; fi
     echo "== $side $workload seed $seed" >&2
     mkdir -p "$tmp/$side"
-    result=$(cd "$root" && "$bin" --workload "$workload" --seed "$seed" \
+    out=$(cd "$root" && "$bin" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 --pins bench/pipeline/pins.txt \
-        --tmp "$tmp/$side" | tail -n 1) || status=$?
+        --tmp "$tmp/$side") || status=$?
+    detail=$(grep '^detail ' <<<"$out" | tail -n 1 | cut -c8-) || true
+    result=$(tail -n 1 <<<"$out")
     if [[ $status -ne 0 || $result != \{* ]]; then
         result='{"correct": false, "attempted": 1, "failed": 1, "metrics": {}}'
     fi
-    printf '{"side": "%s", "seed": %d, "status": %d, "result": %s}\n' \
-        "$side" "$seed" "$status" "$result" >>"$runs"
+    [[ $detail == \{* ]] || detail=null
+    printf '{"side": "%s", "seed": %d, "status": %d, "detail": %s, "result": %s}\n' \
+        "$side" "$seed" "$status" "$detail" "$result" >>"$runs"
 }
 
 i=0
@@ -99,9 +106,9 @@ def quartiles(values):
 
 by_seed = {}
 for r in runs:
-    by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
+    by_seed.setdefault(r["seed"], {})[r["side"]] = r
 pairs = [p for p in by_seed.values() if len(p) == 2
-         and all(side["correct"] for side in p.values())]
+         and all(side["result"]["correct"] for side in p.values())]
 
 for side in ("parent", "change"):
     attempted = sum(r["result"]["attempted"] for r in runs
@@ -110,14 +117,10 @@ for side in ("parent", "change"):
     print(f"{workload} {side} failed {failed} of {attempted}")
 
 print(f"{workload}: {len(pairs)} pairs")
-for m in metrics:
-    name, unit, lower = m["name"], m["unit"], m["better"] == "lower"
-    vals = {side: [p[side]["metrics"][name]["value"] for p in pairs
-                   if name in p[side]["metrics"]]
-            for side in ("parent", "change")}
-    if not vals["parent"] or len(vals["parent"]) != len(vals["change"]):
-        print(f"{workload} {name}: missing from some runs")
-        continue
+
+
+def compare(label, unit, lower, vals):
+    """One row: each side's median and quartiles, and the change's wins."""
     wins = sum((c < p) if lower else (c > p)
                for p, c in zip(vals["parent"], vals["change"]))
     row = []
@@ -129,8 +132,31 @@ for m in metrics:
     cm = statistics.median(vals["change"])
     delta = (cm - pm) / pm if pm else 0.0
     q1, q3 = quartiles(vals["parent"])
-    print(f"{workload} {name} {unit}: {row[0]}; {row[1]}; "
-          f"change {delta:+.1%}, wins {wins}/{len(pairs)}, "
+    print(f"{workload} {label} {unit}: {row[0]}; {row[1]}; "
+          f"change {delta:+.1%}, wins {wins}/{len(vals['parent'])}, "
           f"parent IQR {q3 - q1:.6g}")
+
+
+def series(section, name):
+    """Each side's values of @name from every pair's @section line."""
+    return {side: [p[side][section]["metrics"][name]["value"]
+                   for p in pairs if p[side].get(section)
+                   and name in p[side][section]["metrics"]]
+            for side in ("parent", "change")}
+
+
+# The end-to-end metrics, then the raw times behind the scaled ones.
+rows = [("result", m["name"], m["unit"], m["better"] == "lower")
+        for m in metrics]
+rows += [("detail", "wall_raw_s", "s", True),
+         ("detail", "setup_raw_s", "s", True),
+         ("detail", "reference_ms", "ms", True)]
+for section, name, unit, lower in rows:
+    vals = series(section, name)
+    if not vals["parent"] or len(vals["parent"]) != len(pairs) \
+            or len(vals["change"]) != len(pairs):
+        print(f"{workload} {name}: missing from some runs")
+        continue
+    compare(name, unit, lower, vals)
 sys.exit(1 if bad else 0)
 EOF
