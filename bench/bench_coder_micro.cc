@@ -13,7 +13,8 @@
  * counting kernel, so one run prints them side by side; a kernel the
  * host lacks reports an error naming the missing features. The last
  * benchmark times admission's abstract-interpreter fixpoint
- * (analyzeProgram) on three suite kernels.
+ * (analyzeProgram) on three suite kernels; BM_Crc32 the checksum that
+ * guards every frame, bytecode image and journal record.
  */
 
 #include <benchmark/benchmark.h>
@@ -28,6 +29,7 @@
 #include "coder/isa_coder.hh"
 #include "coder/nv_coder.hh"
 #include "coder/vs_coder.hh"
+#include "common/crc32.hh"
 #include "common/rng.hh"
 #include "core/accountant.hh"
 #include "core/accountant_kernel.hh"
@@ -149,6 +151,22 @@ BM_SecdedEncode(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_SecdedEncode);
+
+/**
+ * CRC-32 of one buffer per iteration: a frame header (64 B), a small
+ * kernel image (4 KiB) and a bulk bytecode or journal stream (1 MiB).
+ */
+void
+BM_Crc32(benchmark::State &state)
+{
+    const auto bytes = static_cast<std::size_t>(state.range(0));
+    const std::vector<Word> block = randomBlock((bytes + 3) / 4, 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(block.data(), bytes));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations())
+                            * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(1 << 20);
 
 /**
  * Switch @p acc to the kernel benchmark argument @p arg indexes, or

@@ -24,26 +24,14 @@ ContractProbe::onIssue(int smId, int pc, const isa::Instruction &instr,
              static_cast<std::uint32_t>(warp.blockId()))
          << 32)
         | static_cast<std::uint32_t>(warp.warpIdInBlock());
-    WarpTally &tally = tallies_[key];
-
-    // A memory instruction that stalls structurally re-fires the probe
-    // on its retry; two consecutive probe firings from one warp at one
-    // memory pc are the same architectural issue (a genuine loop
-    // revisit always issues the backward branch in between).
-    const bool retry =
-        isa::isMemoryOp(instr.op) && tally.lastPc == pc;
-    tally.lastPc = pc;
-    if (retry)
-        return;
-
-    ++tally.issued;
-    if (tally.issued > maxIssued_)
-        maxIssued_ = tally.issued;
-    fatal_if(tally.issued > cert_.warpTripBound,
+    const std::uint64_t issued = ++issued_[key];
+    if (issued > maxIssued_)
+        maxIssued_ = issued;
+    fatal_if(issued > cert_.warpTripBound,
              "verifier contract violated: warp %d of block %d issued "
              "%llu instructions, certificate bound %llu (pc %d)",
              warp.warpIdInBlock(), warp.blockId(),
-             static_cast<unsigned long long>(tally.issued),
+             static_cast<unsigned long long>(issued),
              static_cast<unsigned long long>(cert_.warpTripBound), pc);
 
     if (!isa::isMemoryOp(instr.op) || guard == 0)

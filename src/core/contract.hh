@@ -6,11 +6,16 @@
  * carries a Certificate: a proven per-warp instruction-issue bound and
  * per-space memory footprints. The ContractProbe hangs off the SM's
  * ExecProbe hook and checks every issued instruction against that
- * certificate while the kernel runs. A violation is by definition a
- * verifier soundness bug -- the verifier claimed a bound the machine
- * exceeded -- so the probe aborts loudly via fatal() instead of
- * tolerating it; runProgramChecked turns that into a structured error
- * without killing a serving process.
+ * certificate while the kernel runs. The hook fires once per
+ * architectural issue, before the instruction executes: a load that
+ * stalls on a full MSHR file is seen on its first attempt only. Its
+ * retries do not reach the probe, and an SM that only replays them
+ * freezes as it would unprobed (DESIGN.md §3), so a probed run steps
+ * exactly as an unprobed one. A violation is by definition a verifier
+ * soundness bug -- the verifier claimed a bound the machine exceeded --
+ * so the probe aborts loudly via fatal() instead of tolerating it;
+ * runProgramChecked turns that into a structured error without killing
+ * a serving process.
  */
 
 #ifndef BVF_CORE_CONTRACT_HH
@@ -47,14 +52,8 @@ class ContractProbe : public gpu::ExecProbe
     const analysis::Certificate &certificate() const { return cert_; }
 
   private:
-    struct WarpTally
-    {
-        std::uint64_t issued = 0;
-        int lastPc = -1; //!< stall-retry dedup for memory instructions
-    };
-
     analysis::Certificate cert_;
-    std::unordered_map<std::uint64_t, WarpTally> tallies_;
+    std::unordered_map<std::uint64_t, std::uint64_t> issued_; //!< per warp
     std::uint64_t maxIssued_ = 0;
     std::uint64_t checkedAccesses_ = 0;
 };

@@ -302,11 +302,11 @@ Sm::wake(int slot)
 void
 Sm::freezeOnStall(int slot)
 {
-    // The next step picks the same slot (the ready set, the issue
-    // history and, without a probe, nothing else it reads has changed)
+    // The next step picks the same slot (the ready set and the issue
+    // history have not changed), fires no probe (the slot is retrying)
     // and replays while the plan is current. Only a wake, a data fill or
     // a due local fill changes anything it reads.
-    if (!scheduler_->repeatablePick() || probe_ || stalled_.slot != slot
+    if (!scheduler_->repeatablePick() || stalled_.slot != slot
         || stalled_.plan.epoch() != l1d_.epoch()) {
         return;
     }
@@ -320,8 +320,8 @@ void
 Sm::checkFrozen(std::uint64_t cycle) const
 {
     checkSkippedWarps(cycle);
-    panic_if(probe_ || !scheduler_->repeatablePick(),
-             "SM %d: frozen with a probe or an unrepeatable pick", smId_);
+    panic_if(!scheduler_->repeatablePick(),
+             "SM %d: frozen with an unrepeatable pick", smId_);
     panic_if(cycle >= nextWake_, "SM %d at cycle %llu: frozen past a wake",
              smId_, static_cast<unsigned long long>(cycle));
     for (const LocalFill &fill : localFills_) {
@@ -336,6 +336,10 @@ Sm::checkFrozen(std::uint64_t cycle) const
              "SM %d at cycle %llu: frozen on slot %d, the scheduler picks %d",
              smId_, static_cast<unsigned long long>(cycle), stalled_.slot,
              slot);
+    panic_if(!((retryMask_ >> slot) & 1u),
+             "SM %d slot %d at cycle %llu: frozen on a first attempt, which "
+             "fires the probe",
+             smId_, slot, static_cast<unsigned long long>(cycle));
     const Warp &warp = warps_[static_cast<std::size_t>(slot)];
     const Instruction &instr =
         program_.body[static_cast<std::size_t>(warp.pc())];
@@ -492,17 +496,23 @@ Sm::issueWarp(int slot, std::uint64_t cycle)
     const Instruction &instr = program_.body[static_cast<std::size_t>(pc)];
     const std::uint32_t guard = warp.guardMask(instr);
 
-    if (probe_)
+    // Before execution: the probe sees the pc and the address
+    // registers the instruction reads.
+    const std::uint64_t bit = std::uint64_t(1) << slot;
+    if (probe_ && !(retryMask_ & bit))
         probe_->onIssue(smId_, pc, instr, warp, guard, cycle);
 
     // Memory instructions can stall structurally; bail before any
     // architectural effect or accounting.
     if (isa::isMemoryOp(instr.op)) {
-        if (guard != 0 && !executeMemory(slot, instr, guard, cycle))
+        if (guard != 0 && !executeMemory(slot, instr, guard, cycle)) {
+            retryMask_ |= bit;
             return false;
+        }
         if (guard == 0)
             warp.advancePc();
     }
+    retryMask_ &= ~bit;
 
     // Every issued instruction consumes an IFB read slot.
     const Word64 bin = chip_.instrBinary(pc);

@@ -61,12 +61,15 @@ class ChipInterface
 };
 
 /**
- * Validation hook observing every instruction the SM tries to issue,
- * with the issuing warp's full architectural state. Used by the static
- * analyzer's soundness tests to compare abstract facts against every
- * concrete lane value at the matching pc. A memory instruction that
- * stalls structurally re-fires the probe on its retry; observers state
- * facts about the pre-issue state, which the stall does not change.
+ * Validation hook observing every instruction the SM issues, with the
+ * issuing warp's full architectural state, before the instruction
+ * executes. Used by the static analyzer's soundness tests to compare
+ * abstract facts against every concrete lane value at the matching pc,
+ * and by the certificate probe (core/contract.hh). It fires once per
+ * architectural issue: a memory instruction that stalls structurally
+ * fires it on its first attempt only, not on the retries that follow,
+ * so an SM whose every step only replays such a retry may freeze under
+ * a probe as without one (DESIGN.md §3).
  *
  * The register file a probe sees is the microarchitectural one: a load
  * that is still in flight has not yet written its destination, so that
@@ -179,12 +182,7 @@ class Sm
     int smId() const { return smId_; }
 
     /** Install (or clear, with nullptr) the issue-observation probe. */
-    void
-    setExecProbe(ExecProbe *probe)
-    {
-        probe_ = probe;
-        frozenUntil_ = 0; // a probe sees every retry
-    }
+    void setExecProbe(ExecProbe *probe) { probe_ = probe; }
 
     /**
      * Run the dispatch loop specialized for programs whose admission
@@ -267,7 +265,10 @@ class Sm
     /** @c cycle once the IFB holds the warp's pc; may fetch from L1I. */
     std::uint64_t fetchReadyAt(int slot, std::uint64_t cycle);
 
-    /** Issue from @p slot; false on a structural (MSHR-full) stall. */
+    /**
+     * Issue from @p slot; false on a structural (MSHR-full) stall. Fires
+     * the probe first unless the slot is retrying such a stall.
+     */
     bool issueWarp(int slot, std::uint64_t cycle);
 
     /** Re-evaluate @p slot at the next step: its state has changed. */
@@ -374,6 +375,9 @@ class Sm
     // next evaluated at wakeCycle_[s], and nextWake_ is the least of
     // those, so a step with nothing due evaluates no warp.
     std::uint64_t readyMask_ = 0;
+    // Bit s is set while slot s retries a structurally stalled issue,
+    // whose first attempt already fired the probe.
+    std::uint64_t retryMask_ = 0;
     std::vector<std::uint64_t> wakeCycle_;
     std::uint64_t nextWake_ = 0;
     std::vector<std::uint64_t> lastIssue_; //!< per slot, for GTO

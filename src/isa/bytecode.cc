@@ -358,8 +358,10 @@ decodeProgram(std::string_view bytes)
     // Strictness backstop: the only accepted inputs are exactly the
     // encoder's outputs, so decode-then-reencode is byte-identical by
     // construction (non-canonical image chunking, stray name bytes and
-    // the like all land here).
-    if (encodeProgram(decoded.value()) != bytes) {
+    // the like all land here). Every header field and the CRC were
+    // checked against the encoder's above, so re-encoding the payload
+    // alone decides it.
+    if (encodePayload(decoded.value()) != payload) {
         return Error{ErrorCode::Corrupt,
                      "bytecode: non-canonical encoding"};
     }

@@ -5,12 +5,13 @@
  * A hashing AccessSink folds every onAccess, onFetch and onNocPacket,
  * in call order, into one digest and into one sub-digest per unit
  * (NoC packets go to the Noc unit). A run's GpuStats fields and its
- * issue-attempt count fold into a stats sub-digest, which closes the
- * digest. Every entry runs twice: with an ExecProbe, whose onIssue
- * calls are the attempts and under which no SM freezes, and without,
- * where a stalled SM may freeze (DESIGN.md §3) and the attempts are
- * issued + issueStalls. Both runs must match the entry's pin. Two-level
- * entries run only without a probe: under that scheduler no SM freezes.
+ * issue-attempt count, issued + issueStalls, fold into a stats
+ * sub-digest, which closes the digest. Every entry runs twice, with an
+ * ExecProbe and without, and both runs must match the entry's pin. The
+ * probe fires once per issued instruction, never on an MSHR-full retry,
+ * and a stalled SM freezes (DESIGN.md §3) under it as without it. The
+ * two-level entries run only without a probe: under that scheduler no
+ * SM freezes, so they are the unfrozen-replay control.
  * tests/gpu_pins.hh pins the parts of every entry:
  *
  *   - the 58 suite apps at the default configuration (GTO);
@@ -150,14 +151,15 @@ class CountingProbe : public ExecProbe
     std::uint64_t calls = 0;
 };
 
-/** One traced run: its digest and its statistics. */
+/** One traced run: its digest, its statistics and its probe calls. */
 struct TraceRun
 {
     TraceDigest digest;
     GpuStats stats;
+    std::uint64_t probeCalls = 0;
 };
 
-/** With @p probed, an ExecProbe counts the issue attempts. */
+/** With @p probed, an ExecProbe counts its calls. */
 TraceRun
 traceRun(const GpuConfig &config, isa::Program program, bool probed)
 {
@@ -168,10 +170,10 @@ traceRun(const GpuConfig &config, isa::Program program, bool probed)
     if (probed)
         gpu.setExecProbe(&probe);
     run.stats = gpu.run();
+    run.probeCalls = probe.calls;
 
     const GpuStats &s = run.stats;
-    const std::uint64_t attempts =
-        probed ? probe.calls : s.sm.issued + s.sm.issueStalls;
+    const std::uint64_t attempts = s.sm.issued + s.sm.issueStalls;
     std::uint64_t &h = run.digest.parts[statsPart];
     for (std::uint64_t v :
          {s.cycles, s.sm.issued, s.sm.fpOps, s.sm.intOps, s.sm.loads,
@@ -193,6 +195,8 @@ foldRun(TraceRun &into, const TraceRun &run)
     fold(into.digest.digest, run.digest.digest);
     for (std::size_t p = 0; p < tests::tracePinParts; ++p)
         fold(into.digest.parts[p], run.digest.parts[p]);
+    into.stats.sm.issued += run.stats.sm.issued;
+    into.probeCalls += run.probeCalls;
     into.stats.sm.issueStalls += run.stats.sm.issueStalls;
     into.stats.sm.readyChecks += run.stats.sm.readyChecks;
     into.stats.sm.stallReplays += run.stats.sm.stallReplays;
@@ -441,7 +445,8 @@ expectMatchesPin(const std::string &name, const TraceRun &run)
 
 /**
  * Check both runs of an entry against its pin; returns the unprobed
- * one. Under a probe no SM freezes, and both runs do the same work.
+ * one. The probe sees each issued instruction once, and both runs do
+ * the same work, frozen steps included.
  */
 TraceRun
 expectBothMatchPin(const std::string &name,
@@ -449,14 +454,16 @@ expectBothMatchPin(const std::string &name,
 {
     const TraceRun probed = run(true);
     expectMatchesPin(name, probed);
-    EXPECT_EQ(probed.stats.sm.frozenSteps, 0u)
-        << name << ": an SM froze under a probe";
+    EXPECT_EQ(probed.probeCalls, probed.stats.sm.issued)
+        << name << ": the probe missed an issue or saw a retry";
     const TraceRun unprobed = run(false);
     expectMatchesPin(name, unprobed);
     EXPECT_EQ(unprobed.stats.sm.readyChecks, probed.stats.sm.readyChecks)
-        << name << ": freezing changed the readiness evaluations";
+        << name << ": the probe changed the readiness evaluations";
     EXPECT_EQ(unprobed.stats.sm.stallReplays, probed.stats.sm.stallReplays)
-        << name << ": freezing changed the replays";
+        << name << ": the probe changed the replays";
+    EXPECT_EQ(unprobed.stats.sm.frozenSteps, probed.stats.sm.frozenSteps)
+        << name << ": the probe changed the frozen steps";
     return unprobed;
 }
 
@@ -544,8 +551,8 @@ TEST_P(GpuTraceSched, MatchesItsParentDigest)
         });
         return;
     }
-    // Two-level's pick rotates its pool, so no SM may freeze, and a
-    // probed run would repeat this one.
+    // Two-level's pick rotates its pool, so no SM may freeze: every
+    // retry is replayed by a full step, the control for the frozen ones.
     const TraceRun run = appRun(e.abbr, e.policy, false);
     expectMatchesPin(name, run);
     EXPECT_EQ(run.stats.sm.frozenSteps, 0u) << name;
