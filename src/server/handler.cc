@@ -9,8 +9,6 @@
 #include <tuple>
 #include <type_traits>
 
-#include "analysis/advisor.hh"
-#include "analysis/interpreter.hh"
 #include "coder/bvf_space.hh"
 #include "coder/isa_coder.hh"
 #include "coder/nv_coder.hh"
@@ -19,9 +17,9 @@
 #include "common/logging.hh"
 #include "core/contract.hh"
 #include "core/experiment.hh"
-#include "core/static_check.hh"
 #include "isa/encoding.hh"
-#include "workload/kernel_builder.hh"
+#include "server/static_answers.hh"
+#include "workload/app_spec.hh"
 
 namespace bvf::server
 {
@@ -45,12 +43,6 @@ guarded(Fn &&body)
     } catch (const std::exception &e) {
         return errorFrame(Error{ErrorCode::Failed, e.what()});
     }
-}
-
-StaticQueryResponse::Bound
-wireBound(const analysis::DensityBound &b)
-{
-    return {b.lo, b.hi, static_cast<std::uint8_t>(b.any ? 1 : 0)};
 }
 
 // --- One respond() per request struct -----------------------------------
@@ -171,75 +163,13 @@ respond(const ChipEnergyRequest &req, KernelStore &)
 Result<StaticQueryResponse>
 respond(const StaticQueryRequest &req, KernelStore &)
 {
-    const workload::AppSpec &spec = workload::findApp(req.query.abbr);
-    const core::EvalConfig eval = evalConfigOf(req);
-    const gpu::GpuConfig config = eval.machine();
-    const isa::Program program = workload::buildProgram(spec);
-
-    const Word64 isaMask =
-        eval.dynamicIsa ? isa::kernelPreferenceMask(config.arch, program.body)
-                        : 0;
-    const core::StaticReport report =
-        core::analyzeStatic(program, config, isaMask, eval.pivot);
-
-    StaticQueryResponse resp;
-    resp.bestStatic = static_cast<std::uint8_t>(
-        coder::scenarioIndex(report.prediction.bestStatic));
-    for (const auto &[unit, bounds] : report.prediction.units) {
-        StaticQueryResponse::Unit u;
-        u.unit = static_cast<std::uint8_t>(unit);
-        for (std::size_t i = 0; i < kScenarioSlots; ++i)
-            u.bounds[i] = wireBound(bounds[i]);
-        resp.units.push_back(u);
-    }
-    for (std::size_t i = 0; i < kScenarioSlots; ++i)
-        resp.noc[i] = wireBound(report.prediction.noc[i]);
-    return resp;
+    return staticQuery(req.query);
 }
 
 Result<StaticAdviceResponse>
 respond(const StaticAdviceRequest &req, KernelStore &)
 {
-    const workload::AppSpec &spec = workload::findApp(req.query.abbr);
-    const gpu::GpuConfig config = evalConfigOf(req).machine();
-    const isa::Program program = workload::buildProgram(spec);
-
-    analysis::AdvisorOptions opts;
-    opts.arch = config.arch;
-    opts.lineBytes = config.lineBytes;
-    const analysis::StaticAdvice advice = analysis::adviseProgram(
-        program, analysis::analyzeProgram(program), opts);
-
-    StaticAdviceResponse resp;
-    resp.bestPivot = static_cast<std::uint8_t>(advice.pivot.bestPivot);
-    resp.provenSlack = advice.pivot.provenSlack;
-    resp.affineSources =
-        static_cast<std::uint32_t>(advice.pivot.affineSources);
-    resp.totalSources = static_cast<std::uint32_t>(advice.pivot.totalSources);
-    for (std::size_t p = 0; p < 32; ++p) {
-        resp.pivotBounds[p] = wireBound(advice.pivot.bounds[p]);
-        resp.pivotScores[p] = advice.pivot.score[p];
-    }
-    resp.defaultMask = advice.isa.defaultMask;
-    resp.specializedMask = advice.isa.specializedMask;
-    const auto any =
-        static_cast<std::uint8_t>(advice.isa.anyInstruction ? 1 : 0);
-    resp.defaultDensity = {advice.isa.defaultDensity.lo,
-                           advice.isa.defaultDensity.hi, any};
-    resp.specializedDensity = {advice.isa.specializedDensity.lo,
-                               advice.isa.specializedDensity.hi, any};
-    resp.bestScenario =
-        static_cast<std::uint8_t>(coder::scenarioIndex(advice.bestScenario));
-    for (const analysis::UnitPick &pick : advice.unitPicks) {
-        StaticAdviceResponse::UnitPick u;
-        u.unit = static_cast<std::uint8_t>(pick.unit);
-        u.pick = static_cast<std::uint8_t>(coder::scenarioIndex(pick.pick));
-        u.proven = static_cast<std::uint8_t>(pick.proven ? 1 : 0);
-        u.nv = wireBound(pick.nv);
-        u.vs = wireBound(pick.vs);
-        resp.unitPicks.push_back(u);
-    }
-    return resp;
+    return staticAdvice(req.query);
 }
 
 Result<SubmitKernelResponse>

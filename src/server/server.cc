@@ -21,6 +21,7 @@
 
 #include "common/logging.hh"
 #include "server/http.hh"
+#include "server/static_answers.hh"
 
 namespace bvf::server
 {
@@ -302,7 +303,8 @@ Server::renderMetrics() const
     return metrics_.render(pool_ ? pool_->queueDepth() : 0,
                            options_.workers,
                            stats.utilization(options_.workers))
-           + handler_.kernelStore().renderMetrics();
+           + handler_.kernelStore().renderMetrics()
+           + renderStaticAnswerMetrics();
 }
 
 void
