@@ -332,7 +332,7 @@ runAnalyze(const Options &o, const workload::AppSpec &spec)
         o.eval.dynamicIsa ? isa::kernelPreferenceMask(config.arch, program.body)
                           : 0;
     const core::StaticReport report =
-        core::analyzeStatic(program, config, isa_mask, o.eval.pivot);
+        core::analyzeStatic(program, config, isa_mask);
 
     TextTable table(strFormat(
         "%s (%s): proven bit-1 density intervals (%zu instructions)",

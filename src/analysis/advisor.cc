@@ -12,50 +12,42 @@ namespace bvf::analysis
 
 using coder::Scenario;
 using coder::UnitId;
-using isa::Instruction;
 using isa::Opcode;
 
 namespace
 {
 
-RatioBound
-hull(const RatioBound &a, const RatioBound &b)
-{
-    return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
-
 /**
  * One register-file source stream as the pivot ranking sees it: the
- * per-thread facts, the anywhere-abstraction covering whatever the
- * pivot lane might hold, and -- when the access provably involves the
- * whole warp -- the lane-affine structure of the full block.
+ * per-thread facts and -- when the access provably involves the whole
+ * warp -- the lane-affine structure of the full block.
  */
 struct RegSource
 {
     KnownBits kb;
-    KnownBits anywhere;
     LaneAffine affine;
 
     /**
      * True when the affine fact may be used: the vector fact is known
-     * AND the access pc lies outside every divergent region with a
-     * lane-uniform guard, so the reported block is exactly the 32
-     * in-relation lane values.
+     * AND the access is whole-warp (StaticSource::wholeWarp), so the
+     * reported block is exactly the 32 in-relation lane values.
      */
     bool laneExact = false;
+
+    /**
+     * The bound at every pivot when !laneExact: the predictor's VS
+     * register word bound, non-pivot words XNOR anything the pivot lane
+     * might hold, the pivot word raw.
+     */
+    RatioBound anyPivot;
 };
 
 /** Proven one-density interval of this source's VS stream at pivot p. */
 RatioBound
 sourcePivotBound(const RegSource &src, int p)
 {
-    if (!src.laneExact || !src.affine.known) {
-        // Fallback: the predictor's own VS register bound -- non-pivot
-        // words XNOR anything the pivot lane might hold; the pivot word
-        // passes through raw.
-        return hull(xnorRatioBounds(src.kb, src.anywhere),
-                    ratioBounds(src.kb));
-    }
+    if (!src.laneExact)
+        return src.anyPivot;
 
     // The pivot word passes through unchanged.
     RatioBound r = ratioBounds(src.kb);
@@ -83,93 +75,10 @@ sourcePivotBound(const RegSource &src, int p)
     return r;
 }
 
-DensityBound
-finish(const std::vector<RatioBound> &parts)
-{
-    DensityBound d;
-    if (parts.empty())
-        return d;
-    d.any = true;
-    d.lo = 1.0;
-    d.hi = 0.0;
-    for (const RatioBound &b : parts) {
-        d.lo = std::min(d.lo, b.lo);
-        d.hi = std::max(d.hi, b.hi);
-    }
-    return d;
-}
-
 double
 midpoint(const DensityBound &b)
 {
     return (b.lo + b.hi) / 2;
-}
-
-/**
- * Collect every register-file source stream with its affine facts,
- * mirroring the predictor's source enumeration exactly (same pcs, same
- * operand/result set) so the bounds cover the same dynamic accesses.
- */
-std::vector<RegSource>
-collectRegSources(const isa::Program &program,
-                  const AnalysisResult &analysis)
-{
-    std::vector<RegSource> sources;
-    const int size = static_cast<int>(program.body.size());
-    for (int pc = 0; pc < size; ++pc) {
-        const auto idx = static_cast<std::size_t>(pc);
-        const AbsState &in = analysis.in[idx];
-        if (!in.reachable)
-            continue;
-        const Instruction &instr = program.body[idx];
-        if (isa::isControlOp(instr.op))
-            continue;
-        if (guardValue(in, instr) == Bool3::False)
-            continue;
-
-        // Whole-warp access: full mask, block exactly the 32 current
-        // lane values. Inside a divergent region the block may mix the
-        // two arms' effects; under a non-uniform guard a write only
-        // updates some lanes. Either way the affine facts must not be
-        // trusted for the access.
-        const bool wholeWarp =
-            !analysis.divergentRegion[idx]
-            && guardUniformity(in, instr) == Uniformity::Uniform;
-
-        auto add = [&](std::uint8_t reg, const AbsValue &v) {
-            RegSource s;
-            s.kb = v.kb();
-            s.anywhere = analysis.regAnywhere[reg % isa::numRegisters];
-            s.affine = v.affine();
-            s.laneExact = wholeWarp && v.affine().known;
-            sources.push_back(std::move(s));
-        };
-
-        if (isa::readsSrcA(instr.op))
-            add(instr.srcA, valueA(in, instr));
-        if (isa::readsSrcB(instr.op) && !instr.immB)
-            add(instr.srcB, in.regs[instr.srcB % isa::numRegisters]);
-        if (isa::readsDst(instr.op))
-            add(instr.dst, in.regs[instr.dst % isa::numRegisters]);
-
-        switch (instr.op) {
-          case Opcode::Ldg:
-          case Opcode::Lds:
-          case Opcode::Ldc:
-          case Opcode::Ldt:
-            add(instr.dst, loadValue(instr, in, analysis.memory));
-            break;
-          case Opcode::Stg:
-          case Opcode::Sts:
-          case Opcode::SetP:
-            break;
-          default:
-            if (isa::writesRegister(instr.op))
-                add(instr.dst, aluValue(instr, in, program.launch));
-            break;
-        }
-    }
-    return sources;
 }
 
 PivotAdvice
@@ -189,7 +98,7 @@ rankPivots(const std::vector<RegSource> &sources)
             sum += (b.lo + b.hi) / 2;
             parts.push_back(b);
         }
-        out.bounds[static_cast<std::size_t>(p)] = finish(parts);
+        out.bounds[static_cast<std::size_t>(p)] = densityHull(parts);
         out.score[static_cast<std::size_t>(p)] =
             sources.empty() ? 0.0 : sum / static_cast<double>(
                                         sources.size());
@@ -249,19 +158,10 @@ specializeIsa(const isa::Program &program, isa::GpuArch arch)
                               ? out.defaultMask
                               : isa::extractPreferenceMask(binaries);
 
-    auto density = [&](Word64 mask) {
-        RatioBound r{1.0, 0.0};
-        for (Word64 bin : binaries) {
-            const double d = hammingWeight64(xnorWord64(bin, mask)) / 64.0;
-            r.lo = std::min(r.lo, d);
-            r.hi = std::max(r.hi, d);
-        }
-        return r;
-    };
     out.anyInstruction = !binaries.empty();
     if (out.anyInstruction) {
-        out.defaultDensity = density(out.defaultMask);
-        out.specializedDensity = density(out.specializedMask);
+        out.defaultDensity = instrDensity(binaries, out.defaultMask);
+        out.specializedDensity = instrDensity(binaries, out.specializedMask);
     } else {
         out.defaultDensity = {0.0, 0.0};
         out.specializedDensity = {0.0, 0.0};
@@ -333,13 +233,25 @@ adviseProgram(const isa::Program &program, const AnalysisResult &analysis,
               const AdvisorOptions &options)
 {
     StaticAdvice advice;
-    advice.pivot = rankPivots(collectRegSources(program, analysis));
+    std::vector<RegSource> regs;
+    forEachSource(program, analysis, [&](const StaticSource &src) {
+        if (src.unit != SourceUnit::Reg)
+            return;
+        RegSource s{src.value.kb(), src.value.affine(),
+                    src.wholeWarp && src.value.affine().known, {}};
+        if (!s.laneExact) {
+            s.anyPivot =
+                dataBound(kbSource(s.kb, analysis.regAnywhere[src.reg]),
+                          Scenario::VsOnly, UnitId::Reg);
+        }
+        regs.push_back(s);
+    });
+    advice.pivot = rankPivots(regs);
     advice.isa = specializeIsa(program, options.arch);
 
     PredictorOptions popts;
     popts.arch = options.arch;
     popts.isaMask = advice.isa.specializedMask;
-    popts.vsRegisterPivot = advice.pivot.bestPivot;
     popts.lineBytes = options.lineBytes;
     advice.prediction = predictDensity(program, analysis, popts);
     advice.bestScenario = advice.prediction.bestStatic;

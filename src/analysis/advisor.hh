@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "analysis/predictor.hh"
+#include "coder/vs_coder.hh"
 #include "isa/encoding.hh"
 
 namespace bvf::analysis

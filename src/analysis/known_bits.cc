@@ -481,9 +481,7 @@ nvRatioBounds(const KnownBits &a)
     for (const KnownBits &half : {nonNeg, neg}) {
         if (half.empty())
             continue;
-        const RatioBound rb = ratioBounds(nvEncodeKnownBits(half));
-        bound.lo = std::min(bound.lo, rb.lo);
-        bound.hi = std::max(bound.hi, rb.hi);
+        bound = hull(bound, ratioBounds(nvEncodeKnownBits(half)));
         any = true;
     }
     return any ? bound : RatioBound{0.0, 1.0};

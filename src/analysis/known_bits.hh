@@ -19,6 +19,7 @@
 #ifndef BVF_ANALYSIS_KNOWN_BITS_HH
 #define BVF_ANALYSIS_KNOWN_BITS_HH
 
+#include <algorithm>
 #include <string>
 
 #include "common/bitops.hh"
@@ -175,6 +176,13 @@ struct RatioBound
     double lo = 0.0;
     double hi = 1.0;
 };
+
+/** The smallest bound containing both @p a and @p b. */
+inline RatioBound
+hull(const RatioBound &a, const RatioBound &b)
+{
+    return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
+}
 
 /** Bit-1 ratio bounds of a raw (uncoded) word drawn from @p a. */
 RatioBound ratioBounds(const KnownBits &a);

@@ -1,6 +1,5 @@
 #include "analysis/predictor.hh"
 
-#include <algorithm>
 #include <vector>
 
 #include "coder/nv_coder.hh"
@@ -10,65 +9,26 @@ namespace bvf::analysis
 
 using coder::Scenario;
 using coder::UnitId;
-using isa::Instruction;
-using isa::Opcode;
 
 namespace
 {
 
-RatioBound
-hull(const RatioBound &a, const RatioBound &b)
-{
-    return {std::min(a.lo, b.lo), std::max(a.hi, b.hi)};
-}
-
-/**
- * One source stream: a known-bits description, optionally sharpened by
- * exact raw/NV bounds when the source is an enumerable word set (memory
- * images), and the pivot abstraction VS register coding sees.
- */
-struct Source
-{
-    KnownBits kb;
-    bool exact = false;
-    RatioBound rawExact;
-    RatioBound nvExact;
-
-    /** Pivot-lane abstraction for VS register coding (Reg unit only). */
-    KnownBits pivot;
-};
-
-Source
-fromKb(const KnownBits &kb)
-{
-    Source s;
-    s.kb = kb;
-    s.pivot = kb;
-    return s;
-}
-
-Source
+DataSource
 fromWords(const std::vector<Word> &words, bool includeZero)
 {
-    Source s;
+    DataSource s;
     s.exact = true;
+    s.rawExact = s.nvExact = {1.0, 0.0};
     const coder::NvCoder nv;
     bool first = true;
     auto feed = [&](Word w) {
-        const RatioBound raw{hammingWeight(w) / 32.0,
-                             hammingWeight(w) / 32.0};
-        const RatioBound enc{hammingWeight(nv.encode(w)) / 32.0,
-                             hammingWeight(nv.encode(w)) / 32.0};
-        if (first) {
-            s.kb = KnownBits::constant(w);
-            s.rawExact = raw;
-            s.nvExact = enc;
-            first = false;
-        } else {
-            s.kb = join(s.kb, KnownBits::constant(w));
-            s.rawExact = hull(s.rawExact, raw);
-            s.nvExact = hull(s.nvExact, enc);
-        }
+        const double raw = hammingWeight(w) / 32.0;
+        const double enc = hammingWeight(nv.encode(w)) / 32.0;
+        s.kb = first ? KnownBits::constant(w)
+                     : join(s.kb, KnownBits::constant(w));
+        first = false;
+        s.rawExact = hull(s.rawExact, {raw, raw});
+        s.nvExact = hull(s.nvExact, {enc, enc});
     };
     if (includeZero || words.empty())
         feed(0);
@@ -79,38 +39,22 @@ fromWords(const std::vector<Word> &words, bool includeZero)
 }
 
 RatioBound
-rawBound(const Source &s)
+rawBound(const DataSource &s)
 {
     return s.exact ? s.rawExact : ratioBounds(s.kb);
 }
 
 RatioBound
-nvBound(const Source &s)
+nvBound(const DataSource &s)
 {
     return s.exact ? s.nvExact : nvRatioBounds(s.kb);
 }
 
-/** Instruction-stream source set with raw and ISA-coded bounds. */
-struct InstrSet
+/** Raw and ISA-coded bounds of an instruction stream. */
+struct InstrBounds
 {
-    RatioBound raw{1.0, 0.0};
-    RatioBound isa{1.0, 0.0};
-    bool any = false;
-
-    void
-    feed(Word64 bin, Word64 mask)
-    {
-        const double r = hammingWeight64(bin) / 64.0;
-        const double e = hammingWeight64(xnorWord64(bin, mask)) / 64.0;
-        if (!any) {
-            raw = {r, r};
-            isa = {e, e};
-            any = true;
-        } else {
-            raw = hull(raw, {r, r});
-            isa = hull(isa, {e, e});
-        }
-    }
+    RatioBound raw;
+    RatioBound isa;
 };
 
 bool
@@ -119,9 +63,32 @@ isaApplies(Scenario s)
     return s == Scenario::IsaOnly || s == Scenario::AllCoders;
 }
 
-/** Per-scenario bound for one data source at one unit (Table 1 wiring). */
+} // namespace
+
+DensityBound
+densityHull(const std::vector<RatioBound> &parts)
+{
+    if (parts.empty())
+        return {};
+    RatioBound r{1.0, 0.0};
+    for (const RatioBound &b : parts)
+        r = hull(r, b);
+    return {r.lo, r.hi, true};
+}
+
 RatioBound
-dataBound(const Source &src, Scenario s, UnitId unit)
+instrDensity(std::span<const Word64> binaries, Word64 mask)
+{
+    RatioBound r{1.0, 0.0};
+    for (const Word64 bin : binaries) {
+        const double d = hammingWeight64(xnorWord64(bin, mask)) / 64.0;
+        r = hull(r, {d, d});
+    }
+    return r;
+}
+
+RatioBound
+dataBound(const DataSource &src, Scenario s, UnitId unit)
 {
     static const auto nv_units = coder::nvSpaceUnits();
     static const auto vs_reg_units = coder::vsRegisterSpaceUnits();
@@ -146,24 +113,6 @@ dataBound(const Source &src, Scenario s, UnitId unit)
     return hull(xnorRatioBounds(base, pivot_base), word_bound);
 }
 
-DensityBound
-finish(const std::vector<RatioBound> &bounds)
-{
-    DensityBound d;
-    if (bounds.empty())
-        return d;
-    d.any = true;
-    d.lo = 1.0;
-    d.hi = 0.0;
-    for (const RatioBound &b : bounds) {
-        d.lo = std::min(d.lo, b.lo);
-        d.hi = std::max(d.hi, b.hi);
-    }
-    return d;
-}
-
-} // namespace
-
 StaticPrediction
 predictDensity(const isa::Program &program, const AnalysisResult &analysis,
                const PredictorOptions &options)
@@ -171,77 +120,46 @@ predictDensity(const isa::Program &program, const AnalysisResult &analysis,
     StaticPrediction out;
 
     // --- collect per-unit data sources ---------------------------------
-    std::vector<Source> reg_sources;
-    std::vector<Source> sme_sources;
-    std::vector<Source> global_sources;
+    std::vector<DataSource> reg_sources;
+    std::vector<DataSource> sme_sources;
+    std::vector<DataSource> global_sources;
     bool global_load = false;
     bool global_store = false;
     bool any_const = false;
     bool any_tex = false;
 
-    auto add_reg = [&](std::uint8_t reg, const KnownBits &kb) {
-        Source s = fromKb(kb);
-        s.pivot = analysis.regAnywhere[reg % isa::numRegisters];
-        reg_sources.push_back(std::move(s));
-    };
-
-    const int size = static_cast<int>(program.body.size());
-    for (int pc = 0; pc < size; ++pc) {
-        const auto idx = static_cast<std::size_t>(pc);
-        const AbsState &in = analysis.in[idx];
-        if (!in.reachable)
-            continue;
-        const Instruction &instr = program.body[idx];
-        if (isa::isControlOp(instr.op))
-            continue;
-        // A provably-false guard leaves no active lane to count.
-        if (guardValue(in, instr) == Bool3::False)
-            continue;
-
-        if (isa::readsSrcA(instr.op))
-            add_reg(instr.srcA, operandA(in, instr));
-        if (isa::readsSrcB(instr.op) && !instr.immB)
-            add_reg(instr.srcB,
-                    in.regs[instr.srcB % isa::numRegisters].kb());
-        if (isa::readsDst(instr.op))
-            add_reg(instr.dst,
-                    in.regs[instr.dst % isa::numRegisters].kb());
-
-        switch (instr.op) {
-          case Opcode::Ldg:
-            add_reg(instr.dst, analysis.memory.global);
-            global_load = true;
+    forEachSource(program, analysis, [&](const StaticSource &src) {
+        // An ALU result is bounded by its unreduced known bits
+        // (aluResult), not by the reduced product the advisor reads.
+        const KnownBits kb =
+            src.role == SourceRole::Result
+                ? aluResult(program.body[src.pc], analysis.in[src.pc],
+                            program.launch)
+                : src.value.kb();
+        switch (src.unit) {
+          case SourceUnit::Reg:
+            reg_sources.push_back(
+                kbSource(kb, analysis.regAnywhere[src.reg]));
             break;
-          case Opcode::Stg:
-            global_sources.push_back(
-                fromKb(in.regs[instr.srcB % isa::numRegisters].kb()));
-            global_store = true;
+          case SourceUnit::Shared:
+            sme_sources.push_back(kbSource(kb, kb));
             break;
-          case Opcode::Lds:
-            add_reg(instr.dst, analysis.memory.shared);
-            sme_sources.push_back(fromKb(analysis.memory.shared));
+          case SourceUnit::Global:
+            if (src.role == SourceRole::Store) {
+                global_sources.push_back(kbSource(kb, kb));
+                global_store = true;
+            } else {
+                global_load = true;
+            }
             break;
-          case Opcode::Sts:
-            sme_sources.push_back(
-                fromKb(in.regs[instr.srcB % isa::numRegisters].kb()));
-            break;
-          case Opcode::Ldc:
-            add_reg(instr.dst, analysis.memory.constant);
+          case SourceUnit::Constant:
             any_const = true;
             break;
-          case Opcode::Ldt:
-            add_reg(instr.dst, analysis.memory.texture);
+          case SourceUnit::Texture:
             any_tex = true;
             break;
-          case Opcode::SetP:
-            break;
-          default:
-            if (isa::writesRegister(instr.op))
-                add_reg(instr.dst,
-                        aluResult(instr, in, program.launch));
-            break;
         }
-    }
+    });
 
     // The global family covers loads, L1D/L2 fills, and store payloads;
     // out-of-range reads yield zero.
@@ -254,14 +172,14 @@ predictDensity(const isa::Program &program, const AnalysisResult &analysis,
     // Constant/texture fills pad the trailing line with zeros whenever
     // the image does not end on a line boundary.
     constexpr std::uint32_t l1cLineBytes = 64;
-    std::vector<Source> const_sources;
+    std::vector<DataSource> const_sources;
     if (any_const) {
         const auto bytes =
             static_cast<std::uint32_t>(program.constants.size() * 4);
         const_sources.push_back(
             fromWords(program.constants, bytes % l1cLineBytes != 0));
     }
-    std::vector<Source> tex_sources;
+    std::vector<DataSource> tex_sources;
     if (any_tex) {
         const auto bytes =
             static_cast<std::uint32_t>(program.texture.size() * 4);
@@ -274,27 +192,31 @@ predictDensity(const isa::Program &program, const AnalysisResult &analysis,
     // --- instruction-stream sources ------------------------------------
     const Word64 mask = options.isaMask != 0 ? options.isaMask
                                              : isa::paperIsaMask(options.arch);
-    const isa::InstructionEncoder encoder(options.arch);
-    InstrSet body_set;
-    for (const Instruction &instr : program.body)
-        body_set.feed(encoder.encode(instr), mask);
+    auto instr_bounds = [&](std::span<const Word64> binaries) {
+        return InstrBounds{instrDensity(binaries, ~Word64{0}),
+                           instrDensity(binaries, mask)};
+    };
+    std::vector<Word64> binaries =
+        isa::InstructionEncoder(options.arch).encode(program.body);
+    const InstrBounds body = instr_bounds(binaries);
+    const InstrBounds *body_instrs = binaries.empty() ? nullptr : &body;
     // NoC instruction lines pad past the body with zero binaries.
-    InstrSet noc_instr_set = body_set;
-    noc_instr_set.feed(0, mask);
+    binaries.push_back(0);
+    const InstrBounds noc_instrs = instr_bounds(binaries);
 
     // --- per-unit, per-scenario hulls ----------------------------------
     auto unit_bounds = [&](UnitId unit,
-                           const std::vector<Source> &data,
-                           const InstrSet *instrs) {
+                           const std::vector<DataSource> &data,
+                           const InstrBounds *instrs) {
         std::array<DensityBound, coder::numScenarios> bounds;
         for (const Scenario s : coder::allScenarios) {
             std::vector<RatioBound> parts;
-            for (const Source &src : data)
+            for (const DataSource &src : data)
                 parts.push_back(dataBound(src, s, unit));
-            if (instrs && instrs->any)
+            if (instrs)
                 parts.push_back(isaApplies(s) ? instrs->isa : instrs->raw);
             bounds[static_cast<std::size_t>(coder::scenarioIndex(s))] =
-                finish(parts);
+                densityHull(parts);
         }
         return bounds;
     };
@@ -302,27 +224,26 @@ predictDensity(const isa::Program &program, const AnalysisResult &analysis,
     out.units[UnitId::Reg] = unit_bounds(UnitId::Reg, reg_sources, nullptr);
     out.units[UnitId::Sme] = unit_bounds(UnitId::Sme, sme_sources, nullptr);
     out.units[UnitId::L1D] = unit_bounds(
-        UnitId::L1D, global_load ? global_sources : std::vector<Source>{},
-        nullptr);
+        UnitId::L1D,
+        global_load ? global_sources : std::vector<DataSource>{}, nullptr);
     out.units[UnitId::L1C] =
         unit_bounds(UnitId::L1C, const_sources, nullptr);
     out.units[UnitId::L1T] = unit_bounds(UnitId::L1T, tex_sources, nullptr);
-    out.units[UnitId::L1I] = unit_bounds(UnitId::L1I, {}, &body_set);
-    out.units[UnitId::Ifb] = unit_bounds(UnitId::Ifb, {}, &body_set);
+    out.units[UnitId::L1I] = unit_bounds(UnitId::L1I, {}, body_instrs);
+    out.units[UnitId::Ifb] = unit_bounds(UnitId::Ifb, {}, body_instrs);
     out.units[UnitId::L2] =
-        unit_bounds(UnitId::L2, global_sources, &body_set);
+        unit_bounds(UnitId::L2, global_sources, body_instrs);
 
     // NoC payload: data packets, padded instruction lines, and the
     // raw-zero flit padding added after every coder stage.
     for (const Scenario s : coder::allScenarios) {
         std::vector<RatioBound> parts;
-        for (const Source &src : global_sources)
+        for (const DataSource &src : global_sources)
             parts.push_back(dataBound(src, s, UnitId::Noc));
-        parts.push_back(isaApplies(s) ? noc_instr_set.isa
-                                      : noc_instr_set.raw);
+        parts.push_back(isaApplies(s) ? noc_instrs.isa : noc_instrs.raw);
         parts.push_back(RatioBound{0.0, 0.0});
         out.noc[static_cast<std::size_t>(coder::scenarioIndex(s))] =
-            finish(parts);
+            densityHull(parts);
     }
 
     // --- scenario ranking ----------------------------------------------

@@ -82,9 +82,8 @@ ExperimentDriver::runProgram(isa::Program program,
                  "--check-static is incompatible with fault injection");
         fatal_if(opts.eccAccounting,
                  "--check-static is incompatible with ECC accounting");
-        staticReport = analyzeStatic(program, config_,
-                                     run.accountant->isaMask(),
-                                     options.vsRegisterPivot);
+        staticReport =
+            analyzeStatic(program, config_, run.accountant->isaMask());
     }
 
     // The fault layer sits between the machine and the accountant, so

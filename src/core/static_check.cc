@@ -10,7 +10,7 @@ using coder::UnitId;
 
 StaticReport
 analyzeStatic(const isa::Program &program, const gpu::GpuConfig &config,
-              Word64 isaMask, int vsRegisterPivot)
+              Word64 isaMask)
 {
     StaticReport report;
     report.analysis = analysis::analyzeProgram(program);
@@ -18,7 +18,6 @@ analyzeStatic(const isa::Program &program, const gpu::GpuConfig &config,
     analysis::PredictorOptions popts;
     popts.arch = config.arch;
     popts.isaMask = isaMask;
-    popts.vsRegisterPivot = vsRegisterPivot;
     popts.lineBytes = config.lineBytes;
     report.prediction =
         analysis::predictDensity(program, report.analysis, popts);

@@ -42,8 +42,7 @@ struct StaticReport
  */
 StaticReport analyzeStatic(const isa::Program &program,
                            const gpu::GpuConfig &config,
-                           Word64 isaMask = 0, int vsRegisterPivot =
-                               coder::VsCoder::defaultRegisterPivot);
+                           Word64 isaMask = 0);
 
 /** Flatten an accountant's encoded bit statistics into check tuples. */
 std::vector<analysis::ObservedStream> observedStreams(

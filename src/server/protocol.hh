@@ -521,6 +521,12 @@ struct AppQuery
     std::string abbr;          //!< suite abbreviation, e.g. "KMN"
     std::uint8_t arch = 3;     //!< isa::GpuArch index
     std::uint8_t sched = 0;    //!< gpu::SchedulerPolicy index
+
+    /**
+     * VS register pivot lane of the run. Range-checked for every
+     * request, but it never reaches a StaticQuery answer: the
+     * predictor's VS register bound holds for every pivot.
+     */
     std::uint32_t vsPivot = 21;
     std::uint8_t dynamicIsa = 0;
 

@@ -97,7 +97,7 @@ staticQuery(const AppQuery &query)
         eval.dynamicIsa ? isa::kernelPreferenceMask(config.arch, program.body)
                         : 0;
     const core::StaticReport report =
-        core::analyzeStatic(program, config, isaMask, eval.pivot);
+        core::analyzeStatic(program, config, isaMask);
     Memo &m = memo();
     {
         std::lock_guard<std::mutex> lock(m.mutex);

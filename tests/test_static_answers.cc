@@ -154,7 +154,6 @@ TEST_P(MemoEqualsFresh, AdviceAndQueryEqualAFreshAnalysis)
         opts.arch = static_cast<isa::GpuArch>(arch);
         opts.isaMask =
             dyn ? isa::kernelPreferenceMask(opts.arch, program.body) : 0;
-        opts.vsRegisterPivot = 21;
         opts.lineBytes = lineBytes;
         return queryResponse(analysis::predictDensity(program, analysis, opts))
             .encode();
@@ -184,17 +183,18 @@ TEST_P(MemoEqualsFresh, AdviceAndQueryEqualAFreshAnalysis)
     EXPECT_EQ(again.steps(), 0u);
 
     // A query is answered afresh: one fixpoint each, no entry, and
-    // `sched` does not reach the answer.
+    // neither `sched` nor `vsPivot` reaches the answer.
     const Delta queries;
     EXPECT_EQ(queryBytes(handler, appQuery(spec.abbr, arch, 0)),
               freshQuery(0));
     const std::string query = queryBytes(handler, appQuery(spec.abbr, arch, 1));
     EXPECT_EQ(query, freshQuery(1));
     EXPECT_EQ(queryBytes(handler,
-                         appQuery(spec.abbr, arch, 1, 21, kLastSched)),
+                         appQuery(spec.abbr, arch, 1, 0, kLastSched)),
               query);
+    EXPECT_EQ(queryBytes(handler, appQuery(spec.abbr, arch, 1, 31)), query);
     EXPECT_EQ(queries.entries(), 0u);
-    EXPECT_EQ(queries.steps(), 3 * analysis.steps);
+    EXPECT_EQ(queries.steps(), 4 * analysis.steps);
 }
 
 /** Test name suffix, e.g. "FFT_pascal". */
