@@ -76,24 +76,20 @@ main()
             options.fault.ecc = ecc ? fault::EccScheme::Secded72_64
                                     : fault::EccScheme::None;
 
-            const core::SuiteResult result =
-                driver.runSuiteChecked(apps, options);
-            fatal_if(!result.failures.empty(),
-                     "reliability sweep lost %zu apps",
-                     result.failures.size());
+            const auto runs = driver.runSuite(apps, options);
 
             core::Pricing pricing;
             pricing.cellKind = circuit::CellKind::SramBvf6T;
             pricing.cellsPerBitline = cells;
             pricing.ecc = ecc;
             pricing.allowUnreliableCells = true;
-            const auto energies = driver.evaluate(result.runs, pricing);
+            const auto energies = driver.evaluate(runs, pricing);
 
             double chip = 0.0;
             for (const auto &e : energies)
                 chip += e.at(coder::Scenario::AllCoders).chipTotal();
             pt.chipMicroJ = chip / energies.size() * 1e6;
-            for (const auto &run : result.runs) {
+            for (const auto &run : runs) {
                 if (run.faults)
                     pt.faults.merge(run.faults->totals());
             }

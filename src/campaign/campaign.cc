@@ -309,23 +309,21 @@ CampaignRunner::runOneApp(const workload::AppSpec &spec) const
 
         // Pricing can also reject a configuration (e.g. an unreliable
         // cell geometry); that is an application failure, not a crash.
-        try {
-            ScopedFatalTrap trap;
-            const core::AppEnergy energy =
-                driver_.evaluate(attempted.value(), options_.pricing);
-            result.status = AppStatus::Completed;
-            result.attempts = static_cast<std::uint32_t>(attempt + 1);
-            result.error = Error{};
-            result.cycles = attempted.value().gpuStats.cycles;
-            result.instructions = attempted.value().gpuStats.sm.issued;
-            result.chipEnergy = energy.chipTotals();
-            result.bvfUnitsEnergy = energy.bvfUnitsTotals();
-            return result;
-        } catch (const FatalError &e) {
-            last = Error{ErrorCode::Failed, e.what()};
-        } catch (const std::exception &e) {
-            last = Error{ErrorCode::Failed, e.what()};
+        const auto priced = core::trapFatal([&] {
+            return driver_.evaluate(attempted.value(), options_.pricing);
+        });
+        if (!priced.ok()) {
+            last = priced.error();
+            continue;
         }
+        result.status = AppStatus::Completed;
+        result.attempts = static_cast<std::uint32_t>(attempt + 1);
+        result.error = Error{};
+        result.cycles = attempted.value().gpuStats.cycles;
+        result.instructions = attempted.value().gpuStats.sm.issued;
+        result.chipEnergy = priced.value().chipTotals();
+        result.bvfUnitsEnergy = priced.value().bvfUnitsTotals();
+        return result;
     }
 
     result.status = AppStatus::Quarantined;

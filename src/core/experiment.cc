@@ -129,87 +129,28 @@ Result<AppRun>
 ExperimentDriver::runProgramChecked(isa::Program program,
                                     const RunOptions &options) const
 {
-    auto classify = [&](const char *what) {
-        const bool timed_out = options.cancel && options.cancel->expired();
-        return Error{timed_out ? ErrorCode::Timeout : ErrorCode::Failed,
-                     what};
-    };
-    try {
-        ScopedFatalTrap trap;
-        return runProgram(std::move(program), options);
-    } catch (const FatalError &e) {
-        return classify(e.what());
-    } catch (const std::exception &e) {
-        return classify(e.what());
-    }
+    return trapFatal([&] { return runProgram(std::move(program), options); },
+                     options.cancel);
 }
 
 Result<AppRun>
 ExperimentDriver::runAppChecked(const workload::AppSpec &spec,
                                 const RunOptions &options) const
 {
-    auto classify = [&](const char *what) {
-        const bool timed_out = options.cancel && options.cancel->expired();
-        return Error{timed_out ? ErrorCode::Timeout : ErrorCode::Failed,
-                     what};
-    };
-    try {
-        ScopedFatalTrap trap;
-        return runApp(spec, options);
-    } catch (const FatalError &e) {
-        return classify(e.what());
-    } catch (const std::exception &e) {
-        return classify(e.what());
-    }
+    return trapFatal([&] { return runApp(spec, options); }, options.cancel);
 }
 
 std::vector<AppRun>
-ExperimentDriver::runSuite() const
+ExperimentDriver::runSuite(std::span<const workload::AppSpec> apps,
+                           const RunOptions &options) const
 {
-    SuiteResult result = runSuiteChecked();
-    for (const AppFailure &f : result.failures) {
-        warn("skipping %s (%s): %s", f.name.c_str(), f.abbr.c_str(),
-             f.error.describe().c_str());
-    }
-    return std::move(result.runs);
-}
-
-SuiteResult
-ExperimentDriver::runSuiteChecked(std::span<const workload::AppSpec> apps,
-                                  const RunOptions &options) const
-{
-    SuiteResult result;
+    std::vector<AppRun> runs;
+    runs.reserve(apps.size());
     for (const workload::AppSpec &spec : apps) {
         inform("simulating %s (%s)", spec.name.c_str(), spec.abbr.c_str());
-        Error last{ErrorCode::Failed, "unknown failure"};
-        int attempts = 0;
-        bool done = false;
-        for (int attempt = 0; attempt < 2 && !done; ++attempt) {
-            ++attempts;
-            workload::AppSpec trial = spec;
-            trial.seedSalt = spec.seedSalt + attempt;
-            if (attempt > 0) {
-                warn("retrying %s with fresh seed", spec.abbr.c_str());
-            }
-            auto attempted = runAppChecked(trial, options);
-            if (attempted.ok()) {
-                result.runs.push_back(std::move(attempted.value()));
-                done = true;
-            } else {
-                last = attempted.error();
-            }
-        }
-        if (!done)
-            result.failures.push_back({spec.name, spec.abbr, last,
-                                       attempts});
+        runs.push_back(runApp(spec, options));
     }
-    return result;
-}
-
-SuiteResult
-ExperimentDriver::runSuiteChecked(const RunOptions &options) const
-{
-    return runSuiteChecked(workload::evaluationSuite(), options);
+    return runs;
 }
 
 AppEnergy

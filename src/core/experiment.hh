@@ -18,10 +18,12 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/predictor.hh"
 #include "common/cancel.hh"
+#include "common/logging.hh"
 #include "common/result.hh"
 #include "core/accountant.hh"
 #include "fault/fault_sink.hh"
@@ -171,21 +173,26 @@ struct RunOptions
     sram::AccessSink *tap = nullptr;
 };
 
-/** Why one application of a suite run could not be simulated. */
-struct AppFailure
+/**
+ * Run @p body with fatal() trapped: a fatal() or std::exception raised
+ * inside it comes back as an Error instead of ending the process.
+ * The code is ErrorCode::Timeout when @p cancel has expired (a watchdog
+ * stopped the run) and ErrorCode::Failed otherwise, so callers can tell
+ * a hang from a broken configuration.
+ */
+template <typename Fn>
+Result<std::invoke_result_t<Fn &>>
+trapFatal(Fn &&body, const CancelToken *cancel = nullptr)
 {
-    std::string name;
-    std::string abbr;
-    Error error;
-    int attempts = 0; //!< 2 = failed, was reseeded, failed again
-};
-
-/** Fail-soft suite outcome: completed runs plus isolated failures. */
-struct SuiteResult
-{
-    std::vector<AppRun> runs;
-    std::vector<AppFailure> failures;
-};
+    try {
+        ScopedFatalTrap trap;
+        return body();
+    } catch (const std::exception &e) { // FatalError is one too
+        const bool timed_out = cancel && cancel->expired();
+        return Error{timed_out ? ErrorCode::Timeout : ErrorCode::Failed,
+                     e.what()};
+    }
+}
 
 /**
  * Runs applications and prices their energy.
@@ -200,11 +207,8 @@ class ExperimentDriver
                   const RunOptions &options = {}) const;
 
     /**
-     * Single fail-soft attempt at one application: any fatal() raised
-     * while simulating (bad spec, watchdog expiry, cycle-limit blowout)
-     * comes back as a structured Error instead of killing the process.
-     * A run cancelled by options.cancel is classified ErrorCode::Timeout
-     * so callers can distinguish a hang from a broken configuration.
+     * Single fail-soft attempt at one application: trapFatal(runApp)
+     * with options.cancel as the watchdog token.
      */
     Result<AppRun> runAppChecked(const workload::AppSpec &spec,
                                  const RunOptions &options = {}) const;
@@ -223,20 +227,15 @@ class ExperimentDriver
     Result<AppRun> runProgramChecked(isa::Program program,
                                      const RunOptions &options = {}) const;
 
-    /** Simulate every app of the 58-app suite. */
-    std::vector<AppRun> runSuite() const;
-
     /**
-     * Fail-soft suite run: a bad spec (or any fatal() raised while
-     * simulating it) is retried once with a fresh seed and, if it still
-     * fails, recorded as an AppFailure instead of killing the process.
-     * 57 good apps survive one broken one.
+     * Simulate @p apps in order, a plain map over runApp: the first app
+     * that fails is fatal(), since a skipped app would silently move
+     * the suite mean a figure prints. Isolating a broken app, with
+     * reseeded retries, is campaign::CampaignRunner's job.
      */
-    SuiteResult runSuiteChecked(std::span<const workload::AppSpec> apps,
-                                const RunOptions &options = {}) const;
-
-    /** Fail-soft run of the full 58-app suite. */
-    SuiteResult runSuiteChecked(const RunOptions &options = {}) const;
+    std::vector<AppRun> runSuite(
+        std::span<const workload::AppSpec> apps = workload::evaluationSuite(),
+        const RunOptions &options = {}) const;
 
     /**
      * Price one run under @p pricing; fatal() when pricing.ecc

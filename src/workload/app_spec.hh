@@ -75,8 +75,8 @@ struct AppSpec
 
     /**
      * Extra entropy folded into seed(). Zero (the default) keeps the
-     * historical per-name seed; the experiment driver bumps it to retry
-     * a failed application with fresh value/divergence draws.
+     * historical per-name seed; campaign::CampaignRunner bumps it to
+     * retry a failed application with fresh value/divergence draws.
      */
     std::uint64_t seedSalt = 0;
 
