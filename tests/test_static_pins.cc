@@ -259,9 +259,26 @@ constexpr const char *kFalseGuard = R"(.kernel pin-false-guard
     EXIT
 )";
 
+/**
+ * R1 is lane - 32, in [-32, -1], so R1 * R1 lies in [1, 1024]. The
+ * signed interval knows that; the unreduced known bits do not, since
+ * the unsigned product of two words near 2^32 overflows, and leave
+ * R2 unknown. R2 is the only source whose two forms differ, and it
+ * moves the register file's NvOnly hull: the predictor must bound it
+ * by the unreduced aluResult (the choice advisor.cc does not share),
+ * so a predictor that read the reduced aluValue moves this pin.
+ */
+constexpr const char *kReducedAlu = R"(.kernel pin-reduced-alu
+.launch 1 32
+    S2R R0, SR_LANEID
+    ISUB R1, R0, #32
+    IMUL R2, R1, R1
+    EXIT
+)";
+
 TEST(StaticPins, HandWrittenKernels)
 {
-    const char *const kernels[] = {kFalseGuard};
+    const char *const kernels[] = {kFalseGuard, kReducedAlu};
     const auto &pins = tests::kHandWrittenStaticPins;
     for (std::size_t i = 0; i < std::size(kernels); ++i) {
         auto parsed = isa::parseAsm(kernels[i]);
