@@ -2,8 +2,8 @@
  * @file
  * Runtime scaling: the 58-app campaign at 1/2/4/8 workers.
  *
- * Runs the same journal-less campaign on the work-stealing pool at
- * increasing --jobs counts, reports wall-clock speedup over the serial
+ * Runs the same journal-less campaign on the shared-queue thread pool
+ * at increasing --jobs counts, reports wall-clock speedup over the serial
  * run, and -- the part that actually matters -- byte-compares every
  * parallel report against the serial one. The ordered-reduction design
  * (runtime/ordered.hh) promises parallelism changes nothing but the
@@ -60,7 +60,7 @@ main(int argc, char **argv)
                        : "");
 
     TextTable table(strFormat(
-        "Campaign scaling: %zu apps, work-stealing pool", apps.size()));
+        "Campaign scaling: %zu apps, shared-queue pool", apps.size()));
     table.header({"Jobs", "Wall[s]", "Speedup", "Efficiency",
                   "Report vs serial"});
 

@@ -21,7 +21,7 @@
  * uninterrupted one, which is what makes partial results trustworthy.
  *
  * With jobs > 1 applications are simulated concurrently on a
- * work-stealing pool. Each application is still simulated by exactly
+ * thread pool. Each application is still simulated by exactly
  * one thread with all-local state and a per-call watchdog, results are
  * merged in campaign order (runtime/ordered.hh) and journal appends are
  * serialized, so a parallel campaign's report is byte-identical to the

@@ -1,21 +1,18 @@
 /**
  * @file
- * Work-stealing thread pool.
+ * Shared-queue thread pool.
  *
- * The repo's first concurrency layer: a fixed set of workers, each with
- * its own double-ended task queue. A worker services its own deque in
- * LIFO order (hot caches for task trees that fan out and join quickly)
- * and, when empty, steals the *oldest* task from a victim's deque in
- * FIFO order, which is the classic Blumofe-Leiserson discipline: old
- * tasks are the big untouched ones worth migrating.
+ * A fixed set of workers drains one FIFO task queue, guarded by one
+ * mutex, and sleeps on one condition variable when it is empty. The
+ * work this repo hands the pool is flat: a campaign submits one task
+ * per application from the caller's thread, and bvfd submits one task
+ * per request from its connection readers. No task forks subtasks and
+ * joins on them, so there is nothing for per-worker deques and work
+ * stealing to win; a task submitted from inside a worker simply joins
+ * the back of the queue.
  *
- * Tasks submitted from outside the pool are distributed round-robin so
- * a burst lands spread across workers; tasks submitted from inside a
- * worker go to that worker's own deque, where they are picked up
- * without any cross-thread traffic unless another worker runs dry.
- *
- * The pool keeps per-worker counters (executed tasks, steals, busy
- * nanoseconds) that the bvfd /metrics endpoint exposes as utilization.
+ * The pool keeps execution counters (executed tasks, busy nanoseconds)
+ * that the bvfd /metrics endpoint exposes as utilization.
  */
 
 #ifndef BVF_RUNTIME_THREAD_POOL_HH
@@ -25,7 +22,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -34,11 +30,10 @@
 namespace bvf::runtime
 {
 
-/** Aggregate and per-worker execution counters. */
+/** Aggregate execution counters. */
 struct PoolStats
 {
     std::uint64_t executed = 0; //!< tasks run, counted as each starts
-    std::uint64_t steals = 0;   //!< tasks taken from another worker
     std::uint64_t busyNanos = 0; //!< summed task execution time
     std::uint64_t wallNanos = 0; //!< pool lifetime so far
 
@@ -50,7 +45,7 @@ struct PoolStats
 };
 
 /**
- * Fixed-size work-stealing pool.
+ * Fixed-size pool over one shared task queue.
  *
  * Lifetime: tasks may be submitted until shutdown() (or destruction);
  * the destructor drains every queued task before joining the workers,
@@ -68,12 +63,12 @@ class ThreadPool
 
     /**
      * Queue one task. Safe from any thread, including from inside a
-     * running task (a worker enqueues onto its own deque).
+     * running task. Panics once shutdown() has begun.
      */
     void submit(std::function<void()> task);
 
     /** Worker count the pool was built with. */
-    int workers() const { return static_cast<int>(workers_.size()); }
+    int workers() const { return static_cast<int>(threads_.size()); }
 
     /** Tasks queued but not yet started (snapshot; racy by nature). */
     std::size_t queueDepth() const;
@@ -87,37 +82,20 @@ class ThreadPool
      */
     void shutdown();
 
-    /**
-     * Index of the calling worker within its pool, or -1 when the
-     * caller is not a pool thread.
-     */
-    static int currentWorker();
-
   private:
-    struct Worker
-    {
-        std::thread thread;
-        mutable std::mutex mutex;
-        std::deque<std::function<void()>> deque;
-        std::uint64_t executed = 0;
-        std::uint64_t steals = 0;
-        std::uint64_t busyNanos = 0;
-    };
+    void workerLoop();
 
-    void workerLoop(int self);
-    bool popLocal(int self, std::function<void()> &task);
-    bool stealFrom(int self, std::function<void()> &task);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::size_t nextQueue_ = 0; //!< round-robin cursor for external submits
-
-    // One shared doorbell: workers sleep here when every deque is dry.
-    mutable std::mutex wakeMutex_;
-    std::condition_variable wakeCv_;
-    std::size_t pending_ = 0; //!< tasks queued and not yet started
+    mutable std::mutex mutex_; //!< guards the queue, flag and counters
+    std::condition_variable wake_;
+    std::deque<std::function<void()>> queue_;
     bool stopping_ = false;
+    std::uint64_t executed_ = 0;
+    std::uint64_t busyNanos_ = 0;
 
     std::chrono::steady_clock::time_point start_;
+
+    // Last: the workers use every member above.
+    std::vector<std::thread> threads_;
 };
 
 } // namespace bvf::runtime

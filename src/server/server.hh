@@ -4,7 +4,7 @@
  *
  * Listens on TCP and/or a Unix socket, speaks the CRC32-framed binary
  * protocol (protocol.hh) and executes requests on a shared
- * work-stealing pool (runtime/thread_pool.hh).
+ * thread pool (runtime/thread_pool.hh).
  *
  * Concurrency shape, per connection:
  *  - a *reader* thread parses frames and submits them to the pool,

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -336,18 +337,29 @@ TEST(Campaign, WatchdogQuarantinesHangWithoutSinkingTheRun)
     // One pathological application that would run for minutes, then a
     // normal one: the watchdog must reap the first and the campaign
     // must still complete the second.
-    workload::AppSpec hang = workload::findApp("GAU");
+    const workload::AppSpec &good = workload::findApp("GAU");
+    workload::AppSpec hang = good;
     hang.name = "hanging-app";
     hang.abbr = "HNG";
     hang.loopIters = 2000; // ~300x the stock kernel: minutes of work
-    const std::vector<workload::AppSpec> apps = {
-        hang, workload::findApp("GAU")};
+    const std::vector<workload::AppSpec> apps = {hang, good};
 
     core::ExperimentDriver driver(gpu::baselineConfig());
     CampaignOptions opts;
-    opts.appTimeout = std::chrono::milliseconds(2000);
     opts.maxRetries = 0;
     opts.backoffBase = std::chrono::milliseconds(0);
+
+    // The watchdog is a multiple of the good app's time on this build
+    // and host, measured without one, so a slow build (Debug ASan) or
+    // a busy host stretches the budget with the work. 4x leaves the
+    // good app room for a host that gets busier; the hang needs ~300x.
+    const auto start = std::chrono::steady_clock::now();
+    const auto alone = CampaignRunner(driver, opts).run(std::span(&good, 1));
+    const auto goodTime = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(alone.ok() && alone.value().completed == 1);
+    opts.appTimeout =
+        std::chrono::ceil<std::chrono::milliseconds>(4 * goodTime);
+
     CampaignRunner runner(driver, opts);
     const auto outcome = runner.run(apps);
     ASSERT_TRUE(outcome.ok());
